@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .condition import SubspaceTuple
 from .experiments import (
     ModelParams,
     desilva_lim_sequence,
@@ -29,7 +30,6 @@ from .experiments import (
 )
 from .grassmann import (
     CertificateError,
-    SubspaceTuple,
     distance_to_illposed,
     is_intersecting,
     nearest_intersecting_tuple,

@@ -9,6 +9,8 @@ the summation map cannot be locally inverted and kappa is infinite.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass
 
@@ -21,38 +23,64 @@ RANK_TOL_FACTOR = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
-class TangentBasisTuple:
-    """Orthonormal tangent bases U_1, ..., U_r sharing one ambient space."""
+class SubspaceTuple:
+    """Subspaces W_1, ..., W_r of a common R^N, each an orthonormal column basis.
+
+    The engine's one input type: the tangent bases of a join decomposition
+    and general subspace tuples alike.  All operations depend on the
+    subspaces only, never on the chosen bases.
+    """
 
     ambient_dim: int
-    blocks: tuple[np.ndarray, ...]
+    subspaces: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         N = int(self.ambient_dim)
-        blocks = tuple(np.asarray(B, dtype=float) for B in self.blocks)
+        blocks = tuple(np.asarray(W, dtype=float) for W in self.subspaces)
         if not blocks:
-            raise ValueError("need at least one tangent basis block")
-        for i, B in enumerate(blocks):
-            if B.ndim != 2 or B.shape[0] != N or B.shape[1] < 1:
-                raise ValueError(f"block {i} must be {N} x n_i with n_i >= 1")
-            residual = np.abs(B.T @ B - np.eye(B.shape[1])).max()
+            raise ValueError("need at least one subspace")
+        for i, W in enumerate(blocks):
+            if W.ndim != 2 or W.shape[0] != N or W.shape[1] < 1:
+                raise ValueError(f"subspace {i} must be {N} x n_i with n_i >= 1")
+            residual = np.abs(W.T @ W - np.eye(W.shape[1])).max()
             if residual > ORTHONORMAL_TOL:
                 raise ValueError(
-                    f"invalid tangent basis: block {i} orthonormality residual {residual:.3e}"
+                    f"invalid tangent basis: subspace {i} orthonormality residual {residual:.3e}"
                 )
         object.__setattr__(self, "ambient_dim", N)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "subspaces", blocks)
 
     @property
     def block_dims(self) -> tuple[int, ...]:
-        return tuple(B.shape[1] for B in self.blocks)
+        return tuple(W.shape[1] for W in self.subspaces)
 
     @property
     def n(self) -> int:
         return sum(self.block_dims)
 
     def stacked(self) -> np.ndarray:
-        return np.hstack(self.blocks)
+        return np.hstack(self.subspaces)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "N": self.ambient_dim,
+            "blocks": [[col.tolist() for col in W.T] for W in self.subspaces],
+        }
+
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "SubspaceTuple":
+        blocks = tuple(
+            np.asarray(cols, dtype=float).T for cols in obj["blocks"]
+        )
+        return cls(int(obj["N"]), blocks)
+
+    def sha256(self) -> str:
+        canonical = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+
+
+# Tangent bases are subspace tuples; callers may use either name.
+TangentBasisTuple = SubspaceTuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +111,28 @@ class ConditionReport:
         }
 
 
+def _least_singular_triplet(M) -> tuple[float, np.ndarray, float]:
+    """(sigma_n, v, sigma_1) of an N x n matrix from one SVD; see
+    smallest_singular_value_with_vector for sigma_n and v."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError("expected a matrix")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("non-finite entries")
+    N, n = M.shape
+    full = n > N
+    try:
+        _, s, vt = np.linalg.svd(M, full_matrices=full)
+    except np.linalg.LinAlgError:
+        # gesdd can fail to converge on benign input; the transpose takes a
+        # different path through it, and its left vectors are M's right ones.
+        u, s, _ = np.linalg.svd(M.T, full_matrices=full)
+        vt = u.T
+    if full:
+        return 0.0, vt[-1].copy(), float(s[0])
+    return float(s[n - 1]), vt[n - 1].copy(), float(s[0])
+
+
 def smallest_singular_value_with_vector(M) -> tuple[float, np.ndarray]:
     """(sigma_n, v): the n-th largest singular value of an N x n matrix and a
     unit right singular vector attaining it.
@@ -90,32 +140,28 @@ def smallest_singular_value_with_vector(M) -> tuple[float, np.ndarray]:
     For n <= N this is min ||Mx|| over unit x.  For n > N the matrix has a
     nontrivial kernel, so sigma is 0 and v is a unit kernel vector.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError("expected a matrix")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("non-finite entries")
-    N, n = M.shape
-    if n <= N:
-        _, s, vt = np.linalg.svd(M, full_matrices=False)
-        return float(s[n - 1]), vt[n - 1].copy()
-    _, _, vt = np.linalg.svd(M, full_matrices=True)
-    return 0.0, vt[-1].copy()
+    sigma, v, _ = _least_singular_triplet(M)
+    return sigma, v
 
 
-def condition_number(t: TangentBasisTuple) -> ConditionReport:
+def kappa_from_singular_values(sigma_n: float, sigma_1: float, n: int, N: int) -> float:
+    """1 / sigma_n, or math.inf when the problem is ill posed: n > N, or
+    sigma_n at or below RANK_TOL_FACTOR * max(1, sigma_1)."""
+    if n > N or sigma_n <= RANK_TOL_FACTOR * max(1.0, sigma_1):
+        return math.inf
+    return 1.0 / sigma_n
+
+
+def condition_number(t: SubspaceTuple) -> ConditionReport:
     """Condition number of the join decomposition with tangent bases t."""
-    U = t.stacked()
     n, N = t.n, t.ambient_dim
-    sigma, v = smallest_singular_value_with_vector(U)
-    sigma_1 = float(np.linalg.svd(U, compute_uv=False)[0])
-    well_posed = n <= N and sigma > RANK_TOL_FACTOR * max(1.0, sigma_1)
-    kappa = 1.0 / sigma if well_posed else math.inf
+    sigma, v, sigma_1 = _least_singular_triplet(t.stacked())
+    kappa = kappa_from_singular_values(sigma, sigma_1, n, N)
     return ConditionReport(
         sigma_min=sigma,
         kappa=kappa,
         least_vector=v,
-        well_posed=well_posed,
+        well_posed=math.isfinite(kappa),
         n=n,
         N=N,
     )

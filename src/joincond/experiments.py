@@ -17,19 +17,19 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .condition import TangentBasisTuple, condition_number
+from .condition import SubspaceTuple, condition_number
 from .segre import cpd_condition_number
 from .tensor import (
     CPDecomposition,
     DenseTensor,
     RankOneTerm,
     assemble_cpd,
+    kron_with_factor,
     normalize_decomposition,
 )
 
@@ -122,23 +122,29 @@ def _draw_model_factors(params: ModelParams, rng: np.random.Generator, s: float)
     return mats
 
 
+def _draw_model(
+    params: ModelParams, rng: np.random.Generator, s: float
+) -> tuple[list[np.ndarray], CPDecomposition]:
+    """Factor matrices and their normalized decomposition.
+
+    A zero column has probability zero; such a draw is redrawn from the same
+    stream, giving up after 8 draws.
+    """
+    for _ in range(8):
+        mats = _draw_model_factors(params, rng, s)
+        try:
+            return mats, normalize_decomposition(mats)
+        except ValueError:
+            logger.warning("degenerate model draw at s=%s, redrawing", s)
+    raise RuntimeError("could not draw a nondegenerate model instance")
+
+
 def generate_model_tensor(
     params: ModelParams, seed: int, s: float
 ) -> tuple[CPDecomposition, DenseTensor]:
     """Draw one model instance: the normalized decomposition and its tensor."""
-    attempt_seed = int(seed) & _MASK64
-    for _ in range(8):
-        rng = make_rng(attempt_seed)
-        mats = _draw_model_factors(params, rng, s)
-        try:
-            decomp = normalize_decomposition(mats)
-        except ValueError:
-            # A zero column has probability zero; redraw from the next seed.
-            logger.warning("degenerate model draw at seed %d, retrying", attempt_seed)
-            attempt_seed = (attempt_seed + 1) & _MASK64
-            continue
-        return decomp, assemble_cpd(decomp)
-    raise RuntimeError("could not draw a nondegenerate model instance")
+    _, decomp = _draw_model(params, make_rng(int(seed) & _MASK64), s)
+    return decomp, assemble_cpd(decomp)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +245,7 @@ def example_41_kappa(t: float) -> CurveKappa:
     u1 = np.array([math.cos(t), math.sin(t), 0.0])
     u2 = np.array([0.0, 0.0, 1.0])
     report = condition_number(
-        TangentBasisTuple(3, (u1.reshape(-1, 1), u2.reshape(-1, 1)))
+        SubspaceTuple(3, (u1.reshape(-1, 1), u2.reshape(-1, 1)))
     )
     return CurveKappa(engine=report.kappa, analytic=1.0)
 
@@ -277,7 +283,7 @@ def example_42_kappa(t: float) -> CurveKappa:
     u1 = np.array([1.0, 0.0, 0.0])
     u2 = w / np.linalg.norm(w)
     report = condition_number(
-        TangentBasisTuple(3, (u1.reshape(-1, 1), u2.reshape(-1, 1)))
+        SubspaceTuple(3, (u1.reshape(-1, 1), u2.reshape(-1, 1)))
     )
     return CurveKappa(engine=report.kappa, analytic=float(example_42_kappa_analytic(t)))
 
@@ -322,9 +328,7 @@ def _factor_jacobian(mats: Sequence[np.ndarray]) -> np.ndarray:
     blocks = []
     for k, M in enumerate(mats):
         for i in range(r):
-            cols = [mats[kk][:, i].reshape(-1, 1) for kk in range(len(mats))]
-            cols[k] = np.eye(M.shape[0])
-            blocks.append(reduce(np.kron, cols))
+            blocks.append(kron_with_factor([F[:, i] for F in mats], k, np.eye(M.shape[0])))
     return np.hstack(blocks)
 
 
@@ -442,18 +446,7 @@ def _match_columns(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def _run_sample(params: ModelParams, s: int, sample: int) -> ExperimentRecord:
     rng = make_rng(derive_seed(params.base_seed, s, sample))
-    decomp = None
-    mats: list[np.ndarray] = []
-    for _ in range(8):
-        candidate = _draw_model_factors(params, rng, s)
-        try:
-            decomp = normalize_decomposition(candidate)
-            mats = candidate
-            break
-        except ValueError:
-            logger.warning("degenerate draw at (s=%d, sample=%d), redrawing", s, sample)
-    if decomp is None:
-        raise RuntimeError("could not draw a nondegenerate model instance")
+    mats, decomp = _draw_model(params, rng, s)
     target = assemble_cpd(decomp)
     init = normalize_decomposition(
         [B + params.tau * rng.standard_normal(B.shape) for B in mats]

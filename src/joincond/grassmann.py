@@ -1,4 +1,4 @@
-"""Subspace tuples, projection distances, and nearest ill-posed tuples.
+"""Projection distances between subspace tuples, and nearest ill-posed tuples.
 
 A tuple of subspaces (W_1, ..., W_r) of R^N with dims (n_1, ..., n_r) is
 ill posed for joint recovery when dim(W_1 + ... + W_r) < n_1 + ... + n_r,
@@ -11,74 +11,17 @@ exhibiting a closest dependent tuple.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .condition import ORTHONORMAL_TOL, smallest_singular_value_with_vector
+from .condition import SubspaceTuple, smallest_singular_value_with_vector
 from .tensor import orthonormal_complement
 
 # Tolerance for the two SVD-compounded certificate checks.
 CERTIFICATE_TOL = 1e-8
 # Below this, norms are treated as zero when picking fallback directions.
 DEGENERATE_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class SubspaceTuple:
-    """Subspaces of a common R^N, each given by an orthonormal column basis.
-
-    All operations depend on the subspaces only, never on the chosen bases.
-    """
-
-    ambient_dim: int
-    subspaces: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        N = int(self.ambient_dim)
-        blocks = tuple(np.asarray(W, dtype=float) for W in self.subspaces)
-        if not blocks:
-            raise ValueError("need at least one subspace")
-        for i, W in enumerate(blocks):
-            if W.ndim != 2 or W.shape[0] != N or W.shape[1] < 1:
-                raise ValueError(f"subspace {i} must be {N} x n_i with n_i >= 1")
-            residual = np.abs(W.T @ W - np.eye(W.shape[1])).max()
-            if residual > ORTHONORMAL_TOL:
-                raise ValueError(
-                    f"subspace {i} basis is not orthonormal (residual {residual:.3e})"
-                )
-        object.__setattr__(self, "ambient_dim", N)
-        object.__setattr__(self, "subspaces", blocks)
-
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        return tuple(W.shape[1] for W in self.subspaces)
-
-    @property
-    def n(self) -> int:
-        return sum(self.block_dims)
-
-    def stacked(self) -> np.ndarray:
-        return np.hstack(self.subspaces)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.ambient_dim,
-            "blocks": [[col.tolist() for col in W.T] for W in self.subspaces],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SubspaceTuple":
-        blocks = tuple(
-            np.asarray(cols, dtype=float).T for cols in obj["blocks"]
-        )
-        return cls(int(obj["N"]), blocks)
-
-    def sha256(self) -> str:
-        canonical = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
 class CertificateError(RuntimeError):

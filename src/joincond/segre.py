@@ -13,15 +13,14 @@ and U_i^T U_i = I holds to rounding.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
 from .condition import (
-    RANK_TOL_FACTOR,
     ConditionReport,
-    TangentBasisTuple,
+    SubspaceTuple,
     condition_number,
+    kappa_from_singular_values,
     relative_condition_numbers,
 )
 from .tensor import (
@@ -29,6 +28,8 @@ from .tensor import (
     RankOneTerm,
     assemble_cpd,
     frobenius_norm,
+    kron,
+    kron_with_factor,
     orthonormal_complement,
 )
 
@@ -37,21 +38,17 @@ WEAK_ORTHOGONALITY_TOL = 1e-12
 
 def segre_tangent_basis(term: RankOneTerm) -> np.ndarray:
     """Orthonormal tangent basis of the rank-one manifold at a term."""
-    columns = [v.reshape(-1, 1) for v in term.vectors]
-    blocks = [reduce(np.kron, columns)]
+    blocks = [kron(term.vectors).reshape(-1, 1)]
     for k, v in enumerate(term.vectors):
         Q = orthonormal_complement(v)
-        if Q.shape[1] == 0:
-            continue
-        mats = list(columns)
-        mats[k] = Q
-        blocks.append(reduce(np.kron, mats))
+        if Q.shape[1] > 0:
+            blocks.append(kron_with_factor(term.vectors, k, Q))
     return np.hstack(blocks)
 
 
-def cpd_tangent_tuple(decomp: CPDecomposition) -> TangentBasisTuple:
+def cpd_tangent_tuple(decomp: CPDecomposition) -> SubspaceTuple:
     """Tangent bases of all terms, ready for the condition-number engine."""
-    return TangentBasisTuple(
+    return SubspaceTuple(
         decomp.shape.ambient_dim,
         tuple(segre_tangent_basis(t) for t in decomp.terms),
     )
@@ -77,14 +74,11 @@ def norm_balanced_basis(term: RankOneTerm) -> np.ndarray:
     representative whose factors all have norm mu^(1/d).  Not orthonormal;
     its column span is the same tangent space as segre_tangent_basis(term).
     """
-    columns = [v.reshape(-1, 1) for v in term.vectors]
-    d = term.order
-    blocks = []
-    for k, v in enumerate(term.vectors):
-        mats = list(columns)
-        mats[k] = np.eye(v.size)
-        blocks.append(reduce(np.kron, mats))
-    return term.mu ** (1.0 - 1.0 / d) * np.hstack(blocks)
+    blocks = [
+        kron_with_factor(term.vectors, k, np.eye(v.size))
+        for k, v in enumerate(term.vectors)
+    ]
+    return term.mu ** (1.0 - 1.0 / term.order) * np.hstack(blocks)
 
 
 def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
@@ -95,18 +89,15 @@ def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
     1 / sigma_n([B_1 ... B_r]) with B_i = norm_balanced_basis(term i) and n
     the total tangent dimension.
     """
-    blocks = [norm_balanced_basis(t) for t in decomp.terms]
-    M = np.hstack(blocks)
     N = decomp.shape.ambient_dim
-    dims_sum = sum(decomp.shape.dims)
-    n = decomp.rank * (1 - decomp.order + dims_sum)
+    n = decomp.rank * (1 - decomp.order + sum(decomp.shape.dims))
     if n > N:
+        # Wide stacked matrix: sigma_n is zero, no SVD needed.
         return math.inf
+    M = np.hstack([norm_balanced_basis(t) for t in decomp.terms])
+    # Values only: right vectors would double the cost at larger shapes.
     s = np.linalg.svd(M, compute_uv=False)
-    sigma = float(s[n - 1])
-    if sigma <= RANK_TOL_FACTOR * max(1.0, float(s[0])):
-        return math.inf
-    return 1.0 / sigma
+    return kappa_from_singular_values(float(s[n - 1]), float(s[0]), n, N)
 
 
 def is_weak_3_orthogonal(decomp: CPDecomposition, tol: float = WEAK_ORTHOGONALITY_TOL) -> bool:

@@ -166,6 +166,18 @@ def kron(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.kron, vs)
 
 
+def kron_with_factor(vectors: Sequence[np.ndarray], k: int, matrix: np.ndarray) -> np.ndarray:
+    """kron(v^1, ..., v^(k-1), matrix, v^(k+1), ..., v^d) with the v^j as columns.
+
+    The one builder of Kronecker-structured tangent and Jacobian blocks; the
+    result has prod_{j != k} m_j * matrix.shape[0] rows and matrix.shape[1]
+    columns, chained left to right.
+    """
+    mats = [np.reshape(v, (-1, 1)) for v in vectors]
+    mats[k] = matrix
+    return reduce(np.kron, mats)
+
+
 def assemble_cpd(decomp: CPDecomposition) -> DenseTensor:
     """Sum the rank-one terms of a decomposition into a dense tensor."""
     total = np.zeros(decomp.shape.ambient_dim)

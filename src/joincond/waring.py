@@ -16,12 +16,19 @@ so each column of the sum has squared norm d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .condition import ConditionReport, TangentBasisTuple, condition_number
-from .tensor import UNIT_NORM_TOL, DenseTensor, Shape, _as_vector, kron, orthonormal_complement
+from .condition import ConditionReport, SubspaceTuple, condition_number
+from .tensor import (
+    UNIT_NORM_TOL,
+    DenseTensor,
+    Shape,
+    _as_vector,
+    kron,
+    kron_with_factor,
+    orthonormal_complement,
+)
 
 PAIRWISE_ORTHOGONALITY_TOL = 1e-12
 
@@ -101,24 +108,22 @@ def assemble_waring(decomp: WaringDecomposition) -> DenseTensor:
 
 def veronese_tangent_basis(term: SymmetricRankOneTerm) -> np.ndarray:
     """Orthonormal tangent basis (N x m) of the symmetric rank-one manifold."""
-    a = term.vector.reshape(-1, 1)
     d = term.order
-    first = reduce(np.kron, [a] * d)
+    vectors = [term.vector] * d
+    first = kron(vectors).reshape(-1, 1)
     Q = orthonormal_complement(term.vector)
     if Q.shape[1] == 0:
         return first
     sym = np.zeros((first.shape[0], Q.shape[1]))
     for k in range(d):
-        mats = [a] * d
-        mats[k] = Q
-        sym += reduce(np.kron, mats)
+        sym += kron_with_factor(vectors, k, Q)
     return np.hstack([first, sym / np.sqrt(d)])
 
 
-def waring_tangent_tuple(decomp: WaringDecomposition) -> TangentBasisTuple:
+def waring_tangent_tuple(decomp: WaringDecomposition) -> SubspaceTuple:
     """Tangent bases of all terms; the total tangent dimension is r * m."""
     N = decomp.m ** decomp.d
-    return TangentBasisTuple(N, tuple(veronese_tangent_basis(t) for t in decomp.terms))
+    return SubspaceTuple(N, tuple(veronese_tangent_basis(t) for t in decomp.terms))
 
 
 def waring_condition_number(decomp: WaringDecomposition) -> ConditionReport:

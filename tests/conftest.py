@@ -67,3 +67,22 @@ def orthogonal_cpd(rng, dims, rank):
         mu = float(rng.uniform(0.5, 2.0))
         terms.append(RankOneTerm(mu, tuple(M[:, i] for M in mats)))
     return CPDecomposition(Shape(tuple(dims)), tuple(terms))
+
+
+def count_svd_calls(monkeypatch, fail_first=False):
+    """Route np.linalg.svd through a recorder of each call's compute_uv flag.
+
+    With fail_first the first call raises LinAlgError, as LAPACK does when
+    the SVD iteration fails to converge.
+    """
+    real_svd = np.linalg.svd
+    calls = []
+
+    def svd(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        if fail_first and len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls

@@ -16,7 +16,6 @@ from joincond import (
     CPDecomposition,
     ModelParams,
     RankOneTerm,
-    SubspaceTuple,
     SymmetricRankOneTerm,
     WaringDecomposition,
     cpd_condition_number,
@@ -166,8 +165,7 @@ def test_03_bridge_and_certificates():
     for _ in range(200):
         d = random_cpd(rng, (3, 3, 2), 2)
         report = cpd_condition_number(d)
-        bases = cpd_tangent_tuple(d)
-        tangent = SubspaceTuple(bases.ambient_dim, bases.blocks)
+        tangent = cpd_tangent_tuple(d)
         dist = distance_to_illposed(tangent)
         gap = abs(1.0 / report.kappa - dist)
         worst_gap = max(worst_gap, gap * report.kappa)  # in units of 1e-12/kappa

@@ -8,12 +8,16 @@ import pytest
 
 from joincond import (
     ConditionReport,
+    SubspaceTuple,
     TangentBasisTuple,
     condition_number,
+    cpd_condition_number,
+    cpd_tangent_tuple,
+    paatero_sequence,
     relative_condition_numbers,
     smallest_singular_value_with_vector,
 )
-from conftest import random_orthonormal, rng_for
+from conftest import count_svd_calls, random_orthonormal, rng_for
 
 # Frozen closed-form values for two lines at 45 degrees: sigma = sqrt(2)*sin(pi/8).
 SIGMA_45 = 0.5411961001461971
@@ -162,6 +166,34 @@ def test_tangent_tuple_validation():
         TangentBasisTuple(2, (bad,))
     with pytest.raises(ValueError):
         TangentBasisTuple(2, ())
+
+
+def test_tangent_tuple_is_subspace_tuple():
+    assert TangentBasisTuple is SubspaceTuple
+
+
+def test_svd_nonconvergence_retries_on_transpose():
+    # OpenBLAS's gesdd fails to converge on this benign 60 x 30 stacked basis.
+    d = paatero_sequence(4913539079944952781, 10)
+    U = cpd_tangent_tuple(d).stacked()
+    expected = np.linalg.svd(U, compute_uv=False)[-1]
+    report = cpd_condition_number(d)
+    assert math.isclose(report.sigma_min, expected, rel_tol=1e-12)
+    assert math.isclose(
+        np.linalg.norm(U @ report.least_vector), expected, rel_tol=1e-10
+    )
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (3, 5)])
+def test_svd_retry_path_matches_direct(monkeypatch, shape):
+    M = rng_for(38).standard_normal(shape)
+    sigma, _ = smallest_singular_value_with_vector(M)
+    calls = count_svd_calls(monkeypatch, fail_first=True)
+    sigma2, v2 = smallest_singular_value_with_vector(M)
+    assert len(calls) == 2
+    assert math.isclose(sigma2, sigma, rel_tol=1e-12, abs_tol=1e-14)
+    assert math.isclose(np.linalg.norm(v2), 1.0, rel_tol=1e-12)
+    assert math.isclose(np.linalg.norm(M @ v2), sigma, rel_tol=1e-10, abs_tol=1e-13)
 
 
 def test_relative_condition_numbers_tiny_term():

@@ -24,6 +24,7 @@ from joincond import (
     generate_model_tensor,
     kron,
     make_rng,
+    normalize_decomposition,
     paatero_sequence,
     run_forward_error_experiment,
     sequence_table,
@@ -31,6 +32,7 @@ from joincond import (
     validate_rule_of_thumb,
     write_csv,
 )
+import joincond.experiments as experiments
 from joincond.experiments import _match_columns, _run_sample
 from conftest import orthogonal_cpd, random_cpd, rng_for
 
@@ -320,6 +322,65 @@ def test_run_sample_record_fields():
         assert math.isclose(
             rec.scaling, rec.forward / (rec.kappa * rec.backward), rel_tol=1e-12
         )
+
+
+def _degenerate_draws(monkeypatch, count):
+    """Make the first `count` model draws degenerate (a zero column) after
+    they consume their share of the stream; returns the list of draws made."""
+    real = experiments._draw_model_factors
+    draws = []
+
+    def draw(params, rng, s):
+        mats = real(params, rng, s)
+        draws.append(mats)
+        if len(draws) <= count:
+            mats[0][:, 0] = 0.0
+        return mats
+
+    monkeypatch.setattr(experiments, "_draw_model_factors", draw)
+    return draws
+
+
+def _second_draw_tensor(params, seed, s):
+    rng = make_rng(seed)
+    experiments._draw_model_factors(params, rng, s)
+    mats = experiments._draw_model_factors(params, rng, s)
+    return assemble_cpd(normalize_decomposition(mats))
+
+
+def test_degenerate_draw_redraws_from_same_stream(monkeypatch):
+    params = ModelParams(samples=1, base_seed=4)
+    seed, s = 21, 3
+    expected = _second_draw_tensor(params, seed, s)
+    draws = _degenerate_draws(monkeypatch, 1)
+    _, tensor = generate_model_tensor(params, seed, s)
+    assert len(draws) == 2
+    assert np.array_equal(tensor.data, expected.data)
+
+    expected = _second_draw_tensor(params, derive_seed(params.base_seed, s, 0), s)
+    targets = []
+
+    def refine(init, target):
+        targets.append(target)
+        return experiments.RefineResult(init, True, 0, 0.0)
+
+    monkeypatch.setattr(experiments, "cpd_refine", refine)
+    draws.clear()
+    _run_sample(params, s, 0)
+    assert len(draws) == 2
+    assert np.array_equal(targets[0].data, expected.data)
+
+
+def test_persistently_degenerate_draws_raise(monkeypatch):
+    params = ModelParams(samples=1)
+    draws = _degenerate_draws(monkeypatch, math.inf)
+    with pytest.raises(RuntimeError):
+        generate_model_tensor(params, 5, 2)
+    assert len(draws) == 8
+    draws.clear()
+    with pytest.raises(RuntimeError):
+        _run_sample(params, 2, 0)
+    assert len(draws) == 8
 
 
 def test_forward_error_experiment_small_run(tmp_path):

@@ -9,12 +9,20 @@ import pytest
 from joincond import (
     CertificateError,
     SubspaceTuple,
+    cpd_tangent_tuple,
     distance_to_illposed,
     is_intersecting,
     nearest_intersecting_tuple,
     projection_distance,
+    waring_tangent_tuple,
 )
-from conftest import random_orthonormal, random_subspace_tuple, rng_for
+from conftest import (
+    random_cpd,
+    random_orthonormal,
+    random_subspace_tuple,
+    random_waring,
+    rng_for,
+)
 
 BISECTOR_DIST = 0.7071067811865476  # sin(45 deg): span(e1) vs the bisector line
 
@@ -240,6 +248,18 @@ def test_tuple_json_roundtrip_and_hash_echo():
         "distance_residual",
         "intersect_residual",
     }
+
+
+def test_tangent_tuples_feed_grassmann_directly():
+    rng = rng_for(89)
+    for bases in (
+        cpd_tangent_tuple(random_cpd(rng, (3, 3, 2), 2)),
+        waring_tangent_tuple(random_waring(rng, 4, 3, 2)),
+    ):
+        assert type(bases) is SubspaceTuple
+        sigma = distance_to_illposed(bases)
+        cert = nearest_intersecting_tuple(bases)
+        assert abs(cert.distance - sigma) <= 1e-8
 
 
 def test_tuple_validation():

@@ -21,9 +21,8 @@ from joincond import (
     norm_balanced_basis,
     norm_balanced_condition_number,
     segre_tangent_basis,
-    SubspaceTuple,
 )
-from conftest import orthogonal_cpd, random_cpd, random_unit, rng_for
+from conftest import count_svd_calls, orthogonal_cpd, random_cpd, random_unit, rng_for
 
 
 def _tangent_dim(dims):
@@ -186,10 +185,19 @@ def test_bridge_inverse_kappa_equals_distance():
     for _ in range(25):
         d = random_cpd(rng, (3, 3, 2), 2)
         report = cpd_condition_number(d)
-        t = cpd_tangent_tuple(d)
-        W = SubspaceTuple(t.ambient_dim, t.blocks)
+        W = cpd_tangent_tuple(d)
         dist = distance_to_illposed(W)
         assert abs(1.0 / report.kappa - dist) <= 1e-12 / report.kappa
+
+
+def test_one_svd_per_condition_number(monkeypatch):
+    d = random_cpd(rng_for(70), (4, 3, 3), 2)
+    calls = count_svd_calls(monkeypatch)
+    assert math.isfinite(cpd_condition_number(d).kappa)
+    assert calls == [True]
+    calls.clear()
+    assert math.isfinite(norm_balanced_condition_number(d))
+    assert calls == [False]
 
 
 def test_overcomplete_rank_gives_infinite_kappa():
