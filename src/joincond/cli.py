@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -115,6 +116,8 @@ def _load_tuple(data) -> SubspaceTuple:
 
 
 def cmd_grassmann(args) -> int:
+    if not 0 <= args.tol < math.inf:
+        raise InputError("--tol must be a finite number >= 0")
     data = _load_json(args.input)
     if args.mode == "dist":
         if not (isinstance(data, list) and len(data) == 2):
@@ -151,11 +154,15 @@ def cmd_grassmann(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    s_lo = args.s_min if args.s_min is not None else 1
+    s_hi = args.s_max if args.s_max is not None else (50 if args.name == "model" else 90)
+    if args.name != "examples" and s_lo > s_hi:
+        raise InputError(f"--s-min {s_lo} exceeds --s-max {s_hi}")
+    if args.samples is not None and args.samples < 1:
+        raise InputError(f"--samples must be >= 1, got {args.samples}")
     out_dir = Path(args.out if args.out is not None else ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.name == "model":
-        s_lo = args.s_min if args.s_min is not None else 1
-        s_hi = args.s_max if args.s_max is not None else 50
         params = ModelParams(
             samples=args.samples if args.samples is not None else 250,
             base_seed=args.seed,
@@ -163,8 +170,6 @@ def cmd_experiment(args) -> int:
         run_forward_error_experiment(params, range(s_lo, s_hi + 1), out_dir)
         return EXIT_OK
     if args.name in ("paatero", "dsl"):
-        s_lo = args.s_min if args.s_min is not None else 1
-        s_hi = args.s_max if args.s_max is not None else 90
         sequence = paatero_sequence if args.name == "paatero" else desilva_lim_sequence
         rows = sequence_table(sequence, args.seed, range(s_lo, s_hi + 1))
         write_csv(out_dir / f"{args.name}_kappa.csv", "s,kappa,max_term_norm", rows)

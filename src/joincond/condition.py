@@ -43,7 +43,7 @@ class SubspaceTuple:
             if W.ndim != 2 or W.shape[0] != N or W.shape[1] < 1:
                 raise ValueError(f"subspace {i} must be {N} x n_i with n_i >= 1")
             residual = np.abs(W.T @ W - np.eye(W.shape[1])).max()
-            if residual > ORTHONORMAL_TOL:
+            if not residual <= ORTHONORMAL_TOL:
                 raise ValueError(
                     f"invalid tangent basis: subspace {i} orthonormality residual {residual:.3e}"
                 )

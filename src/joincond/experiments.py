@@ -7,7 +7,7 @@ Determinism contract: every random draw flows through numpy's PCG64 bit
 generator (standard_normal uses the ziggurat algorithm), seeded either
 directly or through derive_seed, which mixes a base seed with a per-sample
 key via the splitmix64 finalizer.  Identical parameters and seeds therefore
-produce identical outputs, bit for bit, regardless of the worker count.
+produce identical outputs, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -29,7 +28,7 @@ from .tensor import (
     DenseTensor,
     RankOneTerm,
     assemble_cpd,
-    kron_with_factor,
+    khatri_rao,
     normalize_decomposition,
 )
 
@@ -58,14 +57,6 @@ def derive_seed(base_seed: int, s: int, sample: int) -> int:
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("JOINCOND_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -310,25 +301,16 @@ def _balanced_factor_matrices(decomp: CPDecomposition) -> list[np.ndarray]:
     return mats
 
 
-def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
-    out = mats[0]
-    for M in mats[1:]:
-        out = (out[:, None, :] * M[None, :, :]).reshape(-1, out.shape[1])
-    return out
-
-
-def _assemble_from_factors(mats: Sequence[np.ndarray]) -> np.ndarray:
-    return _khatri_rao(mats).sum(axis=1)
-
-
 def _factor_jacobian(mats: Sequence[np.ndarray]) -> np.ndarray:
     # Columns ordered mode-major, then term, then vector entry; the block for
-    # (mode k, term i) is kron(f_i^1, ..., I_{m_k}, ..., f_i^d).
+    # (mode k, term i) is kron(f_i^1, ..., I_{m_k}, ..., f_i^d), so mode k's
+    # columns are one Khatri-Rao product with each f_i repeated m_k times.
     r = mats[0].shape[1]
     blocks = []
     for k, M in enumerate(mats):
-        for i in range(r):
-            blocks.append(kron_with_factor([F[:, i] for F in mats], k, np.eye(M.shape[0])))
+        factors = [np.repeat(F, M.shape[0], axis=1) for F in mats]
+        factors[k] = np.tile(np.eye(M.shape[0]), r)
+        blocks.append(khatri_rao(factors))
     return np.hstack(blocks)
 
 
@@ -360,7 +342,7 @@ def cpd_refine(
         raise ValueError("init and target shapes differ")
     mats = _balanced_factor_matrices(init)
     target_vec = target.data
-    residual = _assemble_from_factors(mats) - target_vec
+    residual = khatri_rao(mats).sum(axis=1) - target_vec
     objective = 0.5 * float(residual @ residual)
     n_params = sum(M.size for M in mats)
     lam = initial_damping
@@ -378,7 +360,7 @@ def cpd_refine(
                 lam *= 10.0
                 continue
             new_mats = _apply_step(mats, delta)
-            new_residual = _assemble_from_factors(new_mats) - target_vec
+            new_residual = khatri_rao(new_mats).sum(axis=1) - target_vec
             new_objective = 0.5 * float(new_residual @ new_residual)
             if new_objective < objective:
                 mats, residual, objective = new_mats, new_residual, new_objective
@@ -490,13 +472,7 @@ def run_forward_error_experiment(
     tables land in scaling_factor_deciles.csv and kappa_quartiles.csv.
     """
     svals = list(s_values) if s_values is not None else list(range(1, 51))
-    jobs = [(s, j) for s in svals for j in range(params.samples)]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda sj: _run_sample(params, *sj), jobs))
-    else:
-        records = [_run_sample(params, s, j) for s, j in jobs]
+    records = [_run_sample(params, s, j) for s in svals for j in range(params.samples)]
 
     deciles = []
     quartiles = []

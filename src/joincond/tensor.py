@@ -6,13 +6,16 @@ i.e. the last index runs fastest.  Under this convention the flattening of a
 rank-one tensor a^1 x ... x a^d equals the chained Kronecker product
 kron(a^1, ..., a^d), which is what every tangent-basis formula in this
 package relies on.
+
+khatri_rao is the one builder of Kronecker-structured arrays: assembled
+terms, tangent blocks and the refiner's Jacobian are all column-wise
+Kronecker products, and kron / kron_with_factor are thin calls to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -90,13 +93,13 @@ class RankOneTerm:
 
     def __post_init__(self):
         mu = float(self.mu)
-        if not mu > 0:
-            raise ValueError(f"mu must be positive, got {mu}")
+        if not 0 < mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {mu}")
         vectors = tuple(_as_vector(v) for v in self.vectors)
         if not vectors:
             raise ValueError("rank-one term needs at least one mode vector")
         for k, v in enumerate(vectors):
-            if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
+            if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_TOL:
                 raise ValueError(f"mode-{k} vector is not unit norm")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "vectors", vectors)
@@ -137,7 +140,8 @@ class CPDecomposition:
 
     def term_tensors(self) -> np.ndarray:
         """The assembled rank-one terms as columns of an N x r matrix."""
-        return np.column_stack([t.mu * kron(t.vectors) for t in self.terms])
+        factors = [np.column_stack(vs) for vs in zip(*(t.vectors for t in self.terms))]
+        return khatri_rao(factors) * np.array([t.mu for t in self.terms])
 
     def to_json_dict(self) -> dict:
         return {
@@ -158,32 +162,45 @@ class CPDecomposition:
         return cls(shape, terms)
 
 
+def khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Column-wise Kronecker product of m_k x c matrices, chained left to right.
+
+    Column j of the (prod_k m_k) x c result is kron(M_1[:, j], ..., M_d[:, j]).
+    """
+    if not mats:
+        raise ValueError("khatri_rao needs at least one matrix")
+    out = mats[0]
+    c = out.shape[1]
+    for M in mats[1:]:
+        if M.shape[1] != c:
+            raise ValueError("khatri_rao factors must have equal column counts")
+        out = (out[:, None, :] * M[None, :, :]).reshape(out.shape[0] * M.shape[0], c)
+    return out
+
+
 def kron(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Chained Kronecker product of one or more vectors."""
     vs = [_as_vector(v) for v in vectors]
     if not vs:
         raise ValueError("kron needs at least one vector")
-    return reduce(np.kron, vs)
+    return khatri_rao([v[:, None] for v in vs])[:, 0]
 
 
 def kron_with_factor(vectors: Sequence[np.ndarray], k: int, matrix: np.ndarray) -> np.ndarray:
     """kron(v^1, ..., v^(k-1), matrix, v^(k+1), ..., v^d) with the v^j as columns.
 
-    The one builder of Kronecker-structured tangent and Jacobian blocks; the
-    result has prod_{j != k} m_j * matrix.shape[0] rows and matrix.shape[1]
-    columns, chained left to right.
+    The result has prod_{j != k} m_j * matrix.shape[0] rows and
+    matrix.shape[1] columns.
     """
-    mats = [np.reshape(v, (-1, 1)) for v in vectors]
+    c = matrix.shape[1]
+    mats = [np.broadcast_to(np.reshape(v, (-1, 1)), (np.size(v), c)) for v in vectors]
     mats[k] = matrix
-    return reduce(np.kron, mats)
+    return khatri_rao(mats)
 
 
 def assemble_cpd(decomp: CPDecomposition) -> DenseTensor:
     """Sum the rank-one terms of a decomposition into a dense tensor."""
-    total = np.zeros(decomp.shape.ambient_dim)
-    for term in decomp.terms:
-        total += term.mu * kron(term.vectors)
-    return DenseTensor(decomp.shape, total)
+    return DenseTensor(decomp.shape, decomp.term_tensors().sum(axis=1))
 
 
 def normalize_decomposition(factor_matrices: Sequence[np.ndarray]) -> CPDecomposition:
@@ -230,7 +247,7 @@ def orthonormal_complement(v) -> np.ndarray:
     """
     v = _as_vector(v)
     m = v.size
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
         raise ValueError("expected a unit vector")
     if m == 1:
         return np.zeros((1, 0))

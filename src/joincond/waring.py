@@ -15,6 +15,7 @@ so each column of the sum has squared norm d.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .tensor import (
     DenseTensor,
     Shape,
     _as_vector,
+    khatri_rao,
     kron,
     kron_with_factor,
     orthonormal_complement,
@@ -43,10 +45,10 @@ class SymmetricRankOneTerm:
 
     def __post_init__(self):
         mu = float(self.mu)
-        if mu == 0.0:
-            raise ValueError("mu must be nonzero")
+        if mu == 0.0 or not math.isfinite(mu):
+            raise ValueError(f"mu must be nonzero and finite, got {mu}")
         v = _as_vector(self.vector)
-        if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
+        if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_TOL:
             raise ValueError("vector is not unit norm")
         d = int(self.order)
         if d < 1:
@@ -99,11 +101,9 @@ class WaringDecomposition:
 
 def assemble_waring(decomp: WaringDecomposition) -> DenseTensor:
     """Sum the symmetric rank-one terms into a dense (m, ..., m) tensor."""
-    shape = Shape((decomp.m,) * decomp.d)
-    total = np.zeros(shape.ambient_dim)
-    for t in decomp.terms:
-        total += t.mu * kron([t.vector] * t.order)
-    return DenseTensor(shape, total)
+    V = np.column_stack([t.vector for t in decomp.terms])
+    terms = khatri_rao([V] * decomp.d) * np.array([t.mu for t in decomp.terms])
+    return DenseTensor(Shape((decomp.m,) * decomp.d), terms.sum(axis=1))
 
 
 def veronese_tangent_basis(term: SymmetricRankOneTerm) -> np.ndarray:

@@ -305,3 +305,72 @@ def test_unknown_subcommand_exits_2(capsys):
         cli.main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cond_cpd_infinite_mu_exits_2(tmp_path, capsys):
+    payload = random_cpd(rng_for(140), (3, 2, 2), 2).to_json_dict()
+    payload["terms"][0]["mu"] = math.inf
+    path = _write_json(tmp_path / "d.json", payload)
+    code, _, err = _run(capsys, ["cond-cpd", "--input", path])
+    assert code == 2
+    assert "finite" in err
+
+
+def test_cond_waring_nan_mu_exits_2(tmp_path, capsys):
+    payload = {"m": 2, "d": 3, "terms": [{"mu": math.nan, "vector": [1.0, 0.0]}]}
+    path = _write_json(tmp_path / "w.json", payload)
+    code, _, err = _run(capsys, ["cond-waring", "--input", path])
+    assert code == 2
+    assert "finite" in err
+
+
+def test_cond_cpd_nan_mode_vector_exits_2(tmp_path, capsys):
+    payload = random_cpd(rng_for(141), (3, 2, 2), 2).to_json_dict()
+    payload["terms"][1]["vectors"][0][0] = math.nan
+    path = _write_json(tmp_path / "d.json", payload)
+    code, _, err = _run(capsys, ["cond-cpd", "--input", path])
+    assert code == 2
+    assert "unit norm" in err
+
+
+def test_cond_waring_nan_vector_exits_2(tmp_path, capsys):
+    payload = {"m": 2, "d": 3, "terms": [{"mu": 1.0, "vector": [math.nan, 0.0]}]}
+    path = _write_json(tmp_path / "w.json", payload)
+    code, _, err = _run(capsys, ["cond-waring", "--input", path])
+    assert code == 2
+    assert "unit norm" in err
+
+
+def test_grassmann_illposed_nan_basis_exits_2(tmp_path, capsys):
+    payload = {"N": 3, "blocks": [[[1.0, 0.0, 0.0]], [[0.0, math.nan, 0.0]]]}
+    path = _write_json(tmp_path / "t.json", payload)
+    code, _, err = _run(capsys, ["grassmann", "--input", path, "--mode", "illposed"])
+    assert code == 2
+    assert "orthonormality" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_experiment_model_nonpositive_samples_exits_2(tmp_path, capsys, samples):
+    argv = ["experiment", "--name", "model", "--samples", samples, "--out", str(tmp_path / "m")]
+    code, _, err = _run(capsys, argv)
+    assert code == 2
+    assert "--samples" in err
+
+
+@pytest.mark.parametrize("name", ["model", "paatero", "dsl"])
+def test_experiment_reversed_s_range_exits_2(tmp_path, capsys, name):
+    out = tmp_path / name
+    argv = ["experiment", "--name", name, "--s-min", "5", "--s-max", "1", "--out", str(out)]
+    code, _, err = _run(capsys, argv)
+    assert code == 2
+    assert "--s-min" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-0.001"])
+def test_grassmann_illposed_bad_tolerance_exits_2(tmp_path, capsys, tol):
+    t = random_subspace_tuple(rng_for(142), 4, (1, 1))
+    path = _write_json(tmp_path / "t.json", t.to_json_dict())
+    code, _, err = _run(capsys, ["grassmann", "--input", path, "--mode", "illposed", "--tol", tol])
+    assert code == 2
+    assert "--tol" in err

@@ -3,6 +3,7 @@ curve regressions, refinement, and the forward-error study."""
 
 import math
 import os
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -416,14 +417,31 @@ def test_forward_error_experiment_deterministic(tmp_path):
     ).read_bytes()
 
 
-def test_forward_error_experiment_thread_invariant(monkeypatch):
-    params = ModelParams(samples=3, base_seed=11)
-    monkeypatch.delenv("JOINCOND_THREADS", raising=False)
-    serial = run_forward_error_experiment(params, s_values=(1, 3))
-    monkeypatch.setenv("JOINCOND_THREADS", "2")
-    threaded = run_forward_error_experiment(params, s_values=(1, 3))
-    assert serial.records == threaded.records
-    assert serial.deciles == threaded.deciles
+def test_factor_jacobian_matches_per_block_kron():
+    # The pre-Khatri-Rao construction: one chained np.kron per (mode, term).
+    rng = rng_for(91)
+    mats = [rng.standard_normal((m, 6)) for m in (6, 5, 4, 4)]
+    blocks = []
+    for k, M in enumerate(mats):
+        for i in range(6):
+            factors = [F[:, i:i + 1] for F in mats]
+            factors[k] = np.eye(M.shape[0])
+            blocks.append(reduce(np.kron, factors))
+    assert np.array_equal(experiments._factor_jacobian(mats), np.hstack(blocks))
+
+
+def test_model_sample_and_kappa_never_call_np_kron(monkeypatch):
+    params = ModelParams(samples=1, base_seed=5)
+    decomp = random_cpd(rng_for(92), (6, 5, 4, 4), 6)
+    expected_record = _run_sample(params, 3, 0)
+    expected_kappa = cpd_condition_number(decomp).kappa
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", forbidden)
+    assert _run_sample(params, 3, 0) == expected_record
+    assert cpd_condition_number(decomp).kappa == expected_kappa
 
 
 def test_write_csv_format(tmp_path):

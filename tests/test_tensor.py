@@ -1,10 +1,12 @@
 """Vectorization, rank-one terms, assembly, and the orthonormal complement."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from joincond.tensor import khatri_rao
 from joincond import (
     CPDecomposition,
     DenseTensor,
@@ -60,6 +62,47 @@ def test_kron_associative():
     left = kron([kron([u, v]), w])
     right = kron([u, kron([v, w])])
     assert np.allclose(left, right, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("dims", [(5,), (3, 1, 4, 1), (6, 5, 4, 4)])
+def test_khatri_rao_columns_are_chained_kron(dims):
+    rng = rng_for(31)
+    mats = [rng.standard_normal((m, 3)) for m in dims]
+    out = khatri_rao(mats)
+    assert out.shape == (math.prod(dims), 3)
+    for j in range(3):
+        assert np.array_equal(out[:, j], reduce(np.kron, [M[:, j] for M in mats]))
+
+
+def test_khatri_rao_rejects_bad_factors():
+    with pytest.raises(ValueError):
+        khatri_rao([])
+    with pytest.raises(ValueError):
+        khatri_rao([np.ones((2, 3)), np.ones((2, 1))])
+
+
+def test_term_tensors_match_per_term_kron():
+    d = random_cpd(rng_for(32), (3, 4, 2, 2), 5)
+    expected = np.column_stack([t.mu * reduce(np.kron, t.vectors) for t in d.terms])
+    assert np.array_equal(d.term_tensors(), expected)
+
+
+@pytest.mark.parametrize("rank", [6, 10])
+def test_assemble_cpd_matches_term_by_term_sum(rank):
+    # numpy sums up to 7 columns in order and more columns pairwise, so the
+    # assembly is bitwise the term-by-term sum at the model's rank 6 and
+    # within a few ulps of it above 7 terms.
+    d = random_cpd(rng_for(33), (4, 3, 3, 2), rank)
+    terms = d.term_tensors()
+    expected = np.zeros(terms.shape[0])
+    for j in range(rank):
+        expected += terms[:, j]
+    out = assemble_cpd(d).data
+    if rank <= 7:
+        assert np.array_equal(out, expected)
+    else:
+        atol = rank * np.finfo(float).eps * np.abs(terms).sum(axis=1).max()
+        assert np.allclose(out, expected, rtol=0.0, atol=atol)
 
 
 def test_kron_empty_rejected():
