@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import as_int
+
 # A block is accepted as orthonormal when max |U^T U - I| stays below this.
 ORTHONORMAL_TOL = 1e-10
 # sigma_min at or below RANK_TOL_FACTOR * max(1, sigma_1) counts as zero.
@@ -35,7 +37,7 @@ class SubspaceTuple:
     subspaces: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        N = int(self.ambient_dim)
+        N = as_int(self.ambient_dim, "ambient dimension")
         blocks = tuple(np.asarray(W, dtype=float) for W in self.subspaces)
         if not blocks:
             raise ValueError("need at least one subspace")
@@ -72,7 +74,7 @@ class SubspaceTuple:
         blocks = tuple(
             np.asarray(cols, dtype=float).T for cols in obj["blocks"]
         )
-        return cls(int(obj["N"]), blocks)
+        return cls(obj["N"], blocks)
 
     def sha256(self) -> str:
         canonical = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -90,7 +92,10 @@ class ConditionReport:
     kappa is 1/sigma_min, with math.inf when the problem is ill posed (n > N
     or sigma_min below the rank tolerance).  least_vector is a unit right
     singular vector of the stacked basis attaining sigma_min; its blocks give
-    the most weakly determined joint tangent direction.
+    the most weakly determined joint tangent direction.  sigma_1 is the
+    largest singular value (None when not computed), and path names the
+    matrix that was decomposed: "dense" for the stacked basis itself,
+    "compressed" for its Tucker-compressed form (see segre).
     """
 
     sigma_min: float
@@ -99,6 +104,8 @@ class ConditionReport:
     well_posed: bool
     n: int
     N: int
+    sigma_1: float | None = None
+    path: str = "dense"
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,6 +115,8 @@ class ConditionReport:
             "N": self.N,
             "well_posed": self.well_posed,
             "least_vector": self.least_vector.tolist(),
+            "sigma_1": self.sigma_1,
+            "path": self.path,
         }
 
 
@@ -164,6 +173,7 @@ def condition_number(t: SubspaceTuple) -> ConditionReport:
         well_posed=math.isfinite(kappa),
         n=n,
         N=N,
+        sigma_1=sigma_1,
     )
 
 

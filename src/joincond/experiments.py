@@ -27,6 +27,7 @@ from .tensor import (
     CPDecomposition,
     DenseTensor,
     RankOneTerm,
+    as_int,
     assemble_cpd,
     khatri_rao,
     normalize_decomposition,
@@ -84,8 +85,8 @@ class ModelParams:
     base_seed: int = 0
 
     def __post_init__(self):
-        dims = tuple(int(m) for m in self.dims)
-        core = tuple(int(c) for c in self.core_ranks)
+        dims = tuple(as_int(m, "dims") for m in self.dims)
+        core = tuple(as_int(c, "core_ranks") for c in self.core_ranks)
         if len(dims) != len(core):
             raise ValueError("dims and core_ranks must have equal length")
         if any(c > m for m, c in zip(dims, core)) or any(c > self.rank for c in core):

@@ -10,11 +10,14 @@ package relies on.
 khatri_rao is the one builder of Kronecker-structured arrays: assembled
 terms, tangent blocks and the refiner's Jacobian are all column-wise
 Kronecker products, and kron / kron_with_factor are thin calls to it.
+kron_with_factor builds one block for all r terms of a decomposition in a
+single call.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +33,16 @@ def _as_vector(x) -> np.ndarray:
     return v
 
 
+def as_int(value, what: str) -> int:
+    """value as an int when it is integral; int() alone would truncate 2.5 to 2."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Shape:
     """Dimensions (m_1, ..., m_d) of the ambient tensor space."""
@@ -37,7 +50,7 @@ class Shape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(m) for m in self.dims)
+        dims = tuple(as_int(m, "dims") for m in self.dims)
         if len(dims) < 1:
             raise ValueError("shape needs at least one mode")
         if any(m < 1 for m in dims):
@@ -138,10 +151,13 @@ class CPDecomposition:
     def order(self) -> int:
         return self.shape.order
 
+    def factor_matrices(self) -> list[np.ndarray]:
+        """One m_k x r matrix per mode whose column i is term i's mode-k vector."""
+        return [np.column_stack(vs) for vs in zip(*(t.vectors for t in self.terms))]
+
     def term_tensors(self) -> np.ndarray:
         """The assembled rank-one terms as columns of an N x r matrix."""
-        factors = [np.column_stack(vs) for vs in zip(*(t.vectors for t in self.terms))]
-        return khatri_rao(factors) * np.array([t.mu for t in self.terms])
+        return khatri_rao(self.factor_matrices()) * np.array([t.mu for t in self.terms])
 
     def to_json_dict(self) -> dict:
         return {
@@ -186,16 +202,19 @@ def kron(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return khatri_rao([v[:, None] for v in vs])[:, 0]
 
 
-def kron_with_factor(vectors: Sequence[np.ndarray], k: int, matrix: np.ndarray) -> np.ndarray:
-    """kron(v^1, ..., v^(k-1), matrix, v^(k+1), ..., v^d) with the v^j as columns.
+def kron_with_factor(mats: Sequence[np.ndarray], k: int, stack: np.ndarray) -> np.ndarray:
+    """Term-wise kron(a_i^1, ..., a_i^(k-1), G_i, a_i^(k+1), ..., a_i^d).
 
-    The result has prod_{j != k} m_j * matrix.shape[0] rows and
-    matrix.shape[1] columns.
+    mats[j] is the m_j x r matrix whose column i is a_i^j (mats[k] is not
+    used) and stack is the r x m_k x c array of the G_i.  The result has
+    prod_j m_j rows and r * c columns; term i owns columns i*c .. i*c + c - 1.
     """
-    c = matrix.shape[1]
-    mats = [np.broadcast_to(np.reshape(v, (-1, 1)), (np.size(v), c)) for v in vectors]
-    mats[k] = matrix
-    return khatri_rao(mats)
+    r, m, c = stack.shape
+    factors = [
+        stack.transpose(1, 0, 2).reshape(m, r * c) if j == k else np.repeat(A, c, axis=1)
+        for j, A in enumerate(mats)
+    ]
+    return khatri_rao(factors)
 
 
 def assemble_cpd(decomp: CPDecomposition) -> DenseTensor:
@@ -246,15 +265,21 @@ def orthonormal_complement(v) -> np.ndarray:
     orthonormal and orthogonal to v.  For v = +-e_1 this yields (e_2, ..., e_m).
     """
     v = _as_vector(v)
-    m = v.size
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
         raise ValueError("expected a unit vector")
-    if m == 1:
-        return np.zeros((1, 0))
-    w = v.copy()
-    w[0] += 1.0 if v[0] >= 0 else -1.0
-    H = np.eye(m) - (2.0 / (w @ w)) * np.outer(w, w)
-    return H[:, 1:]
+    return orthonormal_complements(v[:, None])[0]
+
+
+def orthonormal_complements(A: np.ndarray) -> np.ndarray:
+    """orthonormal_complement of every column of an m x r matrix of unit
+    columns, as an r x m x (m-1) stack; the columns are not checked."""
+    W = A.T.copy()
+    W[:, 0] += np.where(W[:, 0] >= 0, 1.0, -1.0)
+    # One BLAS dot per row: a batched sum can round differently, and the
+    # last bits of these entries reach kappa and the experiment CSVs.
+    scale = 2.0 / np.array([w @ w for w in W])
+    H = np.eye(A.shape[0]) - scale[:, None, None] * (W[:, :, None] * W[:, None, :])
+    return H[:, :, 1:]
 
 
 def frobenius_norm(t: DenseTensor) -> float:

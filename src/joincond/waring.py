@@ -26,6 +26,7 @@ from .tensor import (
     DenseTensor,
     Shape,
     _as_vector,
+    as_int,
     khatri_rao,
     kron,
     kron_with_factor,
@@ -50,7 +51,7 @@ class SymmetricRankOneTerm:
         v = _as_vector(self.vector)
         if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_TOL:
             raise ValueError("vector is not unit norm")
-        d = int(self.order)
+        d = as_int(self.order, "order")
         if d < 1:
             raise ValueError("order must be >= 1")
         object.__setattr__(self, "mu", mu)
@@ -67,7 +68,7 @@ class WaringDecomposition:
     terms: tuple[SymmetricRankOneTerm, ...]
 
     def __post_init__(self):
-        m, d = int(self.m), int(self.d)
+        m, d = as_int(self.m, "m"), as_int(self.d, "d")
         terms = tuple(self.terms)
         if not terms:
             raise ValueError("decomposition needs at least one term")
@@ -91,7 +92,7 @@ class WaringDecomposition:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "WaringDecomposition":
-        m, d = int(obj["m"]), int(obj["d"])
+        m, d = as_int(obj["m"], "m"), as_int(obj["d"], "d")
         terms = tuple(
             SymmetricRankOneTerm(float(t["mu"]), np.asarray(t["vector"], dtype=float), d)
             for t in obj["terms"]
@@ -109,14 +110,14 @@ def assemble_waring(decomp: WaringDecomposition) -> DenseTensor:
 def veronese_tangent_basis(term: SymmetricRankOneTerm) -> np.ndarray:
     """Orthonormal tangent basis (N x m) of the symmetric rank-one manifold."""
     d = term.order
-    vectors = [term.vector] * d
-    first = kron(vectors).reshape(-1, 1)
+    first = kron([term.vector] * d).reshape(-1, 1)
     Q = orthonormal_complement(term.vector)
     if Q.shape[1] == 0:
         return first
+    cols = [term.vector[:, None]] * d
     sym = np.zeros((first.shape[0], Q.shape[1]))
     for k in range(d):
-        sym += kron_with_factor(vectors, k, Q)
+        sym += kron_with_factor(cols, k, Q[None])
     return np.hstack([first, sym / np.sqrt(d)])
 
 

@@ -13,6 +13,7 @@ from joincond import (
     SubspaceTuple,
     SymmetricRankOneTerm,
     WaringDecomposition,
+    norm_balanced_basis,
 )
 
 
@@ -69,20 +70,33 @@ def orthogonal_cpd(rng, dims, rank):
     return CPDecomposition(Shape(tuple(dims)), tuple(terms))
 
 
-def count_svd_calls(monkeypatch, fail_first=False):
+def count_svd_calls(monkeypatch, fail_first=False, shapes=None):
     """Route np.linalg.svd through a recorder of each call's compute_uv flag.
 
     With fail_first the first call raises LinAlgError, as LAPACK does when
-    the SVD iteration fails to converge.
+    the SVD iteration fails to converge.  A list passed as shapes receives
+    the shape of each call's matrix.
     """
     real_svd = np.linalg.svd
     calls = []
 
     def svd(*args, **kwargs):
         calls.append(kwargs.get("compute_uv", True))
+        if shapes is not None:
+            shapes.append(np.shape(args[0]))
         if fail_first and len(calls) == 1:
             raise np.linalg.LinAlgError("SVD did not converge")
         return real_svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", svd)
     return calls
+
+
+def dense_norm_balanced_sigma(decomp):
+    """(sigma_n, sigma_1, n, N) of the full stacked norm-balanced matrix, the
+    reference for norm_balanced_condition_number (sigma_n is 0 when n > N)."""
+    n = decomp.rank * (1 - decomp.order + sum(decomp.shape.dims))
+    N = decomp.shape.ambient_dim
+    M = np.hstack([norm_balanced_basis(t) for t in decomp.terms])
+    s = np.linalg.svd(M, compute_uv=False)
+    return (float(s[n - 1]) if n <= N else 0.0), float(s[0]), n, N

@@ -14,6 +14,7 @@ from joincond import (
     WaringDecomposition,
     SymmetricRankOneTerm,
     cpd_condition_number,
+    cpd_tangent_tuple,
     distance_to_illposed,
     nearest_intersecting_tuple,
     normalize_decomposition,
@@ -374,3 +375,42 @@ def test_grassmann_illposed_bad_tolerance_exits_2(tmp_path, capsys, tol):
     code, _, err = _run(capsys, ["grassmann", "--input", path, "--mode", "illposed", "--tol", tol])
     assert code == 2
     assert "--tol" in err
+
+
+def test_cond_cpd_fractional_dims_exits_2(tmp_path, capsys):
+    payload = {"dims": [2.5, 2], "terms": [{"mu": 1.0, "vectors": [[1.0, 0.0], [1.0, 0.0]]}]}
+    path = _write_json(tmp_path / "d.json", payload)
+    code, out, err = _run(capsys, ["cond-cpd", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert "dims must be an integer" in err
+
+
+def test_cond_waring_fractional_m_exits_2(tmp_path, capsys):
+    payload = {"m": 2.7, "d": 3, "terms": [{"mu": 1.0, "vector": [1.0, 0.0]}]}
+    path = _write_json(tmp_path / "w.json", payload)
+    code, out, err = _run(capsys, ["cond-waring", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert "m must be an integer" in err
+
+
+def test_cond_cpd_reports_path_and_sigma_1(tmp_path, capsys):
+    # m_k = 5 > r = 2 in every mode, so the SVD runs on the compressed matrix
+    d = random_cpd(rng_for(143), (5, 5, 5), 2)
+    path = _write_json(tmp_path / "d.json", d.to_json_dict())
+    code, out, _ = _run(capsys, ["cond-cpd", "--input", path])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["path"] == "compressed"
+    U = cpd_tangent_tuple(d).stacked()
+    assert math.isclose(payload["sigma_1"], np.linalg.svd(U, compute_uv=False)[0], rel_tol=1e-12)
+
+
+def test_grassmann_fractional_ambient_dim_exits_2(tmp_path, capsys):
+    payload = {"N": 3.5, "blocks": [[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]]}
+    path = _write_json(tmp_path / "t.json", payload)
+    code, out, err = _run(capsys, ["grassmann", "--input", path, "--mode", "illposed"])
+    assert code == 2
+    assert out == ""
+    assert "ambient dimension must be an integer" in err

@@ -243,3 +243,20 @@ def test_report_json_serialization():
         sigma_min=0.0, kappa=math.inf, least_vector=np.array([1.0]), well_posed=False, n=3, N=2
     )
     assert infinite.to_json_dict()["kappa"] == "inf"
+
+
+def test_report_carries_sigma_1_and_path():
+    # the six-field constructor above still works; the new keys have defaults
+    old = ConditionReport(
+        sigma_min=0.5, kappa=2.0, least_vector=np.array([1.0]), well_posed=True, n=1, N=2
+    )
+    assert (old.sigma_1, old.path) == (None, "dense")
+    assert old.to_json_dict()["sigma_1"] is None
+    t = TangentBasisTuple(
+        7, (random_orthonormal(rng_for(36), 7, 2), random_orthonormal(rng_for(37), 7, 3))
+    )
+    report = condition_number(t)
+    j = report.to_json_dict()
+    assert j["path"] == report.path == "dense"
+    assert j["sigma_1"] == report.sigma_1
+    assert math.isclose(report.sigma_1, np.linalg.svd(t.stacked(), compute_uv=False)[0], rel_tol=1e-14)

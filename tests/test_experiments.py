@@ -76,6 +76,14 @@ def test_model_params_validation():
     assert p.rank == 6 and p.rate == 0.2 and p.tau == 5e-4
 
 
+def test_model_params_reject_fractional_dims():
+    with pytest.raises(ValueError, match="dims must be an integer"):
+        ModelParams(dims=(6.5, 5, 4, 4))
+    with pytest.raises(ValueError, match="core_ranks must be an integer"):
+        ModelParams(core_ranks=(1, 2, 3.9, 4))
+    assert ModelParams(dims=(6.0, 5, 4, 4)).dims == (6, 5, 4, 4)
+
+
 def test_generate_model_tensor_deterministic():
     params = ModelParams(samples=1)
     d1, t1 = generate_model_tensor(params, 9, 5)
