@@ -32,7 +32,6 @@ from .experiments import (
 from .grassmann import (
     CertificateError,
     distance_to_illposed,
-    is_intersecting,
     nearest_intersecting_tuple,
     projection_distance,
 )
@@ -131,13 +130,9 @@ def cmd_grassmann(args) -> int:
         return EXIT_OK
     tup = _load_tuple(data)
     if args.mode == "illposed":
-        _emit(
-            {
-                "distance": distance_to_illposed(tup),
-                "intersecting": is_intersecting(tup, args.tol),
-            },
-            args.out,
-        )
+        # one SVD: the distance is 0 when n > N, and tol >= 0 was checked
+        distance = distance_to_illposed(tup)
+        _emit({"distance": distance, "intersecting": distance <= args.tol}, args.out)
         return EXIT_OK
     if tup.n > tup.ambient_dim:
         print("error: total block dimension exceeds the ambient dimension", file=sys.stderr)

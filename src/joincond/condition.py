@@ -5,6 +5,11 @@ governed by the n-th largest singular value of U = [U_1 ... U_r], where U_i
 is any orthonormal basis of the tangent space at p_i and n is the total
 column count: kappa = 1 / sigma_n(U).  When n exceeds the ambient dimension
 the summation map cannot be locally inverted and kappa is infinite.
+
+Only sigma_n, sigma_1 and a right singular vector are needed.  For a tall
+matrix (N >= 2n) the one SVD runs on the n x n triangular factor of its QR
+decomposition, so U's N x n left singular vectors are never formed; LAPACK's
+gesdd takes the same QR itself at that shape, so the results are unchanged.
 """
 
 from __future__ import annotations
@@ -121,8 +126,15 @@ class ConditionReport:
 
 
 def _least_singular_triplet(M) -> tuple[float, np.ndarray, float]:
-    """(sigma_n, v, sigma_1) of an N x n matrix from one SVD; see
-    smallest_singular_value_with_vector for sigma_n and v."""
+    """(sigma_n, v, sigma_1) of an N x n matrix; see
+    smallest_singular_value_with_vector for sigma_n and v.
+
+    Only the right vectors are needed, so for N >= 2n the SVD runs on the
+    n x n triangular factor R of M = QR, which has M's singular values and
+    right vectors, and the N x n left factor is never formed.  LAPACK's
+    gesdd takes that same QR internally above N = 11n/6, so the rule changes
+    no bits, only the work and memory spent on the left vectors.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a matrix")
@@ -130,6 +142,8 @@ def _least_singular_triplet(M) -> tuple[float, np.ndarray, float]:
         raise ValueError("non-finite entries")
     N, n = M.shape
     full = n > N
+    if N >= 2 * n:
+        M = np.linalg.qr(M, mode="r")
     try:
         _, s, vt = np.linalg.svd(M, full_matrices=full)
     except np.linalg.LinAlgError:

@@ -1,7 +1,8 @@
 """Experiment harness: random ill-conditioned models, divergent sequences,
-regression curves, a small nonlinear least-squares refiner, and an empirical
-validator for the forward-error rule of thumb
-(forward error <~ condition number * backward error).
+regression curves, a small nonlinear least-squares refiner (normal equations
+from factor Grams, never the Jacobian), and an empirical validator for the
+forward-error rule of thumb (forward error <~ condition number * backward
+error).
 
 Determinism contract: every random draw flows through numpy's PCG64 bit
 generator (standard_normal uses the ziggurat algorithm), seeded either
@@ -286,10 +287,19 @@ def example_42_kappa(t: float) -> CurveKappa:
 
 @dataclass(frozen=True, eq=False)
 class RefineResult:
+    """Outcome of cpd_refine.
+
+    trace has one (objective, damping, rejected_solves) entry per iteration:
+    the objective after it (unchanged when no damping was accepted), the
+    damping of the accepted step (or, when none was, the value at which the
+    schedule gave up), and how many dampings were rejected in it.
+    """
+
     decomposition: CPDecomposition
     converged: bool
     iterations: int
     objective: float
+    trace: tuple[tuple[float, float, int], ...] = ()
 
 
 def _balanced_factor_matrices(decomp: CPDecomposition) -> list[np.ndarray]:
@@ -302,17 +312,52 @@ def _balanced_factor_matrices(decomp: CPDecomposition) -> list[np.ndarray]:
     return mats
 
 
-def _factor_jacobian(mats: Sequence[np.ndarray]) -> np.ndarray:
-    # Columns ordered mode-major, then term, then vector entry; the block for
-    # (mode k, term i) is kron(f_i^1, ..., I_{m_k}, ..., f_i^d), so mode k's
-    # columns are one Khatri-Rao product with each f_i repeated m_k times.
+def _hadamard_of_grams(grams: Sequence[np.ndarray], skip: tuple[int, ...]) -> np.ndarray:
+    W = np.ones_like(grams[0])
+    for p, G in enumerate(grams):
+        if p not in skip:
+            W = W * G
+    return W
+
+
+def _normal_equations(
+    mats: Sequence[np.ndarray], residual: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """J^T J and J^T r for the factor Jacobian J, without forming J.
+
+    J's columns are ordered mode-major, then term, then vector entry, as in
+    _apply_step; the column for (mode k, term i, entry a) is
+    kron(A_1[:, i], ..., e_a, ..., A_d[:, i]).  With the factor Grams
+    G_p = A_p^T A_p and W_S their Hadamard product over the modes p not in S,
+    block (k, k) of J^T J is W_{k} x I_(m_k) and block (k, l) has entry
+    W_{k,l}[i, j] A_k[a, j] A_l[b, i] at row (i, a), column (j, b); block k
+    of J^T r is the mode-k MTTKRP of the residual tensor (Kolda & Bader,
+    SIAM Review 2009; Phan, Tichavsky & Cichocki, SIMAX 2013).  The cost is
+    O(d^2 r^2 max m_k^2 + d N r) instead of the O(N (r sum m_k)^2) of J^T J.
+    """
+    d = len(mats)
     r = mats[0].shape[1]
-    blocks = []
-    for k, M in enumerate(mats):
-        factors = [np.repeat(F, M.shape[0], axis=1) for F in mats]
-        factors[k] = np.tile(np.eye(M.shape[0]), r)
-        blocks.append(khatri_rao(factors))
-    return np.hstack(blocks)
+    dims = [M.shape[0] for M in mats]
+    offsets = np.cumsum([0] + [m * r for m in dims])
+    grams = [M.T @ M for M in mats]
+    hessian = np.empty((offsets[-1], offsets[-1]))
+    gradient = np.empty(offsets[-1])
+    R = residual.reshape(dims)
+    for k, (A, m) in enumerate(zip(mats, dims)):
+        rows = slice(offsets[k], offsets[k + 1])
+        W = _hadamard_of_grams(grams, (k,))
+        block = W[:, None, :, None] * np.eye(m)[None, :, None, :]
+        hessian[rows, rows] = block.reshape(r * m, r * m)
+        for l in range(k + 1, d):
+            cols = slice(offsets[l], offsets[l + 1])
+            W = _hadamard_of_grams(grams, (k, l))
+            block = W[:, None, :, None] * A[None, :, :, None] * mats[l].T[:, None, None, :]
+            hessian[rows, cols] = block.reshape(r * m, r * dims[l])
+            hessian[cols, rows] = hessian[rows, cols].T
+        others = [mats[p] for p in range(d) if p != k] or [np.ones((1, r))]
+        mttkrp = np.moveaxis(R, k, 0).reshape(m, -1) @ khatri_rao(others)
+        gradient[rows] = mttkrp.T.ravel()
+    return hessian, gradient
 
 
 def _apply_step(mats: Sequence[np.ndarray], delta: np.ndarray) -> list[np.ndarray]:
@@ -335,7 +380,9 @@ def cpd_refine(
     """Damped Gauss-Newton on the factor-matrix parametrization.
 
     Minimizes 0.5 * ||assembled - target||^2 with a Levenberg-Marquardt
-    damping schedule (start 1e-2, x10 on reject, /10 on accept).  Stops when
+    damping schedule (start 1e-2, x10 on reject, /10 on accept).  Each step
+    solves (J^T J + lam I) delta = -J^T r with the normal equations formed
+    from factor Grams and MTTKRPs; the Jacobian J is never built.  Stops when
     the objective reaches objective_tol or after max_iterations accepted
     steps.  Never raises on non-convergence; the flag in the result decides.
     """
@@ -345,32 +392,38 @@ def cpd_refine(
     target_vec = target.data
     residual = khatri_rao(mats).sum(axis=1) - target_vec
     objective = 0.5 * float(residual @ residual)
-    n_params = sum(M.size for M in mats)
     lam = initial_damping
     iterations = 0
+    trace = []
     converged = objective <= objective_tol
     while not converged and iterations < max_iterations:
-        J = _factor_jacobian(mats)
-        gradient = J.T @ residual
-        hessian = J.T @ J
+        hessian, gradient = _normal_equations(mats, residual)
+        diagonal = np.diag_indices_from(hessian)
         accepted = False
+        rejected = 0
         while lam < 1e14:
+            damped = hessian.copy()
+            damped[diagonal] += lam
             try:
-                delta = np.linalg.solve(hessian + lam * np.eye(n_params), -gradient)
+                delta = np.linalg.solve(damped, -gradient)
             except np.linalg.LinAlgError:
                 lam *= 10.0
+                rejected += 1
                 continue
             new_mats = _apply_step(mats, delta)
             new_residual = khatri_rao(new_mats).sum(axis=1) - target_vec
             new_objective = 0.5 * float(new_residual @ new_residual)
             if new_objective < objective:
                 mats, residual, objective = new_mats, new_residual, new_objective
+                trace.append((objective, lam, rejected))
                 lam = max(lam / 10.0, 1e-16)
                 accepted = True
                 break
             lam *= 10.0
+            rejected += 1
         iterations += 1
         if not accepted:
+            trace.append((objective, lam, rejected))
             break
         converged = objective <= objective_tol
     try:
@@ -378,8 +431,8 @@ def cpd_refine(
     except ValueError:
         # A factor column collapsed to zero; report failure on the input.
         logger.warning("refinement produced a zero factor column")
-        return RefineResult(init, False, iterations, objective)
-    return RefineResult(refined, converged, iterations, objective)
+        return RefineResult(init, False, iterations, objective, tuple(trace))
+    return RefineResult(refined, converged, iterations, objective, tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +483,15 @@ def _match_columns(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def _run_sample(params: ModelParams, s: int, sample: int) -> ExperimentRecord:
     rng = make_rng(derive_seed(params.base_seed, s, sample))
     mats, decomp = _draw_model(params, rng, s)
-    target = assemble_cpd(decomp)
+    # term sums are assemble_cpd, bit for bit; the terms are reused below
+    original_terms = decomp.term_tensors()
+    target = DenseTensor(decomp.shape, original_terms.sum(axis=1))
     init = normalize_decomposition(
         [B + params.tau * rng.standard_normal(B.shape) for B in mats]
     )
     result = cpd_refine(init, target)
-    backward = float(np.linalg.norm(assemble_cpd(result.decomposition).data - target.data))
-    original_terms = decomp.term_tensors()
     computed_terms = result.decomposition.term_tensors()
+    backward = float(np.linalg.norm(computed_terms.sum(axis=1) - target.data))
     perm = _match_columns(original_terms, computed_terms)
     forward = float(np.linalg.norm(original_terms - computed_terms[:, perm]))
     kappa = cpd_condition_number(result.decomposition).kappa

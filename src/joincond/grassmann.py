@@ -86,10 +86,7 @@ def projection_distance(W: SubspaceTuple, W2: SubspaceTuple) -> float:
 
 def is_intersecting(W: SubspaceTuple, tol: float = CERTIFICATE_TOL) -> bool:
     """True when the subspace sum has deficient dimension (within tol)."""
-    if W.n > W.ambient_dim:
-        return True
-    sigma, _ = smallest_singular_value_with_vector(W.stacked())
-    return sigma <= tol
+    return W.n > W.ambient_dim or distance_to_illposed(W) <= tol
 
 
 def distance_to_illposed(W: SubspaceTuple) -> float:

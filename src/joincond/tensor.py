@@ -8,7 +8,7 @@ kron(a^1, ..., a^d), which is what every tangent-basis formula in this
 package relies on.
 
 khatri_rao is the one builder of Kronecker-structured arrays: assembled
-terms, tangent blocks and the refiner's Jacobian are all column-wise
+terms, tangent blocks and the refiner's MTTKRPs all use column-wise
 Kronecker products, and kron / kron_with_factor are thin calls to it.
 kron_with_factor builds one block for all r terms of a decomposition in a
 single call.

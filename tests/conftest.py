@@ -70,14 +70,16 @@ def orthogonal_cpd(rng, dims, rank):
     return CPDecomposition(Shape(tuple(dims)), tuple(terms))
 
 
-def count_svd_calls(monkeypatch, fail_first=False, shapes=None):
+def count_svd_calls(monkeypatch, fail_first=False, shapes=None, qr_shapes=None):
     """Route np.linalg.svd through a recorder of each call's compute_uv flag.
 
     With fail_first the first call raises LinAlgError, as LAPACK does when
     the SVD iteration fails to converge.  A list passed as shapes receives
-    the shape of each call's matrix.
+    the shape of each call's matrix; one passed as qr_shapes receives the
+    shape of each np.linalg.qr call's matrix.
     """
     real_svd = np.linalg.svd
+    real_qr = np.linalg.qr
     calls = []
 
     def svd(*args, **kwargs):
@@ -88,7 +90,13 @@ def count_svd_calls(monkeypatch, fail_first=False, shapes=None):
             raise np.linalg.LinAlgError("SVD did not converge")
         return real_svd(*args, **kwargs)
 
+    def qr(*args, **kwargs):
+        qr_shapes.append(np.shape(args[0]))
+        return real_qr(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", svd)
+    if qr_shapes is not None:
+        monkeypatch.setattr(np.linalg, "qr", qr)
     return calls
 
 

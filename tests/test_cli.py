@@ -22,7 +22,13 @@ from joincond import (
     paatero_sequence,
     waring_condition_number,
 )
-from conftest import random_cpd, random_orthonormal, random_subspace_tuple, rng_for
+from conftest import (
+    count_svd_calls,
+    random_cpd,
+    random_orthonormal,
+    random_subspace_tuple,
+    rng_for,
+)
 
 
 def _write_json(path, payload):
@@ -160,6 +166,31 @@ def test_grassmann_illposed_orthogonal_lines(tmp_path, capsys):
     payload = json.loads(out)
     assert math.isclose(payload["distance"], 1.0, rel_tol=1e-12)
     assert payload["intersecting"] is False
+
+
+@pytest.mark.parametrize("tol", [1e-8, 2.0])
+def test_grassmann_illposed_runs_one_svd(tmp_path, capsys, monkeypatch, tol):
+    t = random_subspace_tuple(rng_for(127), 40, (3, 4, 5))
+    path = _write_json(tmp_path / "t.json", t.to_json_dict())
+    calls = count_svd_calls(monkeypatch)
+    argv = ["grassmann", "--input", path, "--mode", "illposed", "--tol", str(tol)]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert len(calls) == 1
+    payload = json.loads(out)
+    assert payload["distance"] == distance_to_illposed(t)
+    assert payload["intersecting"] is (payload["distance"] <= tol)
+
+
+def test_grassmann_illposed_overfull_runs_no_svd(tmp_path, capsys, monkeypatch):
+    t = random_subspace_tuple(rng_for(126), 3, (2, 2))
+    path = _write_json(tmp_path / "t.json", t.to_json_dict())
+    calls = count_svd_calls(monkeypatch)
+    argv = ["grassmann", "--input", path, "--mode", "illposed", "--tol", "0"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert calls == []
+    assert json.loads(out) == {"distance": 0.0, "intersecting": True}
 
 
 def test_grassmann_certify_matches_illposed(tmp_path, capsys):

@@ -122,13 +122,15 @@ def test_uncompressed_report_is_bitwise_dense():
 def test_compressed_svd_runs_on_reduced_rows(monkeypatch):
     # (20,20,20) r=10: core 10^3 rows plus three out-of-span blocks of 10^2
     d = random_cpd(rng_for(151), (20, 20, 20), 10)
-    shapes = []
-    calls = count_svd_calls(monkeypatch, shapes=shapes)
+    # (1300, 310) enters the engine, whose one SVD runs on its R factor
+    shapes, qr_shapes = [], []
+    calls = count_svd_calls(monkeypatch, shapes=shapes, qr_shapes=qr_shapes)
     report = cpd_condition_number(d)
     assert report.path == "compressed"
     assert math.isfinite(report.kappa)
     assert calls == [True]
-    assert shapes == [(1300, 310)]
+    assert qr_shapes == [(20, 10)] * 3 + [(1300, 310)]
+    assert shapes == [(310, 310)]
     shapes.clear()
     assert math.isfinite(norm_balanced_condition_number(d))
     assert shapes == [(1300, 330)]

@@ -17,7 +17,8 @@ from joincond import (
     relative_condition_numbers,
     smallest_singular_value_with_vector,
 )
-from conftest import count_svd_calls, random_orthonormal, rng_for
+from joincond.condition import _least_singular_triplet
+from conftest import count_svd_calls, random_cpd, random_orthonormal, rng_for
 
 # Frozen closed-form values for two lines at 45 degrees: sigma = sqrt(2)*sin(pi/8).
 SIGMA_45 = 0.5411961001461971
@@ -184,7 +185,7 @@ def test_svd_nonconvergence_retries_on_transpose():
     )
 
 
-@pytest.mark.parametrize("shape", [(7, 3), (3, 5)])
+@pytest.mark.parametrize("shape", [(7, 3), (3, 5), (200, 64)])
 def test_svd_retry_path_matches_direct(monkeypatch, shape):
     M = rng_for(38).standard_normal(shape)
     sigma, _ = smallest_singular_value_with_vector(M)
@@ -194,6 +195,37 @@ def test_svd_retry_path_matches_direct(monkeypatch, shape):
     assert math.isclose(sigma2, sigma, rel_tol=1e-12, abs_tol=1e-14)
     assert math.isclose(np.linalg.norm(v2), 1.0, rel_tol=1e-12)
     assert math.isclose(np.linalg.norm(M @ v2), sigma, rel_tol=1e-10, abs_tol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "source, reduced",
+    [("tangent", True), ("random_tall", True), ("below_rule", False)],
+)
+def test_r_factor_svd_is_bitwise_direct_svd(monkeypatch, source, reduced):
+    # N >= 2n lies above gesdd's own QR crossover (11n/6), so the SVD of R
+    # repeats the arithmetic gesdd does on M; (480, 96) is the model grid's
+    # stacked tangent matrix at (6, 5, 4, 4) r=6.
+    rng = rng_for(39)
+    if source == "tangent":
+        M = cpd_tangent_tuple(random_cpd(rng, (6, 5, 4, 4), 6)).stacked()
+        assert M.shape == (480, 96)
+    elif source == "random_tall":
+        M = rng.standard_normal((2000, 120))
+    else:
+        M = rng.standard_normal((45, 27))
+    n = M.shape[1]
+    _, s, vt = np.linalg.svd(M, full_matrices=False)
+    if reduced:
+        _, s_r, vt_r = np.linalg.svd(np.linalg.qr(M, mode="r"), full_matrices=False)
+        assert np.array_equal(s_r, s)
+        assert np.array_equal(vt_r, vt)
+    qr_shapes = []
+    count_svd_calls(monkeypatch, qr_shapes=qr_shapes)
+    sigma, v, sigma_1 = _least_singular_triplet(M)
+    assert qr_shapes == ([M.shape] if reduced else [])
+    assert sigma == s[n - 1]
+    assert sigma_1 == s[0]
+    assert np.array_equal(v, vt[n - 1])
 
 
 def test_relative_condition_numbers_tiny_term():

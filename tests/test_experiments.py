@@ -7,6 +7,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from joincond import (
     CPDecomposition,
@@ -425,17 +427,90 @@ def test_forward_error_experiment_deterministic(tmp_path):
     ).read_bytes()
 
 
-def test_factor_jacobian_matches_per_block_kron():
-    # The pre-Khatri-Rao construction: one chained np.kron per (mode, term).
-    rng = rng_for(91)
-    mats = [rng.standard_normal((m, 6)) for m in (6, 5, 4, 4)]
+def _dense_jacobian(mats):
+    """The factor Jacobian built with one chained np.kron per (mode, term)
+    block: the reference for the Gram-built normal equations."""
+    r = mats[0].shape[1]
     blocks = []
     for k, M in enumerate(mats):
-        for i in range(6):
+        for i in range(r):
             factors = [F[:, i:i + 1] for F in mats]
             factors[k] = np.eye(M.shape[0])
             blocks.append(reduce(np.kron, factors))
-    assert np.array_equal(experiments._factor_jacobian(mats), np.hstack(blocks))
+    return np.hstack(blocks)
+
+
+def _dense_normal_equations(mats, residual):
+    J = _dense_jacobian(mats)
+    return J.T @ J, J.T @ residual
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.integers(2, 4).flatmap(
+        lambda d: st.lists(st.integers(1, 7), min_size=d, max_size=d)
+    ),
+    r=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_normal_equations_match_dense_jacobian(dims, r, seed):
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((m, r)) for m in dims]
+    residual = rng.standard_normal(int(np.prod(dims)))
+    hessian, gradient = experiments._normal_equations(mats, residual)
+    J = _dense_jacobian(mats)
+    # relative to the largest |J|^T |J| and |J|^T |r|, the scales of the
+    # rounding error in either build
+    absJ = np.abs(J)
+    assert np.array_equal(hessian, hessian.T)
+    assert np.abs(hessian - J.T @ J).max() <= 1e-13 * (absJ.T @ absJ).max()
+    assert np.abs(gradient - J.T @ residual).max() <= 1e-13 * (absJ.T @ np.abs(residual)).max()
+
+
+def _model_refine_problem(params, s, sample):
+    rng = make_rng(derive_seed(params.base_seed, s, sample))
+    mats, decomp = experiments._draw_model(params, rng, s)
+    init = normalize_decomposition(
+        [B + params.tau * rng.standard_normal(B.shape) for B in mats]
+    )
+    return init, assemble_cpd(decomp)
+
+
+@pytest.mark.parametrize("s", [1, 25, 50])
+def test_refine_with_gram_equations_matches_dense_jacobian(monkeypatch, s):
+    params = ModelParams(samples=3)
+    problems = [_model_refine_problem(params, s, j) for j in range(params.samples)]
+    fast = [cpd_refine(init, target) for init, target in problems]
+    monkeypatch.setattr(experiments, "_normal_equations", _dense_normal_equations)
+    for (init, target), got in zip(problems, fast):
+        ref = cpd_refine(init, target)
+        assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+        assert [t[1:] for t in got.trace] == [t[1:] for t in ref.trace]
+        # the final objectives (~1e-16) carry the rounding differences of
+        # the iterates; eps times the starting objective is their scale
+        start = 0.5 * float(np.sum((assemble_cpd(init).data - target.data) ** 2))
+        for a, b in zip(got.trace, ref.trace):
+            assert abs(a[0] - b[0]) <= 1e-10 * b[0] + np.finfo(float).eps * start
+
+
+def test_refine_trace_records_every_iteration():
+    params = ModelParams(samples=1)
+    init, target = _model_refine_problem(params, 25, 0)
+    res = cpd_refine(init, target)
+    assert res.converged
+    assert len(res.trace) == res.iterations >= 1
+    objectives = [t[0] for t in res.trace]
+    assert all(b < a for a, b in zip(objectives, objectives[1:]))
+    assert objectives[-1] == res.objective
+    assert all(damping > 0 and rejected >= 0 for _, damping, rejected in res.trace)
+
+    rng = rng_for(105)
+    d = random_cpd(rng, (3, 3, 3), 1)
+    off_model = DenseTensor(Shape((3, 3, 3)), rng.standard_normal(27))
+    res = cpd_refine(d, off_model, max_iterations=60)
+    assert len(res.trace) == res.iterations
+    objectives = [t[0] for t in res.trace]
+    assert all(b <= a for a, b in zip(objectives, objectives[1:]))
 
 
 def test_model_sample_and_kappa_never_call_np_kron(monkeypatch):
