@@ -37,7 +37,7 @@ from .grassmann import (
 )
 from .segre import cpd_condition_number
 from .tensor import CPDecomposition, normalize_decomposition
-from .waring import WaringDecomposition, waring_condition_number
+from .waring import WaringDecomposition, symmetric_dimension, waring_condition_number
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -104,7 +104,7 @@ def cmd_cond_waring(args) -> int:
         raise InputError(f"invalid decomposition JSON: {exc}") from exc
     report = waring_condition_number(decomp)
     _emit(report.to_json_dict(), args.out)
-    return EXIT_DIMENSION if report.n > report.N else EXIT_OK
+    return EXIT_DIMENSION if report.n > symmetric_dimension(decomp.m, decomp.d) else EXIT_OK
 
 
 def _load_tuple(data) -> SubspaceTuple:

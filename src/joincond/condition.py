@@ -86,10 +86,6 @@ class SubspaceTuple:
         return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
-# Tangent bases are subspace tuples; callers may use either name.
-TangentBasisTuple = SubspaceTuple
-
-
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Output of the condition-number engine.
@@ -100,7 +96,8 @@ class ConditionReport:
     the most weakly determined joint tangent direction.  sigma_1 is the
     largest singular value (None when not computed), and path names the
     matrix that was decomposed: "dense" for the stacked basis itself,
-    "compressed" for its Tucker-compressed form (see segre).
+    "compressed" for its Tucker-compressed form (see segre), "symmetric"
+    for its weighted symmetric-coordinate rows (see waring).
     """
 
     sigma_min: float

@@ -7,8 +7,10 @@ error).
 Determinism contract: every random draw flows through numpy's PCG64 bit
 generator (standard_normal uses the ziggurat algorithm), seeded either
 directly or through derive_seed, which mixes a base seed with a per-sample
-key via the splitmix64 finalizer.  Identical parameters and seeds therefore
-produce identical outputs, bit for bit.
+key via the splitmix64 finalizer.  Identical parameters and seeds, run on the
+same numpy/BLAS build with the same BLAS thread count, therefore produce
+identical outputs, bit for bit.  OpenBLAS splits its work by thread count, so
+another thread count can change the model CSVs at rounding level.
 """
 
 from __future__ import annotations

@@ -11,6 +11,24 @@ where Q is an orthonormal basis of the complement of a.  The 1/sqrt(d)
 factor makes the symmetrized block orthonormal: the d summands are mutually
 orthogonal columnwise (their cross inner products contain a factor a^T q = 0),
 so each column of the sum has squared norm d.
+
+Every column of V is a symmetric tensor, so the stacked [V_1 ... V_r] lives
+in S^d(R^m), of dimension C(m+d-1, d) (Comon, Golub, Lim & Mourrain,
+"Symmetric tensors and symmetric tensor rank", SIMAX 2008).  A symmetric
+tensor is fixed by its entries at the sorted multi-indices i_1 <= ... <= i_d,
+and the entry at I occurs d! / prod_j c_j! times among all m^d entries (c_j
+is how often j occurs in I).  Keeping only the sorted rows, each scaled by
+the square root of that count, is therefore an isometry on S^d(R^m): the
+weighted matrix has the Gram matrix of the stacked basis, hence its singular
+values and right singular vectors.  waring_condition_number decomposes that
+C(m+d-1, d)-row matrix (715 rows instead of 10,000 at m=10, d=4), and
+n = r * m above C(m+d-1, d) makes it ill posed by the dimension count.
+
+One builder, _tangent_matrix, produces every Waring tangent matrix for all
+terms at once from a table of multi-indices: the sorted rows with their
+weights for the engine, and all m^d rows in C order for the dense
+waring_tangent_tuple, which distance_to_illposed, the certificates and the
+tests take.
 """
 
 from __future__ import annotations
@@ -20,7 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condition import ConditionReport, SubspaceTuple, condition_number
+from .condition import (
+    ConditionReport,
+    SubspaceTuple,
+    _least_singular_triplet,
+    kappa_from_singular_values,
+)
 from .tensor import (
     UNIT_NORM_TOL,
     DenseTensor,
@@ -28,9 +51,7 @@ from .tensor import (
     _as_vector,
     as_int,
     khatri_rao,
-    kron,
-    kron_with_factor,
-    orthonormal_complement,
+    orthonormal_complements,
 )
 
 PAIRWISE_ORTHOGONALITY_TOL = 1e-12
@@ -100,36 +121,121 @@ class WaringDecomposition:
         return cls(m, d, terms)
 
 
+def _vector_matrix(decomp: WaringDecomposition) -> np.ndarray:
+    return np.column_stack([t.vector for t in decomp.terms])
+
+
 def assemble_waring(decomp: WaringDecomposition) -> DenseTensor:
     """Sum the symmetric rank-one terms into a dense (m, ..., m) tensor."""
-    V = np.column_stack([t.vector for t in decomp.terms])
+    V = _vector_matrix(decomp)
     terms = khatri_rao([V] * decomp.d) * np.array([t.mu for t in decomp.terms])
     return DenseTensor(Shape((decomp.m,) * decomp.d), terms.sum(axis=1))
 
 
+def symmetric_dimension(m: int, d: int) -> int:
+    """dim S^d(R^m) = C(m+d-1, d), the space holding every Waring tangent
+    vector; with more than this many tangent directions (r * m) the tangent
+    spaces must intersect, so kappa is infinite and cond-waring exits 3."""
+    return math.comb(m + d - 1, d)
+
+
+def _dense_rows(m: int, d: int) -> np.ndarray:
+    """All m^d multi-indices (i_1, ..., i_d) in C order, as an m^d x d array."""
+    return np.indices((m,) * d).reshape(d, -1).T
+
+
+def _symmetric_rows(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multi-indices i_1 <= ... <= i_d in lexicographic order, as a
+    C(m+d-1, d) x d array, and for each the square root of its multinomial
+    count d! / prod_j c_j!, the number of entries of a symmetric tensor that
+    equal it (c_j is how often j occurs).
+
+    Built one position at a time: a row ending in j has the children
+    j, ..., m - 1.  prod_j c_j! is the product over positions of the length
+    of the run of equal indices ending there.
+    """
+    rows = np.arange(m)[:, None]
+    run = np.ones(m)
+    ties = np.ones(m)
+    for _ in range(d - 1):
+        last = rows[:, -1]
+        width = m - last
+        parent = np.repeat(np.arange(last.size), width)
+        child = np.arange(parent.size) - np.repeat(np.cumsum(width) - width - last, width)
+        run = np.where(child == last[parent], run[parent] + 1.0, 1.0)
+        ties = ties[parent] * run
+        rows = np.column_stack([rows[parent], child])
+    return rows, np.sqrt(math.factorial(d) / ties)
+
+
+def _tangent_matrix(A: np.ndarray, rows: np.ndarray, weights=None) -> np.ndarray:
+    """The rows I of [V_1 ... V_r], each scaled by its weight, for the terms
+    whose unit vectors are the columns of the m x r matrix A; V_i is laid out
+    as veronese_tangent_basis does.
+
+    With G[I, k, i] = a_i[i_k], row I of a_i^(x d) is prod_k G[I, k, i] and
+    row I of the complement column q is sum_k q[i_k] prod_(l != k) G[I, l, i],
+    which prefix and suffix products over the d positions give for all rows
+    and terms at once.
+    """
+    R, d = rows.shape
+    m, r = A.shape
+    G = A[rows]
+    prefix = [np.ones((R, r))]
+    for k in range(d):
+        prefix.append(prefix[-1] * G[:, k])
+    suffix = [np.ones((R, r))]
+    for k in range(d - 1, 0, -1):
+        suffix.insert(0, G[:, k] * suffix[0])
+    U = np.empty((R, r, m))
+    U[:, :, 0] = prefix[d]
+    if m > 1:
+        # Q[j, i] is row j of Q_i, contiguous for the row gathers below
+        Q = np.ascontiguousarray(orthonormal_complements(A).transpose(1, 0, 2))
+        sym = sum((prefix[k] * suffix[k])[:, :, None] * Q[rows[:, k]] for k in range(d))
+        U[:, :, 1:] = sym / math.sqrt(d)
+    if weights is not None:
+        U *= weights[:, None, None]
+    return U.reshape(R, r * m)
+
+
 def veronese_tangent_basis(term: SymmetricRankOneTerm) -> np.ndarray:
     """Orthonormal tangent basis (N x m) of the symmetric rank-one manifold."""
-    d = term.order
-    first = kron([term.vector] * d).reshape(-1, 1)
-    Q = orthonormal_complement(term.vector)
-    if Q.shape[1] == 0:
-        return first
-    cols = [term.vector[:, None]] * d
-    sym = np.zeros((first.shape[0], Q.shape[1]))
-    for k in range(d):
-        sym += kron_with_factor(cols, k, Q[None])
-    return np.hstack([first, sym / np.sqrt(d)])
+    return _tangent_matrix(term.vector[:, None], _dense_rows(term.vector.size, term.order))
 
 
 def waring_tangent_tuple(decomp: WaringDecomposition) -> SubspaceTuple:
-    """Tangent bases of all terms; the total tangent dimension is r * m."""
-    N = decomp.m ** decomp.d
-    return SubspaceTuple(N, tuple(veronese_tangent_basis(t) for t in decomp.terms))
+    """Tangent bases of all terms on all N = m^d rows; the total tangent
+    dimension is r * m."""
+    U = _tangent_matrix(_vector_matrix(decomp), _dense_rows(decomp.m, decomp.d))
+    return SubspaceTuple(decomp.m ** decomp.d, tuple(np.hsplit(U, decomp.rank)))
 
 
 def waring_condition_number(decomp: WaringDecomposition) -> ConditionReport:
-    """Condition number of recovering the symmetric terms from their sum."""
-    return condition_number(waring_tangent_tuple(decomp))
+    """Condition number of recovering the symmetric terms from their sum.
+
+    Equal to condition_number(waring_tangent_tuple(decomp)) in exact
+    arithmetic, computed on the C(m+d-1, d) weighted symmetric rows (see the
+    module docstring); least_vector is in the coordinates of
+    waring_tangent_tuple.  N stays m^d, while the verdict compares n with
+    symmetric_dimension(m, d).
+    """
+    m, d = decomp.m, decomp.d
+    rows, weights = _symmetric_rows(m, d)
+    M = _tangent_matrix(_vector_matrix(decomp), rows, weights)
+    sigma, v, sigma_1 = _least_singular_triplet(M)
+    n = decomp.rank * m
+    kappa = kappa_from_singular_values(sigma, sigma_1, n, symmetric_dimension(m, d))
+    return ConditionReport(
+        sigma_min=sigma,
+        kappa=kappa,
+        least_vector=v,
+        well_posed=math.isfinite(kappa),
+        n=n,
+        N=m ** d,
+        sigma_1=sigma_1,
+        path="symmetric",
+    )
 
 
 def is_symmetric_odeco(

@@ -27,6 +27,7 @@ from conftest import (
     random_cpd,
     random_orthonormal,
     random_subspace_tuple,
+    random_waring,
     rng_for,
 )
 
@@ -131,6 +132,20 @@ def test_cond_waring_odeco(tmp_path, capsys):
     payload = json.loads(out)
     assert abs(payload["kappa"] - 1.0) <= 1e-12
     assert payload == waring_condition_number(d).to_json_dict()
+
+
+def test_cond_waring_overfull_exits_3_with_report(tmp_path, capsys):
+    # n = r * m = 12 tangent directions in dim S^3(R^3) = 10 < N = 27
+    d = random_waring(rng_for(144), 3, 3, 4, signed=True)
+    path = _write_json(tmp_path / "w.json", d.to_json_dict())
+    code, out, _ = _run(capsys, ["cond-waring", "--input", path])
+    assert code == 3
+    payload = json.loads(out)
+    assert (payload["n"], payload["N"]) == (12, 27)
+    assert payload["kappa"] == "inf"
+    assert payload["well_posed"] is False
+    assert payload["sigma_min"] == 0.0
+    assert payload["path"] == "symmetric"
 
 
 def test_cond_waring_malformed_exits_2(tmp_path, capsys):

@@ -9,7 +9,6 @@ import pytest
 from joincond import (
     ConditionReport,
     SubspaceTuple,
-    TangentBasisTuple,
     condition_number,
     cpd_condition_number,
     cpd_tangent_tuple,
@@ -27,7 +26,7 @@ KAPPA_45 = 1.8477590650225735
 
 def _tuple_of(*cols):
     N = cols[0].shape[0]
-    return TangentBasisTuple(N, tuple(c.reshape(N, -1) for c in cols))
+    return SubspaceTuple(N, tuple(c.reshape(N, -1) for c in cols))
 
 
 def test_kernel_identity_and_diag():
@@ -107,7 +106,7 @@ def test_rank_deficiency_detected():
 def test_least_vector_attains_sigma():
     rng = rng_for(32)
     for _ in range(25):
-        t = TangentBasisTuple(
+        t = SubspaceTuple(
             7, (random_orthonormal(rng, 7, 2), random_orthonormal(rng, 7, 3))
         )
         report = condition_number(t)
@@ -121,7 +120,7 @@ def test_least_vector_attains_sigma():
 
 def test_courant_fisher_sampling_bound():
     rng = rng_for(33)
-    t = TangentBasisTuple(
+    t = SubspaceTuple(
         6, (random_orthonormal(rng, 6, 2), random_orthonormal(rng, 6, 2))
     )
     report = condition_number(t)
@@ -136,9 +135,9 @@ def test_left_orthogonal_invariance():
     rng = rng_for(34)
     for _ in range(20):
         blocks = (random_orthonormal(rng, 6, 2), random_orthonormal(rng, 6, 3))
-        t = TangentBasisTuple(6, blocks)
+        t = SubspaceTuple(6, blocks)
         Q = random_orthonormal(rng, 6, 6)
-        rotated = TangentBasisTuple(6, tuple(Q @ B for B in blocks))
+        rotated = SubspaceTuple(6, tuple(Q @ B for B in blocks))
         k1 = condition_number(t).kappa
         k2 = condition_number(rotated).kappa
         assert math.isclose(k1, k2, rel_tol=1e-10)
@@ -147,15 +146,15 @@ def test_left_orthogonal_invariance():
 def test_block_permutation_invariance():
     rng = rng_for(35)
     blocks = (random_orthonormal(rng, 5, 1), random_orthonormal(rng, 5, 2))
-    s1 = condition_number(TangentBasisTuple(5, blocks)).sigma_min
-    s2 = condition_number(TangentBasisTuple(5, blocks[::-1])).sigma_min
+    s1 = condition_number(SubspaceTuple(5, blocks)).sigma_min
+    s2 = condition_number(SubspaceTuple(5, blocks[::-1])).sigma_min
     assert math.isclose(s1, s2, rel_tol=1e-12)
 
 
 def test_duplicated_column_degrades_to_zero():
     rng = rng_for(36)
     B = random_orthonormal(rng, 5, 2)
-    t = TangentBasisTuple(5, (B, B[:, :1]))
+    t = SubspaceTuple(5, (B, B[:, :1]))
     report = condition_number(t)
     assert report.sigma_min <= 1e-14
     assert not report.well_posed
@@ -164,13 +163,9 @@ def test_duplicated_column_degrades_to_zero():
 def test_tangent_tuple_validation():
     bad = np.array([[1.0], [1.0]])
     with pytest.raises(ValueError, match="invalid tangent basis"):
-        TangentBasisTuple(2, (bad,))
+        SubspaceTuple(2, (bad,))
     with pytest.raises(ValueError):
-        TangentBasisTuple(2, ())
-
-
-def test_tangent_tuple_is_subspace_tuple():
-    assert TangentBasisTuple is SubspaceTuple
+        SubspaceTuple(2, ())
 
 
 def test_svd_nonconvergence_retries_on_transpose():
@@ -284,7 +279,7 @@ def test_report_carries_sigma_1_and_path():
     )
     assert (old.sigma_1, old.path) == (None, "dense")
     assert old.to_json_dict()["sigma_1"] is None
-    t = TangentBasisTuple(
+    t = SubspaceTuple(
         7, (random_orthonormal(rng_for(36), 7, 2), random_orthonormal(rng_for(37), 7, 3))
     )
     report = condition_number(t)

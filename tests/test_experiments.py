@@ -1,8 +1,11 @@
 """Experiment harness: seeding, the random model, divergent sequences,
 curve regressions, refinement, and the forward-error study."""
 
+import io
 import math
 import os
+import subprocess
+import sys
 from functools import reduce
 
 import numpy as np
@@ -425,6 +428,44 @@ def test_forward_error_experiment_deterministic(tmp_path):
     assert (tmp_path / "a" / "kappa_quartiles.csv").read_bytes() == (
         tmp_path / "b" / "kappa_quartiles.csv"
     ).read_bytes()
+
+
+# Across BLAS thread counts the model CSVs agree only to rounding that the
+# refiner's stopping point amplifies.  Measured on 2 vCPUs with OpenBLAS
+# 0.3.31, largest relative differences in the kappa quartiles and scaling
+# deciles: 8.0e-15 and 3.0e-10 for the cell below, 3.6e-12 and 8.9e-10 for
+# --samples 4 --s-max 50.  The bounds sit about 30x and 100x above the
+# larger pair, for other CPUs; a change of seed or model moves both at order one.
+CROSS_THREAD_RTOL = {"kappa_quartiles.csv": 1e-10, "scaling_factor_deciles.csv": 1e-7}
+
+
+def _model_cli_csvs(out_dir, threads):
+    """Run a small model cell in a fresh interpreter under the given BLAS
+    thread count and return its CSVs' bytes."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["experiment", "--name", "model", "--seed", "0", "--samples", "2",
+            "--s-min", "1", "--s-max", "6", "--out", str(out_dir)]
+    subprocess.run([sys.executable, "-m", "joincond.cli", *argv], env=env, check=True)
+    return {name: (out_dir / name).read_bytes() for name in CROSS_THREAD_RTOL}
+
+
+def test_model_csvs_identical_per_thread_count_and_close_across(tmp_path):
+    # The contract: identical flags, numpy/BLAS build and BLAS thread count
+    # give identical bytes.  OpenBLAS splits work by thread count, so 1 and
+    # 2 threads may differ, but only at rounding level.
+    runs = {}
+    for threads in (1, 2):
+        first = _model_cli_csvs(tmp_path / f"{threads}a", threads)
+        assert _model_cli_csvs(tmp_path / f"{threads}b", threads) == first
+        runs[threads] = first
+    for name, rtol in CROSS_THREAD_RTOL.items():
+        one, two = (
+            np.loadtxt(io.BytesIO(runs[t][name]), delimiter=",", skiprows=1) for t in (1, 2)
+        )
+        assert one.shape == two.shape
+        np.testing.assert_allclose(two, one, rtol=rtol, atol=0)
 
 
 def _dense_jacobian(mats):
