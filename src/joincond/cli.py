@@ -11,6 +11,7 @@ is still emitted where one exists), 4 numerical-certificate failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,7 +38,7 @@ from .grassmann import (
 )
 from .segre import cpd_condition_number
 from .tensor import CPDecomposition, normalize_decomposition
-from .waring import WaringDecomposition, symmetric_dimension, waring_condition_number
+from .waring import WaringDecomposition, is_defective, waring_condition_number
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -104,7 +105,7 @@ def cmd_cond_waring(args) -> int:
         raise InputError(f"invalid decomposition JSON: {exc}") from exc
     report = waring_condition_number(decomp)
     _emit(report.to_json_dict(), args.out)
-    return EXIT_DIMENSION if report.n > symmetric_dimension(decomp.m, decomp.d) else EXIT_OK
+    return EXIT_DIMENSION if is_defective(decomp.m, decomp.d, decomp.rank) else EXIT_OK
 
 
 def _load_tuple(data) -> SubspaceTuple:
@@ -184,7 +185,9 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process; parse_args keeps no state between calls.
     parser = argparse.ArgumentParser(
         prog="joincond",
         description="Condition numbers of join decompositions: CP, Waring, "

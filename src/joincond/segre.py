@@ -28,8 +28,15 @@ and column order, block diagonal:
 The singular values of U are those of the core and of the K_k (with
 multiplicity), so one SVD of the much smaller matrix diag(core, K_k, ...)
 gives sigma_n and sigma_1 exactly; no mode with m_k > r means no
-compression, and then that matrix is U itself.  The same split holds for
-the norm-balanced matrix, whose out-k block is K_k scaled by mu_i^(1-1/d).
+compression, and then that matrix is U itself.
+
+The norm-balanced condition number decomposes the same matrix with its
+columns scaled.  With s_i = mu_i^(1-1/d) and t_i = a^1 x ... x a^d, term
+i's norm-balanced block for mode k is s_i * (t_i a^kT + U_i^k Q^kT), U_i^k
+being U_i's mode-k block.  So B_i = U_i C_i with C_i C_i^T = D_i^2 =
+s_i^2 * diag(d, 1, ..., 1), as Q^kT a^k = 0, and the nonzero singular values
+of [B_1 ... B_r] are those of U D, D = diag(D_i); the compression splits
+U D as it splits U.
 """
 
 from __future__ import annotations
@@ -76,30 +83,16 @@ def _tangent_matrix(mats, complements) -> np.ndarray:
     return U.reshape(U.shape[0], -1)
 
 
-def _complements(mats) -> list[np.ndarray]:
-    return [orthonormal_complements(A) for A in mats]
-
-
-def _balanced_matrix(mats, scales) -> np.ndarray:
-    """[B_1 ... B_r] for the terms with vectors mats and B_i scaled by scales[i],
-    each B_i laid out as norm_balanced_basis does."""
-    r = mats[0].shape[1]
-    dims = [A.shape[0] for A in mats]
-    eyes = [(k, np.broadcast_to(np.eye(m), (r, m, m))) for k, m in enumerate(dims)]
-    B = _term_blocks(mats, eyes) * scales[:, None]
-    return B.reshape(B.shape[0], -1)
-
-
 def segre_tangent_basis(term: RankOneTerm) -> np.ndarray:
     """Orthonormal tangent basis of the rank-one manifold at a term."""
     cols = [v[:, None] for v in term.vectors]
-    return _tangent_matrix(cols, _complements(cols))
+    return _tangent_matrix(cols, [orthonormal_complements(c) for c in cols])
 
 
 def cpd_tangent_tuple(decomp: CPDecomposition) -> SubspaceTuple:
     """Tangent bases of all terms, ready for the condition-number engine."""
     mats = decomp.factor_matrices()
-    U = _tangent_matrix(mats, _complements(mats))
+    U = _tangent_matrix(mats, [orthonormal_complements(A) for A in mats])
     return SubspaceTuple(decomp.shape.ambient_dim, tuple(np.hsplit(U, decomp.rank)))
 
 
@@ -112,7 +105,8 @@ class _Compression:
 
     mats are the A_k, bases the complete Q of the QR of A_k for each mode
     with m_k > r (None for the others), core the B_k = P_k^T A_k (A_k
-    itself when uncompressed), where P_k is the first r columns of Q.
+    itself when uncompressed), where P_k is the first r columns of Q, and
+    complements those of the B_k.
     """
 
     def __init__(self, decomp: CPDecomposition):
@@ -125,6 +119,7 @@ class _Compression:
         ]
         self.core = [A if Q is None else Q[:, :r].T @ A for A, Q in zip(self.mats, self.bases)]
         self.modes = [k for k, Q in enumerate(self.bases) if Q is not None]
+        self.complements = [orthonormal_complements(B) for B in self.core]
 
     @property
     def path(self) -> str:
@@ -137,10 +132,21 @@ class _Compression:
         ones = np.ones((1, self.rank))
         return [khatri_rao(self.core[:k] + [ones] + self.core[k + 1:]) for k in self.modes]
 
-    def lift(self, v: np.ndarray, complements) -> np.ndarray:
+    def matrix(self, scales=None) -> np.ndarray:
+        """M = diag(core, K_k, ...), which both condition numbers decompose,
+        times the D of the module docstring for per-term scales s_i."""
+        M = _block_diag([_tangent_matrix(self.core, self.complements)] + self.out_blocks())
+        if scales is not None:
+            width = 1 - len(self.core) + sum(B.shape[0] for B in self.core)
+            D = np.repeat(scales, width)
+            D[::width] *= math.sqrt(len(self.core))
+            M *= np.concatenate([D] + [scales] * len(self.modes))
+        return M
+
+    def lift(self, v: np.ndarray) -> np.ndarray:
         """v, in the column coordinates of M = diag(core, K_k, ...), mapped
         isometrically to the coordinates of cpd_tangent_tuple, so that
-        ||U lift(v)|| = ||M v||; complements are those of the B_k.
+        ||U lift(v)|| = ||M v||.
 
         Core coordinates y of term i's mode-k block are the direction
         P_k Q_c y, the K_k coordinate w_i is the direction w_i x_k with x_k
@@ -153,7 +159,7 @@ class _Compression:
         outs = dict(zip(self.modes, v[n_core:].reshape(-1, r)))
         parts = [core[:, :1]]
         at = 1
-        for k, (A, Q, Q_c) in enumerate(zip(self.mats, self.bases, complements)):
+        for k, (A, Q, Q_c) in enumerate(zip(self.mats, self.bases, self.complements)):
             if A.shape[0] == 1:
                 continue
             width = Q_c.shape[2]
@@ -187,15 +193,13 @@ def cpd_condition_number(decomp: CPDecomposition) -> ConditionReport:
     docstring); least_vector is in the coordinates of cpd_tangent_tuple.
     """
     tucker = _Compression(decomp)
-    complements = _complements(tucker.core)
-    M = _block_diag([_tangent_matrix(tucker.core, complements)] + tucker.out_blocks())
-    sigma, v, sigma_1 = _least_singular_triplet(M)
+    sigma, v, sigma_1 = _least_singular_triplet(tucker.matrix())
     n, N = _tangent_dim(decomp), decomp.shape.ambient_dim
     kappa = kappa_from_singular_values(sigma, sigma_1, n, N)
     return ConditionReport(
         sigma_min=sigma,
         kappa=kappa,
-        least_vector=tucker.lift(v, complements),
+        least_vector=tucker.lift(v),
         well_posed=math.isfinite(kappa),
         n=n,
         N=N,
@@ -219,8 +223,9 @@ def norm_balanced_basis(term: RankOneTerm) -> np.ndarray:
     representative whose factors all have norm mu^(1/d).  Not orthonormal;
     its column span is the same tangent space as segre_tangent_basis(term).
     """
-    scale = np.array([term.mu ** (1.0 - 1.0 / term.order)])
-    return _balanced_matrix([v[:, None] for v in term.vectors], scale)
+    cols = [v[:, None] for v in term.vectors]
+    eyes = [(k, np.eye(v.size)[None]) for k, v in enumerate(term.vectors)]
+    return _term_blocks(cols, eyes)[:, 0] * term.mu ** (1.0 - 1.0 / term.order)
 
 
 def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
@@ -229,25 +234,19 @@ def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
     Unlike the term-wise condition number this one is sensitive to the term
     norms: scaling a term toward zero drives it to infinity.  Equal to
     1 / sigma_n([B_1 ... B_r]) with B_i = norm_balanced_basis(term i) and n
-    the total tangent dimension; computed, like cpd_condition_number, from
-    the compressed matrix, where n becomes the core's tangent dimension plus
-    r per compressed mode.
+    the total tangent dimension; computed as one values-only SVD of the
+    matrix of cpd_condition_number times D (see the module docstring).
     """
     n, N = _tangent_dim(decomp), decomp.shape.ambient_dim
     if n > N:
         # Wide stacked matrix: sigma_n is zero, no SVD needed.
         return math.inf
-    tucker = _Compression(decomp)
     scales = np.array([t.mu ** (1.0 - 1.0 / t.order) for t in decomp.terms])
-    M = _block_diag(
-        [_balanced_matrix(tucker.core, scales)] + [K * scales for K in tucker.out_blocks()]
-    )
+    M = _Compression(decomp).matrix(scales)
     # Values only: right vectors would double the cost at larger shapes.
     s = np.linalg.svd(M, compute_uv=False)
-    r = decomp.rank
-    n_core = r * (1 - decomp.order + sum(B.shape[0] for B in tucker.core))
-    n_reduced = n_core + r * len(tucker.modes)
-    sigma = float(s[n_reduced - 1]) if n_reduced <= s.size else 0.0
+    # M has n' columns; a wide M (a wide core) has a kernel, so sigma is 0
+    sigma = float(s[-1]) if s.size == M.shape[1] else 0.0
     return kappa_from_singular_values(sigma, float(s[0]), n, N)
 
 

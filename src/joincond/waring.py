@@ -21,8 +21,9 @@ is how often j occurs in I).  Keeping only the sorted rows, each scaled by
 the square root of that count, is therefore an isometry on S^d(R^m): the
 weighted matrix has the Gram matrix of the stacked basis, hence its singular
 values and right singular vectors.  waring_condition_number decomposes that
-C(m+d-1, d)-row matrix (715 rows instead of 10,000 at m=10, d=4), and
-n = r * m above C(m+d-1, d) makes it ill posed by the dimension count.
+C(m+d-1, d)-row matrix (715 rows instead of 10,000 at m=10, d=4).
+n = r * m above C(m+d-1, d), d = 2 with r >= 2, and the Alexander-Hirschowitz
+exceptions are ill posed by dimension alone (is_defective).
 
 One builder, _tangent_matrix, produces every Waring tangent matrix for all
 terms at once from a table of multi-indices: the sorted rows with their
@@ -134,9 +135,29 @@ def assemble_waring(decomp: WaringDecomposition) -> DenseTensor:
 
 def symmetric_dimension(m: int, d: int) -> int:
     """dim S^d(R^m) = C(m+d-1, d), the space holding every Waring tangent
-    vector; with more than this many tangent directions (r * m) the tangent
-    spaces must intersect, so kappa is infinite and cond-waring exits 3."""
+    vector."""
     return math.comb(m + d - 1, d)
+
+
+# The Alexander-Hirschowitz exceptions (m, d, r) with d >= 3: there r
+# generic terms span a secant variety of dimension below min(r * m,
+# C(m+d-1, d)).
+_AH_EXCEPTIONS = frozenset({(3, 4, 5), (4, 4, 9), (5, 4, 14), (5, 3, 7)})
+
+
+def is_defective(m: int, d: int, r: int) -> bool:
+    """True when the tangent spaces of r terms in S^d(R^m) intersect at every
+    input, by dimension alone, so that kappa is infinite and cond-waring
+    exits 3.  That is the case
+      - when r * m > C(m+d-1, d), the space they all lie in;
+      - for d = 2 and r >= 2: the tangent space at a_i a_i^T holds
+        a_i x^T + x a_i^T, so a_i a_j^T + a_j a_i^T lies in those of both
+        terms;
+      - for the Alexander-Hirschowitz exceptions, where by Terracini's lemma
+        the span of r generic tangent spaces, and by semicontinuity that of
+        any r, has dimension below r * m.
+    """
+    return r * m > symmetric_dimension(m, d) or (d == 2 and r >= 2) or (m, d, r) in _AH_EXCEPTIONS
 
 
 def _dense_rows(m: int, d: int) -> np.ndarray:
@@ -217,15 +238,18 @@ def waring_condition_number(decomp: WaringDecomposition) -> ConditionReport:
     Equal to condition_number(waring_tangent_tuple(decomp)) in exact
     arithmetic, computed on the C(m+d-1, d) weighted symmetric rows (see the
     module docstring); least_vector is in the coordinates of
-    waring_tangent_tuple.  N stays m^d, while the verdict compares n with
-    symmetric_dimension(m, d).
+    waring_tangent_tuple.  N stays m^d, and kappa is infinite whenever
+    is_defective(m, d, r), whatever sigma_min rounds to.
     """
     m, d = decomp.m, decomp.d
     rows, weights = _symmetric_rows(m, d)
     M = _tangent_matrix(_vector_matrix(decomp), rows, weights)
     sigma, v, sigma_1 = _least_singular_triplet(M)
     n = decomp.rank * m
-    kappa = kappa_from_singular_values(sigma, sigma_1, n, symmetric_dimension(m, d))
+    if is_defective(m, d, decomp.rank):
+        kappa = math.inf
+    else:
+        kappa = kappa_from_singular_values(sigma, sigma_1, n, symmetric_dimension(m, d))
     return ConditionReport(
         sigma_min=sigma,
         kappa=kappa,

@@ -148,6 +148,20 @@ def test_cond_waring_overfull_exits_3_with_report(tmp_path, capsys):
     assert payload["path"] == "symmetric"
 
 
+@pytest.mark.parametrize("m, deg, r", [(5, 2, 3), (3, 4, 5)])
+def test_cond_waring_defective_shape_exits_3_with_report(tmp_path, capsys, m, deg, r):
+    # d = 2 with r >= 2, and an Alexander-Hirschowitz exception: the tangent
+    # spaces meet at every input although r * m <= C(m+d-1, d)
+    d = random_waring(rng_for(148), m, deg, r, signed=True)
+    path = _write_json(tmp_path / "w.json", d.to_json_dict())
+    code, out, _ = _run(capsys, ["cond-waring", "--input", path])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["kappa"] == "inf"
+    assert payload["well_posed"] is False
+    assert payload == waring_condition_number(d).to_json_dict()
+
+
 def test_cond_waring_malformed_exits_2(tmp_path, capsys):
     path = _write_json(tmp_path / "w.json", {"m": 3, "terms": []})
     code, _, err = _run(capsys, ["cond-waring", "--input", path])
@@ -460,3 +474,38 @@ def test_grassmann_fractional_ambient_dim_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "ambient dimension must be an integer" in err
+
+
+def test_parser_is_built_once_and_reused_across_calls(tmp_path, capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    cpd = _write_json(tmp_path / "d.json", random_cpd(rng_for(145), (3, 4, 2), 2).to_json_dict())
+    waring = _write_json(tmp_path / "w.json", random_waring(rng_for(146), 3, 3, 2).to_json_dict())
+    tup = _write_json(tmp_path / "t.json", random_subspace_tuple(rng_for(147), 6, (2, 1)).to_json_dict())
+    bad = _write_json(tmp_path / "bad.json", {"m": 3, "terms": []})
+    calls = [
+        ["cond-cpd", "--input", cpd],
+        ["cond-waring", "--input", bad],
+        ["grassmann", "--input", tup, "--mode", "illposed", "--tol", "0"],
+        ["cond-waring", "--input", waring],
+        ["cond-cpd", "--input", cpd, "--bogus"],
+        ["grassmann", "--input", tup, "--mode", "certify"],
+        ["cond-cpd", "--input", cpd],
+    ]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    reused = run_all()
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0, ("SystemExit", 2), 0, 0]
+    assert reused[0] == reused[-1]
+    # the same calls, each through a freshly built parser, print the same bytes
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert run_all() == reused

@@ -1,9 +1,10 @@
 """The Tucker-compressed CP engine against the dense stacked-basis reference.
 
-cpd_condition_number and norm_balanced_condition_number decompose a block
+cpd_condition_number and norm_balanced_condition_number decompose one block
 diagonal matrix on prod_k min(m_k, r) + sum_k prod_(l != k) min(m_l, r) rows
-instead of the N = prod_k m_k rows of the stacked tangent bases; the
-references here are condition_number(cpd_tangent_tuple(d)) and the SVD of
+instead of the N = prod_k m_k rows of the stacked tangent bases, the latter
+with its columns scaled; the references here are
+condition_number(cpd_tangent_tuple(d)) and the SVD of
 [norm_balanced_basis(t_1) ... norm_balanced_basis(t_r)].
 """
 
@@ -115,8 +116,20 @@ def test_uncompressed_report_is_bitwise_dense():
     assert report.kappa == dense.kappa
     assert np.array_equal(report.least_vector, dense.least_vector)
     assert (report.n, report.N, report.well_posed) == (dense.n, dense.N, dense.well_posed)
+    # the norm-balanced engine's matrix is then the stacked basis with its
+    # columns scaled by D: s_i * sqrt(d) on term i's rank-one column, s_i on
+    # the others, s_i = mu_i^(1 - 1/d)
+    tangent = cpd_tangent_tuple(d)
+    D = []
+    for term, W in zip(d.terms, tangent.subspaces):
+        s_i = term.mu ** (1.0 - 1.0 / term.order)
+        D += [s_i * math.sqrt(term.order)] + [s_i] * (W.shape[1] - 1)
+    s = np.linalg.svd(tangent.stacked() * np.array(D), compute_uv=False)
+    kappa = norm_balanced_condition_number(d)
+    assert kappa == 1.0 / float(s[-1])
+    # and agrees with the per-term definition [B_1 ... B_r]
     sigma_n, sigma_1, n, N = dense_norm_balanced_sigma(d)
-    assert norm_balanced_condition_number(d) == 1.0 / sigma_n
+    assert abs(1.0 / kappa - sigma_n) <= SIGMA_TOL * max(1.0, sigma_1)
 
 
 def test_compressed_svd_runs_on_reduced_rows(monkeypatch):
@@ -133,7 +146,7 @@ def test_compressed_svd_runs_on_reduced_rows(monkeypatch):
     assert shapes == [(310, 310)]
     shapes.clear()
     assert math.isfinite(norm_balanced_condition_number(d))
-    assert shapes == [(1300, 330)]
+    assert shapes == [(1300, 310)]
     assert report.least_vector.shape == (report.n,)
 
 

@@ -22,8 +22,9 @@ from joincond import (
     waring_condition_number,
     waring_tangent_tuple,
 )
+import joincond.condition
 from joincond.condition import RANK_TOL_FACTOR
-from joincond.waring import _symmetric_rows, symmetric_dimension
+from joincond.waring import _symmetric_rows, is_defective, symmetric_dimension
 from conftest import count_svd_calls, random_orthonormal, random_waring, rng_for
 
 # Errors of the symmetric path stay near eps * sigma_1; this is the bound
@@ -193,3 +194,33 @@ def test_symmetric_rows_and_weights_match_brute_force():
             assert len(expect) == symmetric_dimension(m, d)
             counts = np.array([every.count(i) for i in expect], dtype=float)
             assert np.allclose(weights**2, counts, rtol=1e-14, atol=0)
+
+
+def test_defective_shapes_are_inf_by_dimension_not_by_rounding(monkeypatch):
+    # (5,3,7) is an Alexander-Hirschowitz exception with r * m = 35 =
+    # C(7, 3): sigma_min rounds to a few 1e-16, above a zero rank tolerance
+    monkeypatch.setattr(joincond.condition, "RANK_TOL_FACTOR", 0.0)
+    d = random_waring(rng_for(162), 5, 3, 7, signed=True)
+    report = waring_condition_number(d)
+    assert report.sigma_min > 0.0
+    assert math.isinf(report.kappa) and not report.well_posed
+    for m, deg, r in ((3, 4, 4), (5, 3, 6), (4, 4, 8)):
+        assert not is_defective(m, deg, r)
+        report = waring_condition_number(random_waring(rng_for(163), m, deg, r, signed=True))
+        assert math.isfinite(report.kappa) and report.well_posed
+
+
+def test_defective_rule_matches_the_generic_rank():
+    # every shape with r * m up to one term past C(m+d-1, d): the defective
+    # ones have sigma_min at rounding level on random inputs, the others
+    # stay far above the rank tolerance
+    rng = rng_for(164)
+    for m in range(1, 6):
+        for d in range(1, 5):
+            for r in range(1, symmetric_dimension(m, d) // m + 2):
+                reports = [waring_condition_number(random_waring(rng, m, d, r)) for _ in range(2)]
+                largest = max(rep.sigma_min / max(1.0, rep.sigma_1) for rep in reports)
+                if is_defective(m, d, r):
+                    assert largest <= 1e-12, (m, d, r)
+                else:
+                    assert largest >= 1e-8, (m, d, r)
