@@ -10,7 +10,9 @@ directly or through derive_seed, which mixes a base seed with a per-sample
 key via the splitmix64 finalizer.  Identical parameters and seeds, run on the
 same numpy/BLAS build with the same BLAS thread count, therefore produce
 identical outputs, bit for bit.  OpenBLAS splits its work by thread count, so
-another thread count can change the model CSVs at rounding level.
+another thread count can change the CSVs at rounding level; the model
+experiment avoids that where it can by running its BLAS single-threaded
+(blas.single_threaded).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .blas import single_threaded
 from .condition import SubspaceTuple, condition_number
 from .segre import cpd_condition_number
 from .tensor import (
@@ -529,7 +532,8 @@ def run_forward_error_experiment(
     tables land in scaling_factor_deciles.csv and kappa_quartiles.csv.
     """
     svals = list(s_values) if s_values is not None else list(range(1, 51))
-    records = [_run_sample(params, s, j) for s in svals for j in range(params.samples)]
+    with single_threaded():
+        records = [_run_sample(params, s, j) for s in svals for j in range(params.samples)]
 
     deciles = []
     quartiles = []

@@ -38,6 +38,7 @@ from joincond import (
     validate_rule_of_thumb,
     write_csv,
 )
+from joincond.blas import openblas_controls
 import joincond.experiments as experiments
 from joincond.experiments import _match_columns, _run_sample
 from conftest import orthogonal_cpd, random_cpd, rng_for
@@ -454,7 +455,8 @@ def _model_cli_csvs(out_dir, threads):
 def test_model_csvs_identical_per_thread_count_and_close_across(tmp_path):
     # The contract: identical flags, numpy/BLAS build and BLAS thread count
     # give identical bytes.  OpenBLAS splits work by thread count, so 1 and
-    # 2 threads may differ, but only at rounding level.
+    # 2 threads may differ, but only at rounding level, and not at all where
+    # the experiment can pin numpy's OpenBLAS to one thread.
     runs = {}
     for threads in (1, 2):
         first = _model_cli_csvs(tmp_path / f"{threads}a", threads)
@@ -466,6 +468,8 @@ def test_model_csvs_identical_per_thread_count_and_close_across(tmp_path):
         )
         assert one.shape == two.shape
         np.testing.assert_allclose(two, one, rtol=rtol, atol=0)
+    if openblas_controls() is not None:
+        assert runs[1] == runs[2]
 
 
 def _dense_jacobian(mats):
