@@ -16,8 +16,6 @@ from .condition import (
     smallest_singular_value_with_vector,
 )
 from .experiments import (
-    CurveKappa,
-    ExperimentRecord,
     ForwardErrorTables,
     ModelParams,
     RefineResult,
@@ -28,11 +26,9 @@ from .experiments import (
     example_42_kappa,
     example_42_kappa_analytic,
     generate_model_tensor,
-    make_rng,
     paatero_sequence,
     run_forward_error_experiment,
     sequence_table,
-    splitmix64,
     validate_rule_of_thumb,
     write_csv,
 )
@@ -59,9 +55,7 @@ from .tensor import (
     RankOneTerm,
     Shape,
     assemble_cpd,
-    frobenius_inner,
     frobenius_norm,
-    kron,
     normalize_decomposition,
     orthonormal_complement,
 )
@@ -80,8 +74,6 @@ __all__ = [
     "condition_number",
     "relative_condition_numbers",
     "smallest_singular_value_with_vector",
-    "CurveKappa",
-    "ExperimentRecord",
     "ForwardErrorTables",
     "ModelParams",
     "RefineResult",
@@ -92,11 +84,9 @@ __all__ = [
     "example_42_kappa",
     "example_42_kappa_analytic",
     "generate_model_tensor",
-    "make_rng",
     "paatero_sequence",
     "run_forward_error_experiment",
     "sequence_table",
-    "splitmix64",
     "validate_rule_of_thumb",
     "write_csv",
     "CertificateError",
@@ -118,9 +108,7 @@ __all__ = [
     "RankOneTerm",
     "Shape",
     "assemble_cpd",
-    "frobenius_inner",
     "frobenius_norm",
-    "kron",
     "normalize_decomposition",
     "orthonormal_complement",
     "SymmetricRankOneTerm",

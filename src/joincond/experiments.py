@@ -1,8 +1,10 @@
-"""Experiment harness: random ill-conditioned models, divergent sequences,
-regression curves, a small nonlinear least-squares refiner (normal equations
-from factor Grams, never the Jacobian), and an empirical validator for the
-forward-error rule of thumb (forward error <~ condition number * backward
-error).
+"""Experiment harness: the forward-error study on the paper's one random
+ill-conditioned CP model (its dims, ranks, rate and start perturbation are
+module constants; ModelParams holds only the sample count and base seed),
+divergent sequences, regression curves, a small nonlinear least-squares
+refiner (normal equations from factor Grams, never the Jacobian), and an
+empirical validator for the forward-error rule of thumb (forward error <~
+condition number * backward error).
 
 Determinism contract: every random draw flows through numpy's PCG64 bit
 generator (standard_normal uses the ziggurat algorithm), seeded either
@@ -33,7 +35,6 @@ from .tensor import (
     CPDecomposition,
     DenseTensor,
     RankOneTerm,
-    as_int,
     assemble_cpd,
     khatri_rao,
     normalize_decomposition,
@@ -67,61 +68,50 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Random model with a tunable degree of ill-conditioning.
+# The random model of the forward-error study, with factor matrices
+#
+#     A_k(s) = C_k (2^(-MODEL_RATE*s) I_r + X_k Y_k^T),   entries i.i.d. N(0, 1),
+#
+# where r = MODEL_RANK, C_k is MODEL_DIMS[k] x r and X_k, Y_k are
+# r x MODEL_CORE_RANKS[k], each A_k scaled to unit Frobenius norm.  As s grows
+# each A_k(s) approaches the rank-MODEL_CORE_RANKS[k] matrix C_k X_k Y_k^T,
+# which makes the decomposition of the assembled tensor increasingly ill
+# conditioned.  The refiner starts from A_k + MODEL_TAU * G_k, G_k standard
+# normal.
+MODEL_DIMS = (6, 5, 4, 4)
+MODEL_CORE_RANKS = (1, 2, 3, 4)
+MODEL_RANK = 6
+MODEL_RATE = 0.2
+MODEL_TAU = 5e-4
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameters of the random factor-matrix model
+    """Samples per s and base seed of the forward-error study."""
 
-        A_k(s) = C_k (2^(-rate*s) I_r + X_k Y_k^T),   entries i.i.d. N(0, 1),
-
-    with C_k of size m_k x r and X_k, Y_k of size r x core_ranks[k].  As s
-    grows each A_k(s) approaches the rank-core_ranks[k] matrix C_k X_k Y_k^T,
-    which makes the decomposition of the assembled tensor increasingly
-    ill conditioned.  Factor matrices are normalized to unit Frobenius norm.
-    """
-
-    dims: tuple[int, ...] = (6, 5, 4, 4)
-    core_ranks: tuple[int, ...] = (1, 2, 3, 4)
-    rank: int = 6
-    rate: float = 0.2
-    tau: float = 5e-4
     samples: int = 250
     base_seed: int = 0
 
     def __post_init__(self):
-        dims = tuple(as_int(m, "dims") for m in self.dims)
-        core = tuple(as_int(c, "core_ranks") for c in self.core_ranks)
-        if len(dims) != len(core):
-            raise ValueError("dims and core_ranks must have equal length")
-        if any(c > m for m, c in zip(dims, core)) or any(c > self.rank for c in core):
-            raise ValueError("each core rank must be at most its dim and the rank")
-        if any(c < 1 for c in core) or self.rank < 1:
-            raise ValueError("ranks must be >= 1")
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "core_ranks", core)
 
 
-def _draw_model_factors(params: ModelParams, rng: np.random.Generator, s: float) -> list[np.ndarray]:
+def _draw_model_factors(rng: np.random.Generator, s: float) -> list[np.ndarray]:
     # Draw order (per mode: C, X, Y) is part of the determinism contract.
-    damp = 2.0 ** (-params.rate * s)
+    damp = 2.0 ** (-MODEL_RATE * s)
     mats = []
-    for m_k, c_k in zip(params.dims, params.core_ranks):
-        C = rng.standard_normal((m_k, params.rank))
-        X = rng.standard_normal((params.rank, c_k))
-        Y = rng.standard_normal((params.rank, c_k))
-        A = C @ (damp * np.eye(params.rank) + X @ Y.T)
+    for m_k, c_k in zip(MODEL_DIMS, MODEL_CORE_RANKS):
+        C = rng.standard_normal((m_k, MODEL_RANK))
+        X = rng.standard_normal((MODEL_RANK, c_k))
+        Y = rng.standard_normal((MODEL_RANK, c_k))
+        A = C @ (damp * np.eye(MODEL_RANK) + X @ Y.T)
         mats.append(A / np.linalg.norm(A))
     return mats
 
 
 def _draw_model(
-    params: ModelParams, rng: np.random.Generator, s: float
+    rng: np.random.Generator, s: float
 ) -> tuple[list[np.ndarray], CPDecomposition]:
     """Factor matrices and their normalized decomposition.
 
@@ -129,7 +119,7 @@ def _draw_model(
     stream, giving up after 8 draws.
     """
     for _ in range(8):
-        mats = _draw_model_factors(params, rng, s)
+        mats = _draw_model_factors(rng, s)
         try:
             return mats, normalize_decomposition(mats)
         except ValueError:
@@ -137,11 +127,9 @@ def _draw_model(
     raise RuntimeError("could not draw a nondegenerate model instance")
 
 
-def generate_model_tensor(
-    params: ModelParams, seed: int, s: float
-) -> tuple[CPDecomposition, DenseTensor]:
+def generate_model_tensor(seed: int, s: float) -> tuple[CPDecomposition, DenseTensor]:
     """Draw one model instance: the normalized decomposition and its tensor."""
-    _, decomp = _draw_model(params, make_rng(int(seed) & _MASK64), s)
+    _, decomp = _draw_model(make_rng(int(seed) & _MASK64), s)
     return decomp, assemble_cpd(decomp)
 
 
@@ -375,12 +363,12 @@ def _apply_step(mats: Sequence[np.ndarray], delta: np.ndarray) -> list[np.ndarra
     return out
 
 
+# cpd_refine stops once 0.5 * ||assembled - target||^2 is at or below this.
+OBJECTIVE_TOL = 1e-14
+
+
 def cpd_refine(
-    init: CPDecomposition,
-    target: DenseTensor,
-    max_iterations: int = 1000,
-    objective_tol: float = 1e-14,
-    initial_damping: float = 1e-2,
+    init: CPDecomposition, target: DenseTensor, max_iterations: int = 1000
 ) -> RefineResult:
     """Damped Gauss-Newton on the factor-matrix parametrization.
 
@@ -388,7 +376,7 @@ def cpd_refine(
     damping schedule (start 1e-2, x10 on reject, /10 on accept).  Each step
     solves (J^T J + lam I) delta = -J^T r with the normal equations formed
     from factor Grams and MTTKRPs; the Jacobian J is never built.  Stops when
-    the objective reaches objective_tol or after max_iterations accepted
+    the objective reaches OBJECTIVE_TOL or after max_iterations accepted
     steps.  Never raises on non-convergence; the flag in the result decides.
     """
     if init.shape.dims != target.shape.dims:
@@ -397,10 +385,10 @@ def cpd_refine(
     target_vec = target.data
     residual = khatri_rao(mats).sum(axis=1) - target_vec
     objective = 0.5 * float(residual @ residual)
-    lam = initial_damping
+    lam = 1e-2
     iterations = 0
     trace = []
-    converged = objective <= objective_tol
+    converged = objective <= OBJECTIVE_TOL
     while not converged and iterations < max_iterations:
         hessian, gradient = _normal_equations(mats, residual)
         diagonal = np.diag_indices_from(hessian)
@@ -430,7 +418,7 @@ def cpd_refine(
         if not accepted:
             trace.append((objective, lam, rejected))
             break
-        converged = objective <= objective_tol
+        converged = objective <= OBJECTIVE_TOL
     try:
         refined = normalize_decomposition(mats)
     except ValueError:
@@ -487,12 +475,12 @@ def _match_columns(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def _run_sample(params: ModelParams, s: int, sample: int) -> ExperimentRecord:
     rng = make_rng(derive_seed(params.base_seed, s, sample))
-    mats, decomp = _draw_model(params, rng, s)
+    mats, decomp = _draw_model(rng, s)
     # term sums are assemble_cpd, bit for bit; the terms are reused below
     original_terms = decomp.term_tensors()
     target = DenseTensor(decomp.shape, original_terms.sum(axis=1))
     init = normalize_decomposition(
-        [B + params.tau * rng.standard_normal(B.shape) for B in mats]
+        [B + MODEL_TAU * rng.standard_normal(B.shape) for B in mats]
     )
     result = cpd_refine(init, target)
     computed_terms = result.decomposition.term_tensors()
@@ -518,12 +506,12 @@ def _run_sample(params: ModelParams, s: int, sample: int) -> ExperimentRecord:
 
 def run_forward_error_experiment(
     params: ModelParams,
-    s_values: Iterable[int] | None = None,
+    s_values: Iterable[int],
     out_dir: str | os.PathLike | None = None,
 ) -> ForwardErrorTables:
-    """Per (s, sample): draw a model instance, refine from a tau-perturbed
-    start, and record backward error, matched forward error, the condition
-    number at the computed decomposition, and the scaling factor
+    """Per (s, sample): draw a model instance, refine from a start perturbed
+    by MODEL_TAU, and record backward error, matched forward error, the
+    condition number at the computed decomposition, and the scaling factor
     forward / (kappa * backward).
 
     Aggregates per s: deciles 1..9 of the scaling factor and quartiles of
@@ -531,7 +519,7 @@ def run_forward_error_experiment(
     from the aggregates and counted in `discarded`.  With out_dir set, the
     tables land in scaling_factor_deciles.csv and kappa_quartiles.csv.
     """
-    svals = list(s_values) if s_values is not None else list(range(1, 51))
+    svals = list(s_values)
     with single_threaded():
         records = [_run_sample(params, s, j) for s in svals for j in range(params.samples)]
 

@@ -18,7 +18,7 @@ import numpy as np
 from .condition import SubspaceTuple, smallest_singular_value_with_vector
 from .tensor import orthonormal_complement
 
-# Tolerance for the two SVD-compounded certificate checks.
+# Tolerance for the two SVD-compounded certificate checks and is_intersecting.
 CERTIFICATE_TOL = 1e-8
 # Below this, norms are treated as zero when picking fallback directions.
 DEGENERATE_TOL = 1e-12
@@ -84,9 +84,9 @@ def projection_distance(W: SubspaceTuple, W2: SubspaceTuple) -> float:
     return float(np.sqrt(total))
 
 
-def is_intersecting(W: SubspaceTuple, tol: float = CERTIFICATE_TOL) -> bool:
-    """True when the subspace sum has deficient dimension (within tol)."""
-    return W.n > W.ambient_dim or distance_to_illposed(W) <= tol
+def is_intersecting(W: SubspaceTuple) -> bool:
+    """True when the subspace sum has deficient dimension (within CERTIFICATE_TOL)."""
+    return W.n > W.ambient_dim or distance_to_illposed(W) <= CERTIFICATE_TOL
 
 
 def distance_to_illposed(W: SubspaceTuple) -> float:

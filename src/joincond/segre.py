@@ -238,19 +238,17 @@ def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
     matrix of cpd_condition_number times D (see the module docstring).
     """
     n, N = _tangent_dim(decomp), decomp.shape.ambient_dim
-    if n > N:
-        # Wide stacked matrix: sigma_n is zero, no SVD needed.
-        return math.inf
     scales = np.array([t.mu ** (1.0 - 1.0 / t.order) for t in decomp.terms])
-    M = _Compression(decomp).matrix(scales)
+    # A wide stacked matrix, or a wide M, has a kernel: sigma_n is zero and
+    # no SVD is needed.  M is built only when the first test fails.
+    if n > N or (M := _Compression(decomp).matrix(scales)).shape[0] < M.shape[1]:
+        return math.inf
     # Values only: right vectors would double the cost at larger shapes.
     s = np.linalg.svd(M, compute_uv=False)
-    # M has n' columns; a wide M (a wide core) has a kernel, so sigma is 0
-    sigma = float(s[-1]) if s.size == M.shape[1] else 0.0
-    return kappa_from_singular_values(sigma, float(s[0]), n, N)
+    return kappa_from_singular_values(float(s[-1]), float(s[0]), n, N)
 
 
-def is_weak_3_orthogonal(decomp: CPDecomposition, tol: float = WEAK_ORTHOGONALITY_TOL) -> bool:
+def is_weak_3_orthogonal(decomp: CPDecomposition) -> bool:
     """True when every pair of terms is orthogonal in at least three modes."""
     terms = decomp.terms
     for i in range(len(terms)):
@@ -258,7 +256,7 @@ def is_weak_3_orthogonal(decomp: CPDecomposition, tol: float = WEAK_ORTHOGONALIT
             orthogonal_modes = sum(
                 1
                 for a, b in zip(terms[i].vectors, terms[j].vectors)
-                if abs(float(a @ b)) <= tol
+                if abs(float(a @ b)) <= WEAK_ORTHOGONALITY_TOL
             )
             if orthogonal_modes < 3:
                 return False

@@ -262,15 +262,13 @@ def waring_condition_number(decomp: WaringDecomposition) -> ConditionReport:
     )
 
 
-def is_symmetric_odeco(
-    decomp: WaringDecomposition, tol: float = PAIRWISE_ORTHOGONALITY_TOL
-) -> bool:
+def is_symmetric_odeco(decomp: WaringDecomposition) -> bool:
     """True when the term vectors are pairwise orthogonal and r <= m."""
     if decomp.rank > decomp.m:
         return False
     terms = decomp.terms
     for i in range(len(terms)):
         for j in range(i + 1, len(terms)):
-            if abs(float(terms[i].vector @ terms[j].vector)) > tol:
+            if abs(float(terms[i].vector @ terms[j].vector)) > PAIRWISE_ORTHOGONALITY_TOL:
                 return False
     return True

@@ -27,7 +27,6 @@ from joincond import (
     example_42_kappa_analytic,
     is_intersecting,
     is_weak_3_orthogonal,
-    kron,
     nearest_intersecting_tuple,
     norm_balanced_basis,
     norm_balanced_condition_number,
@@ -36,6 +35,7 @@ from joincond import (
     segre_tangent_basis,
     waring_condition_number,
 )
+from joincond.tensor import kron
 from conftest import (
     orthogonal_cpd,
     random_cpd,
@@ -170,7 +170,7 @@ def test_03_bridge_and_certificates():
         gap = abs(1.0 / report.kappa - dist)
         worst_gap = max(worst_gap, gap * report.kappa)  # in units of 1e-12/kappa
         cert = nearest_intersecting_tuple(tangent)
-        assert is_intersecting(cert.nearest, 1e-8)
+        assert is_intersecting(cert.nearest)
         worst_cert = max(worst_cert, abs(cert.distance - dist))
     ok = worst_gap <= 1e-12 and worst_cert <= 1e-8
     _verdict(

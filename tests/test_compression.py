@@ -150,6 +150,21 @@ def test_compressed_svd_runs_on_reduced_rows(monkeypatch):
     assert report.least_vector.shape == (report.n,)
 
 
+def test_norm_balanced_wide_compressed_matrix_runs_no_svd(monkeypatch):
+    # (9,9) r=4: n = 68 <= N = 81, but the compressed matrix is 24 x 36, so
+    # it has a kernel and kappa is infinite from the shape alone
+    wide = random_cpd(rng_for(153), (9, 9), 4)
+    sigma_n, sigma_1, n, N = dense_norm_balanced_sigma(wide)
+    assert (n, N) == (68, 81)
+    assert sigma_n <= _rank_tol(sigma_1)
+    tall = random_cpd(rng_for(154), (6, 5, 4, 4), 6)
+    calls = count_svd_calls(monkeypatch)
+    assert norm_balanced_condition_number(wide) == math.inf
+    assert calls == []
+    assert math.isfinite(norm_balanced_condition_number(tall))
+    assert calls == [False]
+
+
 def _householder_complement(v):
     """The single-vector complement formula, kept as the stack's reference."""
     w = v.copy()

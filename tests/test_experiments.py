@@ -28,19 +28,28 @@ from joincond import (
     example_42_kappa,
     example_42_kappa_analytic,
     generate_model_tensor,
-    kron,
-    make_rng,
     normalize_decomposition,
     paatero_sequence,
     run_forward_error_experiment,
     sequence_table,
-    splitmix64,
     validate_rule_of_thumb,
     write_csv,
 )
 from joincond.blas import openblas_controls
+from joincond.condition import RANK_TOL_FACTOR
 import joincond.experiments as experiments
-from joincond.experiments import _match_columns, _run_sample
+from joincond.experiments import (
+    MODEL_CORE_RANKS,
+    MODEL_DIMS,
+    MODEL_RANK,
+    MODEL_RATE,
+    MODEL_TAU,
+    _match_columns,
+    _run_sample,
+    make_rng,
+    splitmix64,
+)
+from joincond.tensor import kron
 from conftest import orthogonal_cpd, random_cpd, rng_for
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -69,75 +78,57 @@ def test_make_rng_reproducible():
 
 def test_model_params_validation():
     with pytest.raises(ValueError):
-        ModelParams(dims=(3, 3), core_ranks=(1,))
-    with pytest.raises(ValueError):
-        ModelParams(dims=(3, 3), core_ranks=(1, 4), rank=6)
-    with pytest.raises(ValueError):
-        ModelParams(rate=0.0)
-    with pytest.raises(ValueError):
         ModelParams(samples=0)
-    p = ModelParams()
-    assert p.dims == (6, 5, 4, 4)
-    assert p.core_ranks == (1, 2, 3, 4)
-    assert p.rank == 6 and p.rate == 0.2 and p.tau == 5e-4
-
-
-def test_model_params_reject_fractional_dims():
-    with pytest.raises(ValueError, match="dims must be an integer"):
-        ModelParams(dims=(6.5, 5, 4, 4))
-    with pytest.raises(ValueError, match="core_ranks must be an integer"):
-        ModelParams(core_ranks=(1, 2, 3.9, 4))
-    assert ModelParams(dims=(6.0, 5, 4, 4)).dims == (6, 5, 4, 4)
+    assert MODEL_DIMS == (6, 5, 4, 4)
+    assert MODEL_CORE_RANKS == (1, 2, 3, 4)
+    assert MODEL_RANK == 6 and MODEL_RATE == 0.2 and MODEL_TAU == 5e-4
 
 
 def test_generate_model_tensor_deterministic():
-    params = ModelParams(samples=1)
-    d1, t1 = generate_model_tensor(params, 9, 5)
-    d2, t2 = generate_model_tensor(params, 9, 5)
+    d1, t1 = generate_model_tensor(9, 5)
+    d2, t2 = generate_model_tensor(9, 5)
     assert np.array_equal(t1.data, t2.data)
     for a, b in zip(d1.terms, d2.terms):
         assert a.mu == b.mu
         for x, y in zip(a.vectors, b.vectors):
             assert np.array_equal(x, y)
-    d3, t3 = generate_model_tensor(params, 10, 5)
+    d3, t3 = generate_model_tensor(10, 5)
     assert not np.array_equal(t1.data, t3.data)
 
 
 def test_generate_model_tensor_matches_direct_draw():
     # replay the documented draw order (per mode: C, X, Y) and rebuild A_k
-    params = ModelParams(samples=1)
     seed, s = 21, 12
-    decomp, tensor = generate_model_tensor(params, seed, s)
+    decomp, tensor = generate_model_tensor(seed, s)
     rng = make_rng(seed)
-    damp = 2.0 ** (-params.rate * s)
+    damp = 2.0 ** (-MODEL_RATE * s)
     mats = []
-    for m_k, c_k in zip(params.dims, params.core_ranks):
-        C = rng.standard_normal((m_k, params.rank))
-        X = rng.standard_normal((params.rank, c_k))
-        Y = rng.standard_normal((params.rank, c_k))
-        A = C @ (damp * np.eye(params.rank) + X @ Y.T)
+    for m_k, c_k in zip(MODEL_DIMS, MODEL_CORE_RANKS):
+        C = rng.standard_normal((m_k, MODEL_RANK))
+        X = rng.standard_normal((MODEL_RANK, c_k))
+        Y = rng.standard_normal((MODEL_RANK, c_k))
+        A = C @ (damp * np.eye(MODEL_RANK) + X @ Y.T)
         mats.append(A / np.linalg.norm(A))
-    direct = np.zeros(int(np.prod(params.dims)))
-    for i in range(params.rank):
+    direct = np.zeros(int(np.prod(MODEL_DIMS)))
+    for i in range(MODEL_RANK):
         direct += kron([M[:, i] for M in mats])
     assert np.allclose(tensor.data, direct, rtol=1e-12, atol=1e-14)
-    assert decomp.rank == params.rank
+    assert decomp.rank == MODEL_RANK
 
 
 def test_model_factors_shrink_toward_core():
     # as s grows each normalized factor approaches its low-rank limit
-    params = ModelParams(samples=1)
     seed = 4
     gaps = []
     for s in (10, 30, 50):
         rng = make_rng(seed)
-        damp = 2.0 ** (-params.rate * s)
+        damp = 2.0 ** (-MODEL_RATE * s)
         total = 0.0
-        for m_k, c_k in zip(params.dims, params.core_ranks):
-            C = rng.standard_normal((m_k, params.rank))
-            X = rng.standard_normal((params.rank, c_k))
-            Y = rng.standard_normal((params.rank, c_k))
-            A = C @ (damp * np.eye(params.rank) + X @ Y.T)
+        for m_k, c_k in zip(MODEL_DIMS, MODEL_CORE_RANKS):
+            C = rng.standard_normal((m_k, MODEL_RANK))
+            X = rng.standard_normal((MODEL_RANK, c_k))
+            Y = rng.standard_normal((MODEL_RANK, c_k))
+            A = C @ (damp * np.eye(MODEL_RANK) + X @ Y.T)
             limit = C @ (X @ Y.T)
             total += np.linalg.norm(
                 A / np.linalg.norm(A) - limit / np.linalg.norm(limit)
@@ -208,6 +199,21 @@ def test_desilva_lim_terms_diverge():
     rows = sequence_table(desilva_lim_sequence, 6, range(1, 31))
     kappas = [row[1] for row in rows]
     assert kappas[-1] > kappas[0] * 1e3
+
+
+def test_desilva_lim_rank_tolerance_crossing():
+    # At seed 42 kappa turns infinite because sigma_min falls below
+    # RANK_TOL_FACTOR * max(1, sigma_1), not because n > N: sigma_min is
+    # 1.67e-14 at s = 74 and 1.10e-14 at s = 75, with sigma_1 ~ 1.414, about
+    # 18% and 22% either side of the tolerance.
+    rows = sequence_table(desilva_lim_sequence, 42, range(1, 91))
+    assert [s for s, kappa, _ in rows if not math.isfinite(kappa)] == list(range(75, 91))
+    for s in range(75, 91):
+        report = cpd_condition_number(desilva_lim_sequence(42, s))
+        assert report.n == 16 and report.N == 30
+        assert report.sigma_min <= RANK_TOL_FACTOR * max(1.0, report.sigma_1)
+    paatero = sequence_table(paatero_sequence, 42, range(1, 91))
+    assert all(math.isfinite(kappa) for _, kappa, _ in paatero)
 
 
 def test_example_41_constant_kappa():
@@ -345,8 +351,8 @@ def _degenerate_draws(monkeypatch, count):
     real = experiments._draw_model_factors
     draws = []
 
-    def draw(params, rng, s):
-        mats = real(params, rng, s)
+    def draw(rng, s):
+        mats = real(rng, s)
         draws.append(mats)
         if len(draws) <= count:
             mats[0][:, 0] = 0.0
@@ -356,23 +362,23 @@ def _degenerate_draws(monkeypatch, count):
     return draws
 
 
-def _second_draw_tensor(params, seed, s):
+def _second_draw_tensor(seed, s):
     rng = make_rng(seed)
-    experiments._draw_model_factors(params, rng, s)
-    mats = experiments._draw_model_factors(params, rng, s)
+    experiments._draw_model_factors(rng, s)
+    mats = experiments._draw_model_factors(rng, s)
     return assemble_cpd(normalize_decomposition(mats))
 
 
 def test_degenerate_draw_redraws_from_same_stream(monkeypatch):
     params = ModelParams(samples=1, base_seed=4)
     seed, s = 21, 3
-    expected = _second_draw_tensor(params, seed, s)
+    expected = _second_draw_tensor(seed, s)
     draws = _degenerate_draws(monkeypatch, 1)
-    _, tensor = generate_model_tensor(params, seed, s)
+    _, tensor = generate_model_tensor(seed, s)
     assert len(draws) == 2
     assert np.array_equal(tensor.data, expected.data)
 
-    expected = _second_draw_tensor(params, derive_seed(params.base_seed, s, 0), s)
+    expected = _second_draw_tensor(derive_seed(params.base_seed, s, 0), s)
     targets = []
 
     def refine(init, target):
@@ -390,7 +396,7 @@ def test_persistently_degenerate_draws_raise(monkeypatch):
     params = ModelParams(samples=1)
     draws = _degenerate_draws(monkeypatch, math.inf)
     with pytest.raises(RuntimeError):
-        generate_model_tensor(params, 5, 2)
+        generate_model_tensor(5, 2)
     assert len(draws) == 8
     draws.clear()
     with pytest.raises(RuntimeError):
@@ -514,9 +520,9 @@ def test_gram_normal_equations_match_dense_jacobian(dims, r, seed):
 
 def _model_refine_problem(params, s, sample):
     rng = make_rng(derive_seed(params.base_seed, s, sample))
-    mats, decomp = experiments._draw_model(params, rng, s)
+    mats, decomp = experiments._draw_model(rng, s)
     init = normalize_decomposition(
-        [B + params.tau * rng.standard_normal(B.shape) for B in mats]
+        [B + MODEL_TAU * rng.standard_normal(B.shape) for B in mats]
     )
     return init, assemble_cpd(decomp)
 

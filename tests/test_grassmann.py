@@ -94,15 +94,15 @@ def test_distance_dimension_mismatch_rejected():
 def test_is_intersecting_cases():
     e1 = _line(1, 0, 0)
     e2 = _line(0, 1, 0)
-    assert is_intersecting(SubspaceTuple(3, (e1, e1)), 1e-8)
-    assert not is_intersecting(SubspaceTuple(3, (e1, e2)), 1e-8)
+    assert is_intersecting(SubspaceTuple(3, (e1, e1)))
+    assert not is_intersecting(SubspaceTuple(3, (e1, e2)))
 
 
 def test_is_intersecting_forced_by_dimension():
     rng = rng_for(43)
     for _ in range(10):
         t = random_subspace_tuple(rng, 3, (2, 2))
-        assert is_intersecting(t, 1e-8)
+        assert is_intersecting(t)
 
 
 def test_distance_to_illposed_orthogonal_blocks():
@@ -146,7 +146,7 @@ def test_certificate_soundness_random_tuples():
             budget -= extra
         t = random_subspace_tuple(rng, N, tuple(dims))
         cert = nearest_intersecting_tuple(t)
-        assert is_intersecting(cert.nearest, 1e-8)
+        assert is_intersecting(cert.nearest)
         assert abs(cert.distance - distance_to_illposed(t)) <= 1e-8
         # witnesses: unit vectors inside the nearest blocks, jointly dependent
         X = np.column_stack(cert.witness_directions)
@@ -175,7 +175,7 @@ def test_certificate_no_closer_planted_tuple():
                 q, _ = np.linalg.qr(basis)
                 blocks.append(q[:, : W.shape[1]])
             probe = SubspaceTuple(6, tuple(blocks))
-            assert is_intersecting(probe, 1e-8)
+            assert is_intersecting(probe)
             assert projection_distance(t, probe) >= cert.distance - 1e-8
 
 
@@ -188,7 +188,7 @@ def test_certificate_two_orthogonal_lines():
     b0 = cert.nearest.subspaces[0][:, 0]
     b1 = cert.nearest.subspaces[1][:, 0]
     assert abs(abs(float(b0 @ b1)) - 1.0) <= 1e-8
-    assert is_intersecting(cert.nearest, 1e-8)
+    assert is_intersecting(cert.nearest)
 
 
 def test_certificate_intersecting_input_returns_input():

@@ -6,16 +6,14 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from joincond.tensor import khatri_rao
+from joincond.tensor import frobenius_inner, khatri_rao, kron
 from joincond import (
     CPDecomposition,
     DenseTensor,
     RankOneTerm,
     Shape,
     assemble_cpd,
-    frobenius_inner,
     frobenius_norm,
-    kron,
     normalize_decomposition,
     orthonormal_complement,
 )

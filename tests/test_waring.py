@@ -13,7 +13,6 @@ from joincond import (
     assemble_waring,
     frobenius_norm,
     is_symmetric_odeco,
-    kron,
     orthonormal_complement,
     segre_tangent_basis,
     RankOneTerm,
@@ -21,6 +20,7 @@ from joincond import (
     waring_condition_number,
     waring_tangent_tuple,
 )
+from joincond.tensor import kron
 from conftest import random_orthonormal, random_unit, random_waring, rng_for
 
 
