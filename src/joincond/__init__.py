@@ -13,7 +13,6 @@ from .condition import (
     SubspaceTuple,
     condition_number,
     relative_condition_numbers,
-    smallest_singular_value_with_vector,
 )
 from .experiments import (
     ForwardErrorTables,
@@ -45,9 +44,7 @@ from .segre import (
     cpd_relative_condition_numbers,
     cpd_tangent_tuple,
     is_weak_3_orthogonal,
-    norm_balanced_basis,
     norm_balanced_condition_number,
-    segre_tangent_basis,
 )
 from .tensor import (
     CPDecomposition,
@@ -57,14 +54,12 @@ from .tensor import (
     assemble_cpd,
     frobenius_norm,
     normalize_decomposition,
-    orthonormal_complement,
 )
 from .waring import (
     SymmetricRankOneTerm,
     WaringDecomposition,
     assemble_waring,
     is_symmetric_odeco,
-    veronese_tangent_basis,
     waring_condition_number,
     waring_tangent_tuple,
 )
@@ -73,7 +68,6 @@ __all__ = [
     "ConditionReport",
     "condition_number",
     "relative_condition_numbers",
-    "smallest_singular_value_with_vector",
     "ForwardErrorTables",
     "ModelParams",
     "RefineResult",
@@ -100,9 +94,7 @@ __all__ = [
     "cpd_relative_condition_numbers",
     "cpd_tangent_tuple",
     "is_weak_3_orthogonal",
-    "norm_balanced_basis",
     "norm_balanced_condition_number",
-    "segre_tangent_basis",
     "CPDecomposition",
     "DenseTensor",
     "RankOneTerm",
@@ -110,12 +102,10 @@ __all__ = [
     "assemble_cpd",
     "frobenius_norm",
     "normalize_decomposition",
-    "orthonormal_complement",
     "SymmetricRankOneTerm",
     "WaringDecomposition",
     "assemble_waring",
     "is_symmetric_odeco",
-    "veronese_tangent_basis",
     "waring_condition_number",
     "waring_tangent_tuple",
 ]

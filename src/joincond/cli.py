@@ -15,12 +15,14 @@ import functools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .condition import SubspaceTuple
 from .experiments import (
+    S_LIMIT,
     ModelParams,
     desilva_lim_sequence,
     example_41_kappa,
@@ -31,6 +33,7 @@ from .experiments import (
     write_csv,
 )
 from .grassmann import (
+    CERTIFICATE_TOL,
     CertificateError,
     distance_to_illposed,
     nearest_intersecting_tuple,
@@ -54,7 +57,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise InputError(f"cannot read JSON input {path}: {exc}") from exc
 
 
@@ -79,8 +82,11 @@ def _load_cpd(args) -> CPDecomposition:
         if not paths:
             raise InputError("csv format needs comma-separated factor paths")
         try:
-            mats = [np.loadtxt(p, delimiter=",", ndmin=2) for p in paths]
-        except (OSError, ValueError) as exc:
+            with warnings.catch_warnings():
+                # loadtxt only warns about an empty file; that is an input error
+                warnings.simplefilter("error", UserWarning)
+                mats = [np.loadtxt(p, delimiter=",", ndmin=2) for p in paths]
+        except (OSError, ValueError, UserWarning) as exc:
             raise InputError(f"cannot read factor CSV: {exc}") from exc
         try:
             return normalize_decomposition(mats)
@@ -88,7 +94,7 @@ def _load_cpd(args) -> CPDecomposition:
             raise InputError(str(exc)) from exc
     try:
         return CPDecomposition.from_json_dict(_load_json(args.input))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"invalid decomposition JSON: {exc}") from exc
 
 
@@ -101,7 +107,7 @@ def cmd_cond_cpd(args) -> int:
 def cmd_cond_waring(args) -> int:
     try:
         decomp = WaringDecomposition.from_json_dict(_load_json(args.input))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"invalid decomposition JSON: {exc}") from exc
     report = waring_condition_number(decomp)
     _emit(report.to_json_dict(), args.out)
@@ -111,7 +117,7 @@ def cmd_cond_waring(args) -> int:
 def _load_tuple(data) -> SubspaceTuple:
     try:
         return SubspaceTuple.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"invalid subspace tuple JSON: {exc}") from exc
 
 
@@ -152,17 +158,17 @@ def cmd_grassmann(args) -> int:
 def cmd_experiment(args) -> int:
     s_lo = args.s_min if args.s_min is not None else 1
     s_hi = args.s_max if args.s_max is not None else (50 if args.name == "model" else 90)
-    if args.name != "examples" and s_lo > s_hi:
-        raise InputError(f"--s-min {s_lo} exceeds --s-max {s_hi}")
-    if args.samples is not None and args.samples < 1:
+    if args.name != "examples":
+        if s_lo > s_hi:
+            raise InputError(f"--s-min {s_lo} exceeds --s-max {s_hi}")
+        if max(abs(s_lo), abs(s_hi)) > S_LIMIT:
+            raise InputError(f"--s-min and --s-max must lie in [-{S_LIMIT}, {S_LIMIT}]")
+    if args.samples < 1:
         raise InputError(f"--samples must be >= 1, got {args.samples}")
     out_dir = Path(args.out if args.out is not None else ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.name == "model":
-        params = ModelParams(
-            samples=args.samples if args.samples is not None else 250,
-            base_seed=args.seed,
-        )
+        params = ModelParams(samples=args.samples, base_seed=args.seed)
         run_forward_error_experiment(params, range(s_lo, s_hi + 1), out_dir)
         return EXIT_OK
     if args.name in ("paatero", "dsl"):
@@ -209,14 +215,14 @@ def _build_parser() -> argparse.ArgumentParser:
     grassmann = sub.add_parser("grassmann", help="subspace-tuple distances and certificates")
     grassmann.add_argument("--input", required=True, help="subspace tuple JSON (an array of two tuples for --mode dist)")
     grassmann.add_argument("--mode", choices=("dist", "illposed", "certify"), default="illposed")
-    grassmann.add_argument("--tol", type=float, default=1e-8, help="intersection tolerance for illposed mode")
+    grassmann.add_argument("--tol", type=float, default=CERTIFICATE_TOL, help="intersection tolerance for illposed mode")
     grassmann.add_argument("--out", default=None)
     grassmann.set_defaults(func=cmd_grassmann)
 
     experiment = sub.add_parser("experiment", help="reproduction experiments, CSV output")
     experiment.add_argument("--name", choices=("model", "paatero", "dsl", "examples"), required=True)
     experiment.add_argument("--seed", type=_seed, default=0)
-    experiment.add_argument("--samples", type=int, default=None, help="samples per s (model experiment)")
+    experiment.add_argument("--samples", type=int, default=ModelParams.samples, help="samples per s (model experiment)")
     experiment.add_argument("--s-min", type=int, default=None)
     experiment.add_argument("--s-max", type=int, default=None)
     experiment.add_argument("--out", default=None, help="output directory (default: current)")
@@ -229,7 +235,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
+        # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -91,23 +91,27 @@ class ConditionReport:
     """Output of the condition-number engine.
 
     kappa is 1/sigma_min, with math.inf when the problem is ill posed (n > N
-    or sigma_min below the rank tolerance).  least_vector is a unit right
-    singular vector of the stacked basis attaining sigma_min; its blocks give
-    the most weakly determined joint tangent direction.  sigma_1 is the
-    largest singular value (None when not computed), and path names the
-    matrix that was decomposed: "dense" for the stacked basis itself,
-    "compressed" for its Tucker-compressed form (see segre), "symmetric"
-    for its weighted symmetric-coordinate rows (see waring).
+    or sigma_min below the rank tolerance); well_posed is whether kappa is
+    finite.  least_vector is a unit right singular vector of the stacked
+    basis attaining sigma_min; its blocks give the most weakly determined
+    joint tangent direction.  sigma_1 is the largest singular value (None
+    when not computed), and path names the matrix that was decomposed:
+    "dense" for the stacked basis itself, "compressed" for its
+    Tucker-compressed form (see segre), "symmetric" for its weighted
+    symmetric-coordinate rows (see waring).
     """
 
     sigma_min: float
     kappa: float
     least_vector: np.ndarray
-    well_posed: bool
     n: int
     N: int
     sigma_1: float | None = None
     path: str = "dense"
+
+    @property
+    def well_posed(self) -> bool:
+        return math.isfinite(self.kappa)
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,9 +126,12 @@ class ConditionReport:
         }
 
 
-def _least_singular_triplet(M) -> tuple[float, np.ndarray, float]:
-    """(sigma_n, v, sigma_1) of an N x n matrix; see
-    smallest_singular_value_with_vector for sigma_n and v.
+def least_singular_triplet(M) -> tuple[float, np.ndarray, float]:
+    """(sigma_n, v, sigma_1) of an N x n matrix: its n-th and first largest
+    singular values and a unit right singular vector v attaining sigma_n.
+
+    For n <= N, sigma_n is min ||Mx|| over unit x.  For n > N the matrix has
+    a nontrivial kernel, so sigma_n is 0 and v is a unit kernel vector.
 
     Only the right vectors are needed, so for N >= 2n the SVD runs on the
     n x n triangular factor R of M = QR, which has M's singular values and
@@ -153,17 +160,6 @@ def _least_singular_triplet(M) -> tuple[float, np.ndarray, float]:
     return float(s[n - 1]), vt[n - 1].copy(), float(s[0])
 
 
-def smallest_singular_value_with_vector(M) -> tuple[float, np.ndarray]:
-    """(sigma_n, v): the n-th largest singular value of an N x n matrix and a
-    unit right singular vector attaining it.
-
-    For n <= N this is min ||Mx|| over unit x.  For n > N the matrix has a
-    nontrivial kernel, so sigma is 0 and v is a unit kernel vector.
-    """
-    sigma, v, _ = _least_singular_triplet(M)
-    return sigma, v
-
-
 def kappa_from_singular_values(sigma_n: float, sigma_1: float, n: int, N: int) -> float:
     """1 / sigma_n, or math.inf when the problem is ill posed: n > N, or
     sigma_n at or below RANK_TOL_FACTOR * max(1, sigma_1)."""
@@ -175,13 +171,11 @@ def kappa_from_singular_values(sigma_n: float, sigma_1: float, n: int, N: int) -
 def condition_number(t: SubspaceTuple) -> ConditionReport:
     """Condition number of the join decomposition with tangent bases t."""
     n, N = t.n, t.ambient_dim
-    sigma, v, sigma_1 = _least_singular_triplet(t.stacked())
-    kappa = kappa_from_singular_values(sigma, sigma_1, n, N)
+    sigma, v, sigma_1 = least_singular_triplet(t.stacked())
     return ConditionReport(
         sigma_min=sigma,
-        kappa=kappa,
+        kappa=kappa_from_singular_values(sigma, sigma_1, n, N),
         least_vector=v,
-        well_posed=math.isfinite(kappa),
         n=n,
         N=N,
         sigma_1=sigma_1,

@@ -135,6 +135,9 @@ def generate_model_tensor(seed: int, s: float) -> tuple[CPDecomposition, DenseTe
 
 # ---------------------------------------------------------------------------
 # Two classical sequences whose sums converge while the terms diverge.
+# The CLI runs them and the model at |s| <= S_LIMIT: from |s| of about 2500
+# on, a term norm or the model's damping leaves the double range.
+S_LIMIT = 1000
 
 
 def paatero_sequence(seed: int, s: float) -> CPDecomposition:
@@ -295,16 +298,6 @@ class RefineResult:
     trace: tuple[tuple[float, float, int], ...] = ()
 
 
-def _balanced_factor_matrices(decomp: CPDecomposition) -> list[np.ndarray]:
-    d = decomp.order
-    mats = [np.zeros((m, decomp.rank)) for m in decomp.shape.dims]
-    for i, term in enumerate(decomp.terms):
-        scale = term.mu ** (1.0 / d)
-        for k, v in enumerate(term.vectors):
-            mats[k][:, i] = scale * v
-    return mats
-
-
 def _hadamard_of_grams(grams: Sequence[np.ndarray], skip: tuple[int, ...]) -> np.ndarray:
     W = np.ones_like(grams[0])
     for p, G in enumerate(grams):
@@ -381,7 +374,9 @@ def cpd_refine(
     """
     if init.shape.dims != target.shape.dims:
         raise ValueError("init and target shapes differ")
-    mats = _balanced_factor_matrices(init)
+    # the norm-balanced factors: every column of term i scaled by mu_i^(1/d)
+    scales = np.array([t.mu ** (1.0 / init.order) for t in init.terms])
+    mats = [A * scales for A in init.factor_matrices()]
     target_vec = target.data
     residual = khatri_rao(mats).sum(axis=1) - target_vec
     objective = 0.5 * float(residual @ residual)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .condition import SubspaceTuple, smallest_singular_value_with_vector
-from .tensor import orthonormal_complement
+from .condition import SubspaceTuple, least_singular_triplet
+from .tensor import orthonormal_complements
 
 # Tolerance for the two SVD-compounded certificate checks and is_intersecting.
 CERTIFICATE_TOL = 1e-8
@@ -47,16 +47,14 @@ class IllposedCertificate:
     witness_directions: tuple[np.ndarray, ...]
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json_dict(self, original: SubspaceTuple | None = None) -> dict:
-        out = {
+    def to_json_dict(self, original: SubspaceTuple) -> dict:
+        return {
             "distance": self.distance,
             "witness_directions": [x.tolist() for x in self.witness_directions],
             "nearest": self.nearest.to_json_dict(),
             "diagnostics": dict(self.diagnostics),
+            "input_sha256": original.sha256(),
         }
-        if original is not None:
-            out["input_sha256"] = original.sha256()
-        return out
 
 
 def _check_compatible(W: SubspaceTuple, W2: SubspaceTuple):
@@ -93,7 +91,7 @@ def distance_to_illposed(W: SubspaceTuple) -> float:
     """Distance from the tuple to the dependent locus: sigma_n([W_1 ... W_r])."""
     if W.n > W.ambient_dim:
         return 0.0
-    sigma, _ = smallest_singular_value_with_vector(W.stacked())
+    sigma, _, _ = least_singular_triplet(W.stacked())
     return sigma
 
 
@@ -112,7 +110,7 @@ def _span_vector_orthogonal_to(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     nc = float(np.linalg.norm(c))
     if nc <= DEGENERATE_TOL or basis.shape[1] == 1:
         return basis[:, 0].copy()
-    w = orthonormal_complement(c / nc)[:, 0]
+    w = orthonormal_complements((c / nc)[:, None])[0, :, 0]
     return basis @ w
 
 
@@ -130,7 +128,7 @@ def _rotate_to_contain(Wi: np.ndarray, x: np.ndarray) -> np.ndarray:
         out = Wi.copy()
         out[:, 0] = x
         return out
-    rest = orthonormal_complement(c / nc)  # n_i x (n_i - 1)
+    rest = orthonormal_complements((c / nc)[:, None])[0]  # n_i x (n_i - 1)
     return np.column_stack([x, Wi @ rest])
 
 
@@ -151,7 +149,7 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
     if len(W.subspaces) == 1:
         raise ValueError("a single subspace has no dependent tuple to approach")
     U = W.stacked()
-    sigma, v = smallest_singular_value_with_vector(U)
+    sigma, v, _ = least_singular_triplet(U)
 
     offsets = np.cumsum((0,) + W.block_dims)
     ys = []
@@ -179,7 +177,7 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
     sy_trunc = sy.copy()
     sy_trunc[-1] = 0.0
     X = (uy * sy_trunc) @ vty
-    span = uy[:, : r - 1] if r > 1 else uy[:, :1]
+    span = uy[:, : r - 1]
 
     xs = []
     for i in range(r):
@@ -197,7 +195,7 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
 
     distance = projection_distance(W, nearest)
     distance_residual = abs(distance - sigma)
-    intersect_residual, _ = smallest_singular_value_with_vector(nearest.stacked())
+    intersect_residual, _, _ = least_singular_triplet(nearest.stacked())
     if distance_residual > CERTIFICATE_TOL or intersect_residual > CERTIFICATE_TOL:
         raise CertificateError(
             "certificate tolerances not met: "

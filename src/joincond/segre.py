@@ -48,45 +48,38 @@ import numpy as np
 from .condition import (
     ConditionReport,
     SubspaceTuple,
-    _least_singular_triplet,
     kappa_from_singular_values,
+    least_singular_triplet,
     relative_condition_numbers,
 )
 from .tensor import (
     CPDecomposition,
-    RankOneTerm,
     assemble_cpd,
     frobenius_norm,
     khatri_rao,
-    kron_with_factor,
     orthonormal_complements,
 )
 
 WEAK_ORTHOGONALITY_TOL = 1e-12
 
 
-def _term_blocks(mats, stacks) -> np.ndarray:
-    """kron_with_factor(mats, k, stack) for each (k, stack) in stacks, as an
-    N x r x c array in which term i's c columns are its blocks in order."""
-    N = math.prod(A.shape[0] for A in mats)
-    r = mats[0].shape[1]
-    blocks = [kron_with_factor(mats, k, G).reshape(N, r, -1) for k, G in stacks]
-    return np.concatenate(blocks, axis=2)
-
-
 def _tangent_matrix(mats, complements) -> np.ndarray:
     """[U_1 ... U_r] for the terms whose mode-k vectors are the columns of
-    mats[k], each U_i laid out as segre_tangent_basis does; complements[k]
-    is orthonormal_complements(mats[k])."""
-    first = (0, mats[0].T[:, :, None])  # the column kron(a_i^1, ..., a_i^d)
-    U = _term_blocks(mats, [first] + [(k, Q) for k, Q in enumerate(complements) if Q.size])
-    return U.reshape(U.shape[0], -1)
-
-
-def segre_tangent_basis(term: RankOneTerm) -> np.ndarray:
-    """Orthonormal tangent basis of the rank-one manifold at a term."""
-    cols = [v[:, None] for v in term.vectors]
-    return _tangent_matrix(cols, [orthonormal_complements(c) for c in cols])
+    mats[k], each U_i with its columns in the order of the module docstring;
+    complements[k] is orthonormal_complements(mats[k]).  Block k of all
+    terms is one Khatri-Rao product: column i*c + j of its mode-k factor is
+    complements[k][i, :, j], and every other mode repeats each column c times.
+    """
+    N = math.prod(A.shape[0] for A in mats)
+    r = mats[0].shape[1]
+    blocks = [khatri_rao(mats).reshape(N, r, 1)]  # the columns kron(a_i^1, ..., a_i^d)
+    for k, Q in enumerate(complements):
+        c = Q.shape[2]
+        if c:
+            factors = [np.repeat(A, c, axis=1) for A in mats]
+            factors[k] = Q.transpose(1, 0, 2).reshape(-1, r * c)
+            blocks.append(khatri_rao(factors).reshape(N, r, c))
+    return np.concatenate(blocks, axis=2).reshape(N, -1)
 
 
 def cpd_tangent_tuple(decomp: CPDecomposition) -> SubspaceTuple:
@@ -193,14 +186,12 @@ def cpd_condition_number(decomp: CPDecomposition) -> ConditionReport:
     docstring); least_vector is in the coordinates of cpd_tangent_tuple.
     """
     tucker = _Compression(decomp)
-    sigma, v, sigma_1 = _least_singular_triplet(tucker.matrix())
+    sigma, v, sigma_1 = least_singular_triplet(tucker.matrix())
     n, N = _tangent_dim(decomp), decomp.shape.ambient_dim
-    kappa = kappa_from_singular_values(sigma, sigma_1, n, N)
     return ConditionReport(
         sigma_min=sigma,
-        kappa=kappa,
+        kappa=kappa_from_singular_values(sigma, sigma_1, n, N),
         least_vector=tucker.lift(v),
-        well_posed=math.isfinite(kappa),
         n=n,
         N=N,
         sigma_1=sigma_1,
@@ -215,27 +206,19 @@ def cpd_relative_condition_numbers(decomp: CPDecomposition) -> list[float]:
     return relative_condition_numbers(report, [t.mu for t in decomp.terms], total)
 
 
-def norm_balanced_basis(term: RankOneTerm) -> np.ndarray:
-    """The scaled tangent matrix of the factor-vector parametrization.
-
-    Columns are mu^(1-1/d) * [ I x a^2 x ... x a^d | ... | a^1 x ... x I ]:
-    the derivative of (a^1, ..., a^d) -> a^1 x ... x a^d at the norm-balanced
-    representative whose factors all have norm mu^(1/d).  Not orthonormal;
-    its column span is the same tangent space as segre_tangent_basis(term).
-    """
-    cols = [v[:, None] for v in term.vectors]
-    eyes = [(k, np.eye(v.size)[None]) for k, v in enumerate(term.vectors)]
-    return _term_blocks(cols, eyes)[:, 0] * term.mu ** (1.0 - 1.0 / term.order)
-
-
 def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
     """Condition number of recovering the balanced factor vectors themselves.
 
     Unlike the term-wise condition number this one is sensitive to the term
     norms: scaling a term toward zero drives it to infinity.  Equal to
-    1 / sigma_n([B_1 ... B_r]) with B_i = norm_balanced_basis(term i) and n
-    the total tangent dimension; computed as one values-only SVD of the
-    matrix of cpd_condition_number times D (see the module docstring).
+    1 / sigma_n([B_1 ... B_r]) with n the total tangent dimension and
+
+        B_i = mu_i^(1-1/d) [ I x a^2 x ... x a^d | ... | a^1 x ... x I ],
+
+    the derivative of (a^1, ..., a^d) -> a^1 x ... x a^d at the
+    norm-balanced representative of term i, whose factors all have norm
+    mu_i^(1/d); computed as one values-only SVD of the matrix of
+    cpd_condition_number times D (see the module docstring).
     """
     n, N = _tangent_dim(decomp), decomp.shape.ambient_dim
     scales = np.array([t.mu ** (1.0 - 1.0 / t.order) for t in decomp.terms])

@@ -9,9 +9,7 @@ package relies on.
 
 khatri_rao is the one builder of Kronecker-structured arrays: assembled
 terms, tangent blocks and the refiner's MTTKRPs all use column-wise
-Kronecker products, and kron / kron_with_factor are thin calls to it.
-kron_with_factor builds one block for all r terms of a decomposition in a
-single call.
+Kronecker products, and kron is a thin call to it.
 """
 
 from __future__ import annotations
@@ -30,6 +28,15 @@ def _as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("empty vector")
+    return v
+
+
+def _unit_vector(x, what: str) -> np.ndarray:
+    """x as a vector of unit norm, checked with math.hypot, which unlike
+    np.linalg.norm does not overflow on huge entries."""
+    v = _as_vector(x)
+    if not abs(math.hypot(*v.tolist()) - 1.0) <= UNIT_NORM_TOL:
+        raise ValueError(f"{what} is not unit norm")
     return v
 
 
@@ -84,18 +91,6 @@ class DenseTensor:
     def to_nd(self) -> np.ndarray:
         return self.data.reshape(self.shape.dims)
 
-    @classmethod
-    def from_nd(cls, array) -> "DenseTensor":
-        array = np.asarray(array, dtype=float)
-        return cls(Shape(array.shape), array.ravel())
-
-    def to_json_dict(self) -> dict:
-        return {"dims": list(self.shape.dims), "data": self.data.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "DenseTensor":
-        return cls(Shape(tuple(obj["dims"])), np.asarray(obj["data"], dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class RankOneTerm:
@@ -108,12 +103,9 @@ class RankOneTerm:
         mu = float(self.mu)
         if not 0 < mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {mu}")
-        vectors = tuple(_as_vector(v) for v in self.vectors)
+        vectors = tuple(_unit_vector(v, f"mode-{k} vector") for k, v in enumerate(self.vectors))
         if not vectors:
             raise ValueError("rank-one term needs at least one mode vector")
-        for k, v in enumerate(vectors):
-            if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_TOL:
-                raise ValueError(f"mode-{k} vector is not unit norm")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "vectors", vectors)
 
@@ -202,21 +194,6 @@ def kron(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return khatri_rao([v[:, None] for v in vs])[:, 0]
 
 
-def kron_with_factor(mats: Sequence[np.ndarray], k: int, stack: np.ndarray) -> np.ndarray:
-    """Term-wise kron(a_i^1, ..., a_i^(k-1), G_i, a_i^(k+1), ..., a_i^d).
-
-    mats[j] is the m_j x r matrix whose column i is a_i^j (mats[k] is not
-    used) and stack is the r x m_k x c array of the G_i.  The result has
-    prod_j m_j rows and r * c columns; term i owns columns i*c .. i*c + c - 1.
-    """
-    r, m, c = stack.shape
-    factors = [
-        stack.transpose(1, 0, 2).reshape(m, r * c) if j == k else np.repeat(A, c, axis=1)
-        for j, A in enumerate(mats)
-    ]
-    return khatri_rao(factors)
-
-
 def assemble_cpd(decomp: CPDecomposition) -> DenseTensor:
     """Sum the rank-one terms of a decomposition into a dense tensor."""
     return DenseTensor(decomp.shape, decomp.term_tensors().sum(axis=1))
@@ -228,7 +205,7 @@ def normalize_decomposition(factor_matrices: Sequence[np.ndarray]) -> CPDecompos
     Column i of mode k holds the unnormalized mode-k vector of term i.  Each
     term gets mu_i equal to the product of its column norms and unit vectors;
     signs stay in the vectors.  A zero column has no unit direction and is
-    rejected.
+    rejected, and so is a non-finite entry or a term whose norm overflows.
     """
     mats = [np.asarray(A, dtype=float) for A in factor_matrices]
     if not mats:
@@ -243,36 +220,32 @@ def normalize_decomposition(factor_matrices: Sequence[np.ndarray]) -> CPDecompos
         raise ValueError("need at least one column per factor matrix")
     shape = Shape(tuple(A.shape[0] for A in mats))
     terms = []
-    for i in range(r):
-        mu = 1.0
-        vectors = []
-        for A in mats:
-            col = A[:, i]
-            norm = float(np.linalg.norm(col))
-            if norm == 0.0:
-                raise ValueError(f"degenerate rank-one term: zero column {i}")
-            mu *= norm
-            vectors.append(col / norm)
-        terms.append(RankOneTerm(mu, tuple(vectors)))
+    # A non-finite entry or an overflowing norm makes mu non-finite, and
+    # RankOneTerm rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(r):
+            mu = 1.0
+            vectors = []
+            for A in mats:
+                col = A[:, i]
+                norm = float(np.linalg.norm(col))
+                if norm == 0.0:
+                    raise ValueError(f"degenerate rank-one term: zero column {i}")
+                mu *= norm
+                vectors.append(col / norm)
+            terms.append(RankOneTerm(mu, tuple(vectors)))
     return CPDecomposition(shape, tuple(terms))
 
 
-def orthonormal_complement(v) -> np.ndarray:
-    """Orthonormal basis of the complement of a unit vector, as an m x (m-1) matrix.
-
-    Deterministic: the basis comes from the Householder reflector sending v to
-    -sign(v_0) e_1 (with sign(0) = +1), whose trailing m-1 columns are
-    orthonormal and orthogonal to v.  For v = +-e_1 this yields (e_2, ..., e_m).
-    """
-    v = _as_vector(v)
-    if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
-        raise ValueError("expected a unit vector")
-    return orthonormal_complements(v[:, None])[0]
-
-
 def orthonormal_complements(A: np.ndarray) -> np.ndarray:
-    """orthonormal_complement of every column of an m x r matrix of unit
-    columns, as an r x m x (m-1) stack; the columns are not checked."""
+    """Orthonormal bases of the complements of the r unit columns of an
+    m x r matrix, as an r x m x (m-1) stack; the columns are not checked.
+
+    Deterministic: the basis of column v comes from the Householder
+    reflector sending v to -sign(v_0) e_1 (with sign(0) = +1), whose
+    trailing m-1 columns are orthonormal and orthogonal to v.  For
+    v = +-e_1 this yields (e_2, ..., e_m).
+    """
     W = A.T.copy()
     W[:, 0] += np.where(W[:, 0] >= 0, 1.0, -1.0)
     # One BLAS dot per row: a batched sum can round differently, and the
@@ -284,9 +257,3 @@ def orthonormal_complements(A: np.ndarray) -> np.ndarray:
 
 def frobenius_norm(t: DenseTensor) -> float:
     return float(np.linalg.norm(t.data))
-
-
-def frobenius_inner(a: DenseTensor, b: DenseTensor) -> float:
-    if a.shape.dims != b.shape.dims:
-        raise ValueError(f"shape mismatch: {a.shape.dims} vs {b.shape.dims}")
-    return float(a.data @ b.data)

@@ -42,20 +42,21 @@ import numpy as np
 from .condition import (
     ConditionReport,
     SubspaceTuple,
-    _least_singular_triplet,
     kappa_from_singular_values,
+    least_singular_triplet,
 )
 from .tensor import (
-    UNIT_NORM_TOL,
     DenseTensor,
     Shape,
-    _as_vector,
+    _unit_vector,
     as_int,
     khatri_rao,
     orthonormal_complements,
 )
 
 PAIRWISE_ORTHOGONALITY_TOL = 1e-12
+# The symmetric-row weights need d! as a double, which is finite up to 170!.
+MAX_ORDER = 170
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,12 +71,10 @@ class SymmetricRankOneTerm:
         mu = float(self.mu)
         if mu == 0.0 or not math.isfinite(mu):
             raise ValueError(f"mu must be nonzero and finite, got {mu}")
-        v = _as_vector(self.vector)
-        if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_TOL:
-            raise ValueError("vector is not unit norm")
+        v = _unit_vector(self.vector, "vector")
         d = as_int(self.order, "order")
-        if d < 1:
-            raise ValueError("order must be >= 1")
+        if not 1 <= d <= MAX_ORDER:
+            raise ValueError(f"order must be in 1..{MAX_ORDER}, got {d}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "order", d)
@@ -191,8 +190,8 @@ def _symmetric_rows(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _tangent_matrix(A: np.ndarray, rows: np.ndarray, weights=None) -> np.ndarray:
     """The rows I of [V_1 ... V_r], each scaled by its weight, for the terms
-    whose unit vectors are the columns of the m x r matrix A; V_i is laid out
-    as veronese_tangent_basis does.
+    whose unit vectors are the columns of the m x r matrix A; V_i's columns
+    are in the order of the module docstring.
 
     With G[I, k, i] = a_i[i_k], row I of a_i^(x d) is prod_k G[I, k, i] and
     row I of the complement column q is sum_k q[i_k] prod_(l != k) G[I, l, i],
@@ -220,11 +219,6 @@ def _tangent_matrix(A: np.ndarray, rows: np.ndarray, weights=None) -> np.ndarray
     return U.reshape(R, r * m)
 
 
-def veronese_tangent_basis(term: SymmetricRankOneTerm) -> np.ndarray:
-    """Orthonormal tangent basis (N x m) of the symmetric rank-one manifold."""
-    return _tangent_matrix(term.vector[:, None], _dense_rows(term.vector.size, term.order))
-
-
 def waring_tangent_tuple(decomp: WaringDecomposition) -> SubspaceTuple:
     """Tangent bases of all terms on all N = m^d rows; the total tangent
     dimension is r * m."""
@@ -244,7 +238,7 @@ def waring_condition_number(decomp: WaringDecomposition) -> ConditionReport:
     m, d = decomp.m, decomp.d
     rows, weights = _symmetric_rows(m, d)
     M = _tangent_matrix(_vector_matrix(decomp), rows, weights)
-    sigma, v, sigma_1 = _least_singular_triplet(M)
+    sigma, v, sigma_1 = least_singular_triplet(M)
     n = decomp.rank * m
     if is_defective(m, d, decomp.rank):
         kappa = math.inf
@@ -254,7 +248,6 @@ def waring_condition_number(decomp: WaringDecomposition) -> ConditionReport:
         sigma_min=sigma,
         kappa=kappa,
         least_vector=v,
-        well_posed=math.isfinite(kappa),
         n=n,
         N=m ** d,
         sigma_1=sigma_1,

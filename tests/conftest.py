@@ -4,6 +4,8 @@ All randomness flows through seeded PCG64 generators so every test is
 reproducible on its own.
 """
 
+from functools import reduce
+
 import numpy as np
 
 from joincond import (
@@ -13,7 +15,8 @@ from joincond import (
     SubspaceTuple,
     SymmetricRankOneTerm,
     WaringDecomposition,
-    norm_balanced_basis,
+    cpd_tangent_tuple,
+    waring_tangent_tuple,
 )
 
 
@@ -98,6 +101,31 @@ def count_svd_calls(monkeypatch, fail_first=False, shapes=None, qr_shapes=None):
     if qr_shapes is not None:
         monkeypatch.setattr(np.linalg, "qr", qr)
     return calls
+
+
+def segre_tangent_basis(term):
+    """The orthonormal tangent basis of one rank-one term."""
+    return cpd_tangent_tuple(CPDecomposition(Shape(term.mode_dims()), (term,))).subspaces[0]
+
+
+def veronese_tangent_basis(term):
+    """The orthonormal tangent basis (m^d x m) of one symmetric term."""
+    decomp = WaringDecomposition(term.vector.size, term.order, (term,))
+    return waring_tangent_tuple(decomp).subspaces[0]
+
+
+def norm_balanced_basis(term):
+    """mu^(1-1/d) * [ I x a^2 x ... x a^d | ... | a^1 x ... x I ], the
+    derivative of (a^1, ..., a^d) -> a^1 x ... x a^d at the norm-balanced
+    representative, whose factors all have norm mu^(1/d); built from np.kron
+    alone as the reference for the engine's column-scaled matrix.  Not
+    orthonormal; its column span is the term's tangent space."""
+    cols = [v[:, None] for v in term.vectors]
+    blocks = [
+        reduce(np.kron, cols[:k] + [np.eye(v.size)] + cols[k + 1:])
+        for k, v in enumerate(term.vectors)
+    ]
+    return term.mu ** (1.0 - 1.0 / term.order) * np.hstack(blocks)
 
 
 def dense_norm_balanced_sigma(decomp):

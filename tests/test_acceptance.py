@@ -28,21 +28,21 @@ from joincond import (
     is_intersecting,
     is_weak_3_orthogonal,
     nearest_intersecting_tuple,
-    norm_balanced_basis,
     norm_balanced_condition_number,
     paatero_sequence,
     run_forward_error_experiment,
-    segre_tangent_basis,
     waring_condition_number,
 )
 from joincond.tensor import kron
 from conftest import (
+    norm_balanced_basis,
     orthogonal_cpd,
     random_cpd,
     random_orthonormal,
     random_unit,
     random_waring,
     rng_for,
+    segre_tangent_basis,
 )
 
 

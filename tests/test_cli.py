@@ -10,6 +10,7 @@ import pytest
 import joincond.cli as cli
 from joincond import (
     CertificateError,
+    ModelParams,
     SubspaceTuple,
     WaringDecomposition,
     SymmetricRankOneTerm,
@@ -22,6 +23,8 @@ from joincond import (
     paatero_sequence,
     waring_condition_number,
 )
+from joincond.experiments import S_LIMIT
+from joincond.grassmann import CERTIFICATE_TOL
 from conftest import (
     count_svd_calls,
     random_cpd,
@@ -426,6 +429,41 @@ def test_experiment_reversed_s_range_exits_2(tmp_path, capsys, name):
     assert code == 2
     assert "--s-min" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["model", "paatero", "dsl"])
+@pytest.mark.parametrize("s", [S_LIMIT, -S_LIMIT])
+def test_experiment_runs_at_the_s_bound(tmp_path, capsys, name, s):
+    # the sequences and the model still run, warning-free, at |s| = 1000
+    assert S_LIMIT == 1000
+    out = tmp_path / name
+    argv = ["experiment", "--name", name, "--samples", "1", "--s-min", str(s),
+            "--s-max", str(s), "--out", str(out)]
+    code, _, err = _run(capsys, argv)
+    assert code == 0
+    assert err == ""
+    csv = "kappa_quartiles.csv" if name == "model" else f"{name}_kappa.csv"
+    assert (out / csv).read_text().splitlines()[1].startswith(f"{s},")
+
+
+@pytest.mark.parametrize("name", ["model", "paatero", "dsl"])
+@pytest.mark.parametrize("s_min, s_max", [(S_LIMIT + 1, S_LIMIT + 1), (-S_LIMIT - 1, 1)])
+def test_experiment_s_beyond_bound_exits_2(tmp_path, capsys, name, s_min, s_max):
+    out = tmp_path / name
+    argv = ["experiment", "--name", name, "--s-min", str(s_min), "--s-max", str(s_max),
+            "--out", str(out)]
+    code, _, err = _run(capsys, argv)
+    assert code == 2
+    assert "[-1000, 1000]" in err
+    assert not out.exists()
+
+
+def test_parser_defaults_are_the_library_values():
+    parser = cli._build_parser()
+    experiment = parser.parse_args(["experiment", "--name", "model"])
+    assert experiment.samples == ModelParams().samples
+    grassmann = parser.parse_args(["grassmann", "--input", "t.json"])
+    assert grassmann.tol == CERTIFICATE_TOL
 
 
 @pytest.mark.parametrize("tol", ["nan", "-0.001"])

@@ -5,7 +5,8 @@ diagonal matrix on prod_k min(m_k, r) + sum_k prod_(l != k) min(m_l, r) rows
 instead of the N = prod_k m_k rows of the stacked tangent bases, the latter
 with its columns scaled; the references here are
 condition_number(cpd_tangent_tuple(d)) and the SVD of
-[norm_balanced_basis(t_1) ... norm_balanced_basis(t_r)].
+[norm_balanced_basis(t_1) ... norm_balanced_basis(t_r)], the per-term
+definition that conftest builds from np.kron.
 """
 
 import math
@@ -21,7 +22,6 @@ from joincond import (
     cpd_condition_number,
     cpd_tangent_tuple,
     desilva_lim_sequence,
-    norm_balanced_basis,
     norm_balanced_condition_number,
     normalize_decomposition,
     paatero_sequence,
@@ -185,9 +185,3 @@ def test_tangent_tuple_is_bitwise_per_term_kron():
                     factors = cols[:k] + [_householder_complement(v)] + cols[k + 1:]
                     blocks.append(reduce(np.kron, factors))
             assert np.array_equal(W, np.hstack(blocks))
-            balanced = [
-                reduce(np.kron, cols[:k] + [np.eye(v.size)] + cols[k + 1:])
-                for k, v in enumerate(term.vectors)
-            ]
-            expect = term.mu ** (1.0 - 1.0 / term.order) * np.hstack(balanced)
-            assert np.array_equal(norm_balanced_basis(term), expect)

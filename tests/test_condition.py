@@ -14,9 +14,8 @@ from joincond import (
     cpd_tangent_tuple,
     paatero_sequence,
     relative_condition_numbers,
-    smallest_singular_value_with_vector,
 )
-from joincond.condition import _least_singular_triplet
+from joincond.condition import least_singular_triplet
 from conftest import count_svd_calls, random_cpd, random_orthonormal, rng_for
 
 # Frozen closed-form values for two lines at 45 degrees: sigma = sqrt(2)*sin(pi/8).
@@ -30,10 +29,10 @@ def _tuple_of(*cols):
 
 
 def test_kernel_identity_and_diag():
-    sigma, v = smallest_singular_value_with_vector(np.eye(3))
+    sigma, v, _ = least_singular_triplet(np.eye(3))
     assert math.isclose(sigma, 1.0, rel_tol=1e-15)
     assert math.isclose(np.linalg.norm(v), 1.0, rel_tol=1e-12)
-    sigma, v = smallest_singular_value_with_vector(np.diag([3.0, 2.0, 1.0]))
+    sigma, v, _ = least_singular_triplet(np.diag([3.0, 2.0, 1.0]))
     assert math.isclose(sigma, 1.0, rel_tol=1e-15)
     assert np.allclose(np.abs(v), [0.0, 0.0, 1.0], atol=1e-14)
 
@@ -42,7 +41,7 @@ def test_kernel_matches_eigensolver_oracle():
     rng = rng_for(30)
     for _ in range(50):
         M = rng.standard_normal((8, 5))
-        sigma, v = smallest_singular_value_with_vector(M)
+        sigma, v, _ = least_singular_triplet(M)
         evals = np.linalg.eigvalsh(M.T @ M)
         assert math.isclose(sigma, math.sqrt(max(evals[0], 0.0)), rel_tol=1e-10, abs_tol=1e-12)
         assert math.isclose(np.linalg.norm(v), 1.0, rel_tol=1e-12)
@@ -52,7 +51,7 @@ def test_kernel_matches_eigensolver_oracle():
 def test_kernel_wide_matrix_null_vector():
     rng = rng_for(31)
     M = rng.standard_normal((3, 5))
-    sigma, v = smallest_singular_value_with_vector(M)
+    sigma, v, _ = least_singular_triplet(M)
     assert sigma == 0.0
     assert math.isclose(np.linalg.norm(v), 1.0, rel_tol=1e-12)
     assert np.linalg.norm(M @ v) <= 1e-10 * np.linalg.norm(M, 2)
@@ -60,9 +59,9 @@ def test_kernel_wide_matrix_null_vector():
 
 def test_kernel_rejects_bad_input():
     with pytest.raises(ValueError):
-        smallest_singular_value_with_vector(np.zeros(3))
+        least_singular_triplet(np.zeros(3))
     with pytest.raises(ValueError):
-        smallest_singular_value_with_vector(np.array([[1.0, np.nan]]))
+        least_singular_triplet(np.array([[1.0, np.nan]]))
 
 
 def test_orthonormal_blocks_give_kappa_one():
@@ -183,9 +182,9 @@ def test_svd_nonconvergence_retries_on_transpose():
 @pytest.mark.parametrize("shape", [(7, 3), (3, 5), (200, 64)])
 def test_svd_retry_path_matches_direct(monkeypatch, shape):
     M = rng_for(38).standard_normal(shape)
-    sigma, _ = smallest_singular_value_with_vector(M)
+    sigma, _, _ = least_singular_triplet(M)
     calls = count_svd_calls(monkeypatch, fail_first=True)
-    sigma2, v2 = smallest_singular_value_with_vector(M)
+    sigma2, v2, _ = least_singular_triplet(M)
     assert len(calls) == 2
     assert math.isclose(sigma2, sigma, rel_tol=1e-12, abs_tol=1e-14)
     assert math.isclose(np.linalg.norm(v2), 1.0, rel_tol=1e-12)
@@ -216,7 +215,7 @@ def test_r_factor_svd_is_bitwise_direct_svd(monkeypatch, source, reduced):
         assert np.array_equal(vt_r, vt)
     qr_shapes = []
     count_svd_calls(monkeypatch, qr_shapes=qr_shapes)
-    sigma, v, sigma_1 = _least_singular_triplet(M)
+    sigma, v, sigma_1 = least_singular_triplet(M)
     assert qr_shapes == ([M.shape] if reduced else [])
     assert sigma == s[n - 1]
     assert sigma_1 == s[0]
@@ -225,7 +224,7 @@ def test_r_factor_svd_is_bitwise_direct_svd(monkeypatch, source, reduced):
 
 def test_relative_condition_numbers_tiny_term():
     report = ConditionReport(
-        sigma_min=1.0, kappa=1.0, least_vector=np.array([1.0]), well_posed=True, n=1, N=3
+        sigma_min=1.0, kappa=1.0, least_vector=np.array([1.0]), n=1, N=3
     )
     rel = relative_condition_numbers(report, [1.0, 1e-10], 1.0)
     assert math.isclose(rel[0], 1.0, rel_tol=1e-12)
@@ -234,7 +233,7 @@ def test_relative_condition_numbers_tiny_term():
 
 def test_relative_condition_numbers_equal_norms():
     report = ConditionReport(
-        sigma_min=0.5, kappa=2.0, least_vector=np.array([1.0]), well_posed=True, n=1, N=3
+        sigma_min=0.5, kappa=2.0, least_vector=np.array([1.0]), n=1, N=3
     )
     rel = relative_condition_numbers(report, [3.0, 3.0, 3.0], 3.0)
     assert all(math.isclose(x, 2.0, rel_tol=1e-14) for x in rel)
@@ -242,7 +241,7 @@ def test_relative_condition_numbers_equal_norms():
 
 def test_relative_condition_numbers_propagate_infinity():
     report = ConditionReport(
-        sigma_min=0.0, kappa=math.inf, least_vector=np.array([1.0]), well_posed=False, n=1, N=3
+        sigma_min=0.0, kappa=math.inf, least_vector=np.array([1.0]), n=1, N=3
     )
     rel = relative_condition_numbers(report, [1.0, 2.0], 1.0)
     assert all(math.isinf(x) for x in rel)
@@ -250,7 +249,7 @@ def test_relative_condition_numbers_propagate_infinity():
 
 def test_relative_condition_numbers_reject_degenerate():
     report = ConditionReport(
-        sigma_min=1.0, kappa=1.0, least_vector=np.array([1.0]), well_posed=True, n=1, N=3
+        sigma_min=1.0, kappa=1.0, least_vector=np.array([1.0]), n=1, N=3
     )
     with pytest.raises(ValueError, match="degenerate term"):
         relative_condition_numbers(report, [1.0, 0.0], 1.0)
@@ -260,22 +259,24 @@ def test_relative_condition_numbers_reject_degenerate():
 
 def test_report_json_serialization():
     finite = ConditionReport(
-        sigma_min=0.5, kappa=2.0, least_vector=np.array([0.6, 0.8]), well_posed=True, n=2, N=4
+        sigma_min=0.5, kappa=2.0, least_vector=np.array([0.6, 0.8]), n=2, N=4
     )
     j = finite.to_json_dict()
     assert j["kappa"] == 2.0
     assert j["well_posed"] is True
     assert j["least_vector"] == [0.6, 0.8]
     infinite = ConditionReport(
-        sigma_min=0.0, kappa=math.inf, least_vector=np.array([1.0]), well_posed=False, n=3, N=2
+        sigma_min=0.0, kappa=math.inf, least_vector=np.array([1.0]), n=3, N=2
     )
     assert infinite.to_json_dict()["kappa"] == "inf"
+    # well_posed is derived from kappa, not stored
+    assert infinite.to_json_dict()["well_posed"] is infinite.well_posed is False
 
 
 def test_report_carries_sigma_1_and_path():
-    # the six-field constructor above still works; the new keys have defaults
+    # the five-field constructor above still works; the new keys have defaults
     old = ConditionReport(
-        sigma_min=0.5, kappa=2.0, least_vector=np.array([1.0]), well_posed=True, n=1, N=2
+        sigma_min=0.5, kappa=2.0, least_vector=np.array([1.0]), n=1, N=2
     )
     assert (old.sigma_1, old.path) == (None, "dense")
     assert old.to_json_dict()["sigma_1"] is None

@@ -17,12 +17,18 @@ from joincond import (
     distance_to_illposed,
     frobenius_norm,
     is_weak_3_orthogonal,
-    norm_balanced_basis,
     norm_balanced_condition_number,
-    segre_tangent_basis,
 )
 from joincond.tensor import kron
-from conftest import count_svd_calls, orthogonal_cpd, random_cpd, random_unit, rng_for
+from conftest import (
+    count_svd_calls,
+    norm_balanced_basis,
+    orthogonal_cpd,
+    random_cpd,
+    random_unit,
+    rng_for,
+    segre_tangent_basis,
+)
 
 
 def _tangent_dim(dims):

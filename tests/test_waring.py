@@ -13,15 +13,19 @@ from joincond import (
     assemble_waring,
     frobenius_norm,
     is_symmetric_odeco,
-    orthonormal_complement,
-    segre_tangent_basis,
     RankOneTerm,
-    veronese_tangent_basis,
     waring_condition_number,
     waring_tangent_tuple,
 )
-from joincond.tensor import kron
-from conftest import random_orthonormal, random_unit, random_waring, rng_for
+from joincond.tensor import kron, orthonormal_complements
+from conftest import (
+    random_orthonormal,
+    random_unit,
+    random_waring,
+    rng_for,
+    segre_tangent_basis,
+    veronese_tangent_basis,
+)
 
 
 def test_term_validation():
@@ -103,7 +107,7 @@ def test_sym_block_scaling_requirement():
     rng = rng_for(84)
     for m, d in ((2, 2), (3, 3), (4, 2)):
         a = random_unit(rng, m)
-        Q = orthonormal_complement(a)
+        Q = orthonormal_complements(a[:, None])[0]
         first = kron([a] * d)
         sym = np.zeros((m**d, m - 1))
         for k in range(d):
