@@ -48,11 +48,9 @@ from .segre import (
 )
 from .tensor import (
     CPDecomposition,
-    DenseTensor,
     RankOneTerm,
     Shape,
     assemble_cpd,
-    frobenius_norm,
     normalize_decomposition,
 )
 from .waring import (
@@ -96,11 +94,9 @@ __all__ = [
     "is_weak_3_orthogonal",
     "norm_balanced_condition_number",
     "CPDecomposition",
-    "DenseTensor",
     "RankOneTerm",
     "Shape",
     "assemble_cpd",
-    "frobenius_norm",
     "normalize_decomposition",
     "SymmetricRankOneTerm",
     "WaringDecomposition",

@@ -39,7 +39,7 @@ from .grassmann import (
     nearest_intersecting_tuple,
     projection_distance,
 )
-from .segre import cpd_condition_number
+from .segre import cpd_condition_number, is_defective as cpd_is_defective
 from .tensor import CPDecomposition, normalize_decomposition
 from .waring import WaringDecomposition, is_defective, waring_condition_number
 
@@ -99,9 +99,9 @@ def _load_cpd(args) -> CPDecomposition:
 
 
 def cmd_cond_cpd(args) -> int:
-    report = cpd_condition_number(_load_cpd(args))
-    _emit(report.to_json_dict(), args.out)
-    return EXIT_DIMENSION if report.n > report.N else EXIT_OK
+    decomp = _load_cpd(args)
+    _emit(cpd_condition_number(decomp).to_json_dict(), args.out)
+    return EXIT_DIMENSION if cpd_is_defective(decomp) else EXIT_OK
 
 
 def cmd_cond_waring(args) -> int:
@@ -109,7 +109,10 @@ def cmd_cond_waring(args) -> int:
         decomp = WaringDecomposition.from_json_dict(_load_json(args.input))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"invalid decomposition JSON: {exc}") from exc
-    report = waring_condition_number(decomp)
+    try:
+        report = waring_condition_number(decomp)
+    except ValueError as exc:  # above waring.MAX_TANGENT_ENTRIES
+        raise InputError(str(exc)) from exc
     _emit(report.to_json_dict(), args.out)
     return EXIT_DIMENSION if is_defective(decomp.m, decomp.d, decomp.rank) else EXIT_OK
 

@@ -33,7 +33,6 @@ from .condition import SubspaceTuple, condition_number
 from .segre import cpd_condition_number
 from .tensor import (
     CPDecomposition,
-    DenseTensor,
     RankOneTerm,
     assemble_cpd,
     khatri_rao,
@@ -127,7 +126,7 @@ def _draw_model(
     raise RuntimeError("could not draw a nondegenerate model instance")
 
 
-def generate_model_tensor(seed: int, s: float) -> tuple[CPDecomposition, DenseTensor]:
+def generate_model_tensor(seed: int, s: float) -> tuple[CPDecomposition, np.ndarray]:
     """Draw one model instance: the normalized decomposition and its tensor."""
     _, decomp = _draw_model(make_rng(int(seed) & _MASK64), s)
     return decomp, assemble_cpd(decomp)
@@ -361,7 +360,7 @@ OBJECTIVE_TOL = 1e-14
 
 
 def cpd_refine(
-    init: CPDecomposition, target: DenseTensor, max_iterations: int = 1000
+    init: CPDecomposition, target: np.ndarray, max_iterations: int = 1000
 ) -> RefineResult:
     """Damped Gauss-Newton on the factor-matrix parametrization.
 
@@ -372,12 +371,12 @@ def cpd_refine(
     the objective reaches OBJECTIVE_TOL or after max_iterations accepted
     steps.  Never raises on non-convergence; the flag in the result decides.
     """
-    if init.shape.dims != target.shape.dims:
+    if np.shape(target) != init.shape.dims:
         raise ValueError("init and target shapes differ")
     # the norm-balanced factors: every column of term i scaled by mu_i^(1/d)
     scales = np.array([t.mu ** (1.0 / init.order) for t in init.terms])
     mats = [A * scales for A in init.factor_matrices()]
-    target_vec = target.data
+    target_vec = np.ravel(target)
     residual = khatri_rao(mats).sum(axis=1) - target_vec
     objective = 0.5 * float(residual @ residual)
     lam = 1e-2
@@ -473,13 +472,13 @@ def _run_sample(params: ModelParams, s: int, sample: int) -> ExperimentRecord:
     mats, decomp = _draw_model(rng, s)
     # term sums are assemble_cpd, bit for bit; the terms are reused below
     original_terms = decomp.term_tensors()
-    target = DenseTensor(decomp.shape, original_terms.sum(axis=1))
+    target = original_terms.sum(axis=1)
     init = normalize_decomposition(
         [B + MODEL_TAU * rng.standard_normal(B.shape) for B in mats]
     )
-    result = cpd_refine(init, target)
+    result = cpd_refine(init, target.reshape(decomp.shape.dims))
     computed_terms = result.decomposition.term_tensors()
-    backward = float(np.linalg.norm(computed_terms.sum(axis=1) - target.data))
+    backward = float(np.linalg.norm(computed_terms.sum(axis=1) - target))
     perm = _match_columns(original_terms, computed_terms)
     forward = float(np.linalg.norm(original_terms - computed_terms[:, perm]))
     kappa = cpd_condition_number(result.decomposition).kappa
@@ -579,9 +578,7 @@ def validate_rule_of_thumb(
             terms.append(RankOneTerm(mu, tuple(vectors)))
         perturbed = CPDecomposition(decomp.shape, tuple(terms))
         forward = float(np.linalg.norm(base_terms - perturbed.term_tensors()))
-        backward = float(
-            np.linalg.norm(base_tensor.data - assemble_cpd(perturbed).data)
-        )
+        backward = float(np.linalg.norm(base_tensor - assemble_cpd(perturbed)))
         if backward > 0:
             max_ratio = max(max_ratio, forward / backward)
     return max_ratio

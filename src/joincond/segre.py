@@ -52,13 +52,7 @@ from .condition import (
     least_singular_triplet,
     relative_condition_numbers,
 )
-from .tensor import (
-    CPDecomposition,
-    assemble_cpd,
-    frobenius_norm,
-    khatri_rao,
-    orthonormal_complements,
-)
+from .tensor import CPDecomposition, assemble_cpd, khatri_rao, orthonormal_complements
 
 WEAK_ORTHOGONALITY_TOL = 1e-12
 
@@ -91,6 +85,19 @@ def cpd_tangent_tuple(decomp: CPDecomposition) -> SubspaceTuple:
 
 def _tangent_dim(decomp: CPDecomposition) -> int:
     return decomp.rank * (1 - decomp.order + sum(decomp.shape.dims))
+
+
+def is_defective(decomp: CPDecomposition) -> bool:
+    """True when the tangent spaces of the terms intersect at every input,
+    by dimension alone, so that kappa is infinite and cond-cpd exits 3.
+    That is the case
+      - when n > N;
+      - for r >= 2 when at most two modes have m_k >= 2, a matrix
+        decomposition: a_1 x b_2 lies in the tangent spaces of the terms
+        a_1 x b_1 and a_2 x b_2 (the CP twin of Waring's d = 2).
+    """
+    matrix_like = sum(m >= 2 for m in decomp.shape.dims) <= 2
+    return _tangent_dim(decomp) > decomp.shape.ambient_dim or (decomp.rank >= 2 and matrix_like)
 
 
 class _Compression:
@@ -202,7 +209,7 @@ def cpd_condition_number(decomp: CPDecomposition) -> ConditionReport:
 def cpd_relative_condition_numbers(decomp: CPDecomposition) -> list[float]:
     """Per-term relative condition numbers; term norms are the mu_i."""
     report = cpd_condition_number(decomp)
-    total = frobenius_norm(assemble_cpd(decomp))
+    total = float(np.linalg.norm(assemble_cpd(decomp)))
     return relative_condition_numbers(report, [t.mu for t in decomp.terms], total)
 
 

@@ -1,15 +1,15 @@
-"""Dense tensors, rank-one terms, and the multilinear primitives behind them.
+"""Rank-one terms, CP decompositions, and the multilinear primitives behind them.
 
-Vectorization is C-order: element (i_1, ..., i_d) of a tensor with dims
-(m_1, ..., m_d) lives at linear index ((i_1*m_2 + i_2)*m_3 + ...)*m_d + i_d,
-i.e. the last index runs fastest.  Under this convention the flattening of a
-rank-one tensor a^1 x ... x a^d equals the chained Kronecker product
-kron(a^1, ..., a^d), which is what every tangent-basis formula in this
-package relies on.
+A dense tensor is a numpy array of shape dims = (m_1, ..., m_d).  Its
+vectorization is C-order: element (i_1, ..., i_d) lives at linear index
+((i_1*m_2 + i_2)*m_3 + ...)*m_d + i_d, i.e. the last index runs fastest.
+Under this convention the flattening of a rank-one tensor a^1 x ... x a^d
+equals the chained Kronecker product kron(a^1, ..., a^d), which is what
+every tangent-basis formula in this package relies on.
 
 khatri_rao is the one builder of Kronecker-structured arrays: assembled
 terms, tangent blocks and the refiner's MTTKRPs all use column-wise
-Kronecker products, and kron is a thin call to it.
+Kronecker products.
 """
 
 from __future__ import annotations
@@ -24,17 +24,12 @@ import numpy as np
 UNIT_NORM_TOL = 1e-12
 
 
-def _as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("empty vector")
-    return v
-
-
 def _unit_vector(x, what: str) -> np.ndarray:
     """x as a vector of unit norm, checked with math.hypot, which unlike
     np.linalg.norm does not overflow on huge entries."""
-    v = _as_vector(x)
+    v = np.asarray(x, dtype=float).ravel()
+    if v.size == 0:
+        raise ValueError("empty vector")
     if not abs(math.hypot(*v.tolist()) - 1.0) <= UNIT_NORM_TOL:
         raise ValueError(f"{what} is not unit norm")
     return v
@@ -71,25 +66,6 @@ class Shape:
     @property
     def ambient_dim(self) -> int:
         return math.prod(self.dims)
-
-
-@dataclass(frozen=True, eq=False)
-class DenseTensor:
-    """A d-way real array stored flat in the C-order convention above."""
-
-    shape: Shape
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float).ravel()
-        if data.size != self.shape.ambient_dim:
-            raise ValueError(
-                f"data length {data.size} does not match dims {self.shape.dims}"
-            )
-        object.__setattr__(self, "data", data)
-
-    def to_nd(self) -> np.ndarray:
-        return self.data.reshape(self.shape.dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,17 +162,9 @@ def khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def kron(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Chained Kronecker product of one or more vectors."""
-    vs = [_as_vector(v) for v in vectors]
-    if not vs:
-        raise ValueError("kron needs at least one vector")
-    return khatri_rao([v[:, None] for v in vs])[:, 0]
-
-
-def assemble_cpd(decomp: CPDecomposition) -> DenseTensor:
-    """Sum the rank-one terms of a decomposition into a dense tensor."""
-    return DenseTensor(decomp.shape, decomp.term_tensors().sum(axis=1))
+def assemble_cpd(decomp: CPDecomposition) -> np.ndarray:
+    """Sum the rank-one terms of a decomposition into an array of shape dims."""
+    return decomp.term_tensors().sum(axis=1).reshape(decomp.shape.dims)
 
 
 def normalize_decomposition(factor_matrices: Sequence[np.ndarray]) -> CPDecomposition:
@@ -253,7 +221,3 @@ def orthonormal_complements(A: np.ndarray) -> np.ndarray:
     scale = 2.0 / np.array([w @ w for w in W])
     H = np.eye(A.shape[0]) - scale[:, None, None] * (W[:, :, None] * W[:, None, :])
     return H[:, :, 1:]
-
-
-def frobenius_norm(t: DenseTensor) -> float:
-    return float(np.linalg.norm(t.data))

@@ -45,18 +45,16 @@ from .condition import (
     kappa_from_singular_values,
     least_singular_triplet,
 )
-from .tensor import (
-    DenseTensor,
-    Shape,
-    _unit_vector,
-    as_int,
-    khatri_rao,
-    orthonormal_complements,
-)
+from .tensor import _unit_vector, as_int, khatri_rao, orthonormal_complements
 
 PAIRWISE_ORTHOGONALITY_TOL = 1e-12
 # The symmetric-row weights need d! as a double, which is finite up to 170!.
 MAX_ORDER = 170
+# waring_condition_number holds about C(m+d-1, d) * (3d + m) * r floats at
+# once: the index table, the gathered vectors, the d + 1 prefix and suffix
+# products and the output.  It refuses inputs above this many (0.8 GB), which
+# a document of under 100 bytes can ask for (m = 4, d = 170: 4.4e8).
+MAX_TANGENT_ENTRIES = 10**8
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,11 +123,11 @@ def _vector_matrix(decomp: WaringDecomposition) -> np.ndarray:
     return np.column_stack([t.vector for t in decomp.terms])
 
 
-def assemble_waring(decomp: WaringDecomposition) -> DenseTensor:
-    """Sum the symmetric rank-one terms into a dense (m, ..., m) tensor."""
+def assemble_waring(decomp: WaringDecomposition) -> np.ndarray:
+    """Sum the symmetric rank-one terms into an array of shape (m,) * d."""
     V = _vector_matrix(decomp)
     terms = khatri_rao([V] * decomp.d) * np.array([t.mu for t in decomp.terms])
-    return DenseTensor(Shape((decomp.m,) * decomp.d), terms.sum(axis=1))
+    return terms.sum(axis=1).reshape((decomp.m,) * decomp.d)
 
 
 def symmetric_dimension(m: int, d: int) -> int:
@@ -233,9 +231,17 @@ def waring_condition_number(decomp: WaringDecomposition) -> ConditionReport:
     arithmetic, computed on the C(m+d-1, d) weighted symmetric rows (see the
     module docstring); least_vector is in the coordinates of
     waring_tangent_tuple.  N stays m^d, and kappa is infinite whenever
-    is_defective(m, d, r), whatever sigma_min rounds to.
+    is_defective(m, d, r), whatever sigma_min rounds to.  Raises ValueError,
+    before allocating, when the matrix and its intermediates would exceed
+    MAX_TANGENT_ENTRIES floats.
     """
     m, d = decomp.m, decomp.d
+    entries = symmetric_dimension(m, d) * (3 * d + m) * decomp.rank
+    if entries > MAX_TANGENT_ENTRIES:
+        raise ValueError(
+            f"(m, d, r) = ({m}, {d}, {decomp.rank}) needs about {entries:.2g} "
+            f"floats, above waring.MAX_TANGENT_ENTRIES = {MAX_TANGENT_ENTRIES:.0e}"
+        )
     rows, weights = _symmetric_rows(m, d)
     M = _tangent_matrix(_vector_matrix(decomp), rows, weights)
     sigma, v, sigma_1 = least_singular_triplet(M)

@@ -103,6 +103,12 @@ def count_svd_calls(monkeypatch, fail_first=False, shapes=None, qr_shapes=None):
     return calls
 
 
+def kron(vectors):
+    """The chained Kronecker product of vectors, from np.kron alone: the
+    reference for the flattened rank-one tensors the package builds."""
+    return reduce(np.kron, vectors)
+
+
 def segre_tangent_basis(term):
     """The orthonormal tangent basis of one rank-one term."""
     return cpd_tangent_tuple(CPDecomposition(Shape(term.mode_dims()), (term,))).subspaces[0]

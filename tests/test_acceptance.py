@@ -33,8 +33,8 @@ from joincond import (
     run_forward_error_experiment,
     waring_condition_number,
 )
-from joincond.tensor import kron
 from conftest import (
+    kron,
     norm_balanced_basis,
     orthogonal_cpd,
     random_cpd,

@@ -3,6 +3,10 @@ with the documented exit codes."""
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +116,35 @@ def test_cond_cpd_dimension_shortfall_exits_3_with_report(tmp_path, capsys):
     assert payload["n"] > payload["N"]
 
 
+@pytest.mark.parametrize("dims, fmt", [((5, 5), "json"), ((5, 1, 5), "json"), ((5, 5), "csv")])
+def test_cond_cpd_matrix_shaped_exits_3_with_report(tmp_path, capsys, dims, fmt):
+    # at most two modes of size >= 2 and r >= 2: a_1 x b_2 lies in the
+    # tangent spaces of both terms whatever the input, although n <= N
+    d = random_cpd(rng_for(149), dims, 2)
+    if fmt == "json":
+        spec = _write_json(tmp_path / "d.json", d.to_json_dict())
+    else:
+        paths = [tmp_path / f"f{k}.csv" for k in range(len(dims))]
+        for p, A in zip(paths, d.factor_matrices()):
+            np.savetxt(p, A, delimiter=",")
+        spec = ",".join(map(str, paths))
+    code, out, _ = _run(capsys, ["cond-cpd", "--input", spec, "--format", fmt])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["n"] <= payload["N"]
+    assert payload["kappa"] == "inf"
+    assert payload["well_posed"] is False
+
+
+@pytest.mark.parametrize("dims, r", [((5, 5), 1), ((5, 5, 5), 2)])
+def test_cond_cpd_rank_one_matrix_and_third_order_exit_0(tmp_path, capsys, dims, r):
+    d = random_cpd(rng_for(150), dims, r)
+    path = _write_json(tmp_path / "d.json", d.to_json_dict())
+    code, out, _ = _run(capsys, ["cond-cpd", "--input", path])
+    assert code == 0
+    assert math.isfinite(json.loads(out)["kappa"])
+
+
 def test_cond_cpd_out_file(tmp_path, capsys):
     rng = rng_for(124)
     d = random_cpd(rng, (3, 3), 1)
@@ -163,6 +196,40 @@ def test_cond_waring_defective_shape_exits_3_with_report(tmp_path, capsys, m, de
     assert payload["kappa"] == "inf"
     assert payload["well_posed"] is False
     assert payload == waring_condition_number(d).to_json_dict()
+
+
+def _cond_waring_capped(tmp_path, m, deg):
+    """cond-waring on the term e_1^(x deg) in R^m, run in a fresh interpreter
+    whose address space is capped at 1 GB: an unguarded allocation then
+    fails at once instead of filling the machine."""
+    vector = [1.0] + [0.0] * (m - 1)
+    path = _write_json(tmp_path / "w.json", {"m": m, "d": deg, "terms": [{"mu": 1.0, "vector": vector}]})
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "joincond.cli", "cond-waring", "--input", path],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_cond_waring_above_entry_limit_exits_2_before_allocating(tmp_path):
+    # a 66-byte document asking for about 4.4e8 floats (3.5 GB)
+    done = _cond_waring_capped(tmp_path, 4, 170)
+    assert done.returncode == 2, done.stderr
+    assert "MAX_TANGENT_ENTRIES" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
+def test_cond_waring_below_entry_limit_runs_under_the_cap(tmp_path):
+    done = _cond_waring_capped(tmp_path, 4, 60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["n"] == 4
 
 
 def test_cond_waring_malformed_exits_2(tmp_path, capsys):

@@ -4,9 +4,9 @@ cpd_condition_number and norm_balanced_condition_number decompose one block
 diagonal matrix on prod_k min(m_k, r) + sum_k prod_(l != k) min(m_l, r) rows
 instead of the N = prod_k m_k rows of the stacked tangent bases, the latter
 with its columns scaled; the references here are
-condition_number(cpd_tangent_tuple(d)) and the SVD of
-[norm_balanced_basis(t_1) ... norm_balanced_basis(t_r)], the per-term
-definition that conftest builds from np.kron.
+condition_number(cpd_tangent_tuple(d)) and conftest's
+dense_norm_balanced_sigma, the SVD of the stacked per-term norm-balanced
+matrices built from np.kron alone.
 """
 
 import math

@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 
 from joincond import (
     CPDecomposition,
-    DenseTensor,
     ModelParams,
     RankOneTerm,
-    Shape,
     assemble_cpd,
     cpd_condition_number,
     cpd_refine,
@@ -49,8 +47,7 @@ from joincond.experiments import (
     make_rng,
     splitmix64,
 )
-from joincond.tensor import kron
-from conftest import orthogonal_cpd, random_cpd, rng_for
+from conftest import kron, orthogonal_cpd, random_cpd, rng_for
 
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -87,13 +84,13 @@ def test_model_params_validation():
 def test_generate_model_tensor_deterministic():
     d1, t1 = generate_model_tensor(9, 5)
     d2, t2 = generate_model_tensor(9, 5)
-    assert np.array_equal(t1.data, t2.data)
+    assert np.array_equal(t1, t2)
     for a, b in zip(d1.terms, d2.terms):
         assert a.mu == b.mu
         for x, y in zip(a.vectors, b.vectors):
             assert np.array_equal(x, y)
     d3, t3 = generate_model_tensor(10, 5)
-    assert not np.array_equal(t1.data, t3.data)
+    assert not np.array_equal(t1, t3)
 
 
 def test_generate_model_tensor_matches_direct_draw():
@@ -112,7 +109,7 @@ def test_generate_model_tensor_matches_direct_draw():
     direct = np.zeros(int(np.prod(MODEL_DIMS)))
     for i in range(MODEL_RANK):
         direct += kron([M[:, i] for M in mats])
-    assert np.allclose(tensor.data, direct, rtol=1e-12, atol=1e-14)
+    assert np.allclose(tensor.ravel(), direct, rtol=1e-12, atol=1e-14)
     assert decomp.rank == MODEL_RANK
 
 
@@ -144,7 +141,7 @@ def test_paatero_sequence_structure():
     assert d.rank == 3
     # same seed, same s: identical; same seed, larger s: same directions
     d2 = paatero_sequence(5, 3)
-    assert np.array_equal(assemble_cpd(d).data, assemble_cpd(d2).data)
+    assert np.array_equal(assemble_cpd(d), assemble_cpd(d2))
 
 
 def test_paatero_sum_converges_terms_diverge():
@@ -152,8 +149,8 @@ def test_paatero_sum_converges_terms_diverge():
     diffs = []
     norms = []
     for s in (8, 24, 40):
-        t1 = assemble_cpd(paatero_sequence(seed, s)).data
-        t2 = assemble_cpd(paatero_sequence(seed, s + 16)).data
+        t1 = assemble_cpd(paatero_sequence(seed, s))
+        t2 = assemble_cpd(paatero_sequence(seed, s + 16))
         diffs.append(np.linalg.norm(t2 - t1))
         norms.append(max(t.mu for t in paatero_sequence(seed, s).terms))
     assert diffs[0] > diffs[1] > diffs[2]
@@ -185,9 +182,9 @@ def test_desilva_lim_sequence_structure_and_limit():
         + kron([B1[:, 0], B2[:, 1], B3[:, 0]])
         + kron([B1[:, 0], B2[:, 0], B3[:, 1]])
     )
-    assembled = assemble_cpd(d).data
+    assembled = assemble_cpd(d).ravel()
     assert np.linalg.norm(assembled - limit) <= 1e-2 * np.linalg.norm(limit)
-    closer = assemble_cpd(desilva_lim_sequence(seed, s + 20)).data
+    closer = assemble_cpd(desilva_lim_sequence(seed, s + 20)).ravel()
     assert np.linalg.norm(closer - limit) < np.linalg.norm(assembled - limit)
 
 
@@ -276,13 +273,13 @@ def test_refine_recovers_from_perturbed_init():
     assert res.converged
     assert res.objective <= 1e-14
     assert res.iterations >= 1
-    assert np.linalg.norm(assemble_cpd(res.decomposition).data - target.data) <= 1e-6
+    assert np.linalg.norm(assemble_cpd(res.decomposition) - target) <= 1e-6
 
 
 def test_refine_off_model_target_reports_failure_without_raising():
     rng = rng_for(102)
     d = random_cpd(rng, (3, 3, 3), 1)
-    target = DenseTensor(Shape((3, 3, 3)), rng.standard_normal(27))
+    target = rng.standard_normal((3, 3, 3))
     res = cpd_refine(d, target, max_iterations=60)
     assert res.objective > 1e-10
     assert res.iterations <= 60
@@ -292,7 +289,7 @@ def test_refine_off_model_target_reports_failure_without_raising():
 def test_refine_shape_mismatch_rejected():
     rng = rng_for(103)
     d = random_cpd(rng, (3, 3), 1)
-    target = DenseTensor(Shape((3, 4)), np.zeros(12))
+    target = np.zeros((3, 4))
     with pytest.raises(ValueError):
         cpd_refine(d, target)
 
@@ -376,7 +373,7 @@ def test_degenerate_draw_redraws_from_same_stream(monkeypatch):
     draws = _degenerate_draws(monkeypatch, 1)
     _, tensor = generate_model_tensor(seed, s)
     assert len(draws) == 2
-    assert np.array_equal(tensor.data, expected.data)
+    assert np.array_equal(tensor, expected)
 
     expected = _second_draw_tensor(derive_seed(params.base_seed, s, 0), s)
     targets = []
@@ -389,7 +386,7 @@ def test_degenerate_draw_redraws_from_same_stream(monkeypatch):
     draws.clear()
     _run_sample(params, s, 0)
     assert len(draws) == 2
-    assert np.array_equal(targets[0].data, expected.data)
+    assert np.array_equal(targets[0], expected)
 
 
 def test_persistently_degenerate_draws_raise(monkeypatch):
@@ -539,7 +536,7 @@ def test_refine_with_gram_equations_matches_dense_jacobian(monkeypatch, s):
         assert [t[1:] for t in got.trace] == [t[1:] for t in ref.trace]
         # the final objectives (~1e-16) carry the rounding differences of
         # the iterates; eps times the starting objective is their scale
-        start = 0.5 * float(np.sum((assemble_cpd(init).data - target.data) ** 2))
+        start = 0.5 * float(np.sum((assemble_cpd(init) - target) ** 2))
         for a, b in zip(got.trace, ref.trace):
             assert abs(a[0] - b[0]) <= 1e-10 * b[0] + np.finfo(float).eps * start
 
@@ -557,7 +554,7 @@ def test_refine_trace_records_every_iteration():
 
     rng = rng_for(105)
     d = random_cpd(rng, (3, 3, 3), 1)
-    off_model = DenseTensor(Shape((3, 3, 3)), rng.standard_normal(27))
+    off_model = rng.standard_normal((3, 3, 3))
     res = cpd_refine(d, off_model, max_iterations=60)
     assert len(res.trace) == res.iterations
     objectives = [t[0] for t in res.trace]

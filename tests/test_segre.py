@@ -15,13 +15,13 @@ from joincond import (
     cpd_relative_condition_numbers,
     cpd_tangent_tuple,
     distance_to_illposed,
-    frobenius_norm,
     is_weak_3_orthogonal,
     norm_balanced_condition_number,
 )
-from joincond.tensor import kron
+from joincond.segre import is_defective
 from conftest import (
     count_svd_calls,
+    kron,
     norm_balanced_basis,
     orthogonal_cpd,
     random_cpd,
@@ -353,7 +353,7 @@ def test_relative_condition_numbers_tiny_term_scenario():
     kappa = cpd_condition_number(d).kappa
     assert abs(kappa - 1.0) <= 1e-12
     rel = cpd_relative_condition_numbers(d)
-    total = frobenius_norm(assemble_cpd(d))
+    total = np.linalg.norm(assemble_cpd(d))
     assert math.isclose(rel[0], kappa * total / 1.0, rel_tol=1e-12)
     assert math.isclose(rel[1], kappa * total / 1e-10, rel_tol=1e-12)
     assert rel[1] > 0.99e10
@@ -364,6 +364,28 @@ def test_relative_condition_numbers_recomputed_independently():
     d = random_cpd(rng, (3, 4, 2), 2)
     rel = cpd_relative_condition_numbers(d)
     report = cpd_condition_number(d)
-    total = frobenius_norm(assemble_cpd(d))
+    total = np.linalg.norm(assemble_cpd(d))
     for j, term in enumerate(d.terms):
         assert math.isclose(rel[j], report.kappa * total / term.mu, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "dims, r, defective",
+    [
+        ((5, 5), 2, True),
+        ((5, 1, 5), 2, True),
+        ((1, 6, 1, 4), 3, True),
+        ((2, 2, 2), 3, True),  # n = 12 > N = 8
+        ((5, 5), 1, False),
+        ((5, 5, 5), 2, False),
+        ((3, 2, 2), 2, False),
+    ],
+)
+def test_is_defective_matrix_shapes_and_overfull(dims, r, defective):
+    # a defective input has kappa inf at every draw: the compressed matrix of
+    # a matrix decomposition is wide, so sigma_min is exactly 0
+    rng = rng_for(151)
+    for _ in range(5):
+        d = random_cpd(rng, dims, r)
+        assert is_defective(d) == defective
+        assert (cpd_condition_number(d).kappa == math.inf) == defective
