@@ -1,20 +1,37 @@
-"""Single-threaded BLAS for the model experiment.
+"""Single-threaded BLAS for small dense linear algebra.
 
-The model experiment's linear algebra is small: at the default (6,5,4,4)
-r=6 model, a 114 x 114 damped solve per refiner step and a 480 x 96 QR per
-condition number.  OpenBLAS still splits such calls over its threads.  On a
-2-vCPU VM shared with other load, whole 25 s runs of the experiment then
-settled at one of two speeds about 30% apart (op median 27 or 36 ms at the
-benchmark's reference speed), while single-threaded runs were steady
-(24.4-24.7 ms) and faster.  One thread also makes the model CSVs
-independent of the BLAS thread count.
+On small matrices OpenBLAS's extra threads cost more than they save, and
+the split of the work depends on the thread count, so the last bits do too.
+Two scopes use one thread:
+
+- svd_threads(shape) wraps the engine SVDs: condition.least_singular_triplet
+  and the norm-balanced engine's values-only SVD of the core in segre.  It
+  runs single_threaded() for a matrix with ONE_THREAD_MIN_ENTRIES to
+  ONE_THREAD_MAX_ENTRIES entries and at most ONE_THREAD_MAX_COLUMNS
+  columns, and leaves the thread count alone otherwise.  The window is
+  where one thread measured faster (least_singular_triplet, 1 thread vs 2
+  on 2 vCPUs: 0.65x the time at 480 x 96, 0.77x at 1000 x 280, 0.84x at
+  1600 x 320, 0.91x at 4096 x 128; README, "Per-block SVDs and BLAS
+  threads").  Two threads win or tie beyond it: on 400 or more columns
+  (1.0x at 400 x 400, 1.04x at 1024 x 512) and on tall matrices, whose QR
+  splits well (1.25x at 10000 x 100, 1.14x at 10000 x 370, 1.44x at
+  100000 x 460).  The entry floor leaves the tiny matrices of the
+  paatero/dsl steps (at most 60 x 30) alone: there one thread saves
+  nothing, and without the floor the two thread-count calls per SVD made a
+  whole step 2.9% slower.
+- The model experiment runs whole under single_threaded(): its refiner's
+  114 x 114 damped solves and 480 x 96 QRs were steady (24.4-24.7 ms per
+  sample) on one thread, against two speeds about 30% apart on two.
+
+Inside either scope results do not depend on the BLAS thread count.
 
 numpy has no thread control, so single_threaded() calls OpenBLAS's own
 get/set functions through ctypes, on the OpenBLAS that a numpy wheel ships
 (numpy.libs/ or numpy/.dylibs/).  Where none is found, e.g. a numpy built
-on another BLAS, it does nothing.  The setting is process-wide: it is
-restored on exit, and is not meant for experiments run from several Python
-threads at once.
+on another BLAS, it does nothing.  The setting is process-wide and each
+scope restores the count it found, so neither scope, nor any engine call
+that uses one, is safe to run from several Python threads at once: one
+thread's restore can undo another's setting.
 """
 
 from __future__ import annotations
@@ -25,6 +42,11 @@ import functools
 from pathlib import Path
 
 import numpy as np
+
+# The window of svd_threads(): see the module docstring.
+ONE_THREAD_MIN_ENTRIES = 2**14
+ONE_THREAD_MAX_ENTRIES = 2**19
+ONE_THREAD_MAX_COLUMNS = 320
 
 # (get, set) symbol names: scipy-openblas wheels (64- or 32-bit integers),
 # then a plain OpenBLAS build.
@@ -67,3 +89,12 @@ def single_threaded():
         yield
     finally:
         set_(previous)
+
+
+def svd_threads(shape):
+    """single_threaded() for an N x n matrix inside the measured window of
+    the module docstring; a no-op scope outside it."""
+    N, n = shape
+    if ONE_THREAD_MIN_ENTRIES <= N * n <= ONE_THREAD_MAX_ENTRIES and n <= ONE_THREAD_MAX_COLUMNS:
+        return single_threaded()
+    return contextlib.nullcontext()

@@ -100,7 +100,11 @@ def _load_cpd(args) -> CPDecomposition:
 
 def cmd_cond_cpd(args) -> int:
     decomp = _load_cpd(args)
-    _emit(cpd_condition_number(decomp).to_json_dict(), args.out)
+    try:
+        report = cpd_condition_number(decomp)
+    except ValueError as exc:  # above condition.MAX_TANGENT_ENTRIES
+        raise InputError(str(exc)) from exc
+    _emit(report.to_json_dict(), args.out)
     return EXIT_DIMENSION if cpd_is_defective(decomp) else EXIT_OK
 
 
@@ -111,7 +115,7 @@ def cmd_cond_waring(args) -> int:
         raise InputError(f"invalid decomposition JSON: {exc}") from exc
     try:
         report = waring_condition_number(decomp)
-    except ValueError as exc:  # above waring.MAX_TANGENT_ENTRIES
+    except ValueError as exc:  # above condition.MAX_TANGENT_ENTRIES
         raise InputError(str(exc)) from exc
     _emit(report.to_json_dict(), args.out)
     return EXIT_DIMENSION if is_defective(decomp.m, decomp.d, decomp.rank) else EXIT_OK

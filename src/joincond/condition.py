@@ -21,12 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import svd_threads
 from .tensor import as_int
 
 # A block is accepted as orthonormal when max |U^T U - I| stays below this.
 ORTHONORMAL_TOL = 1e-10
 # sigma_min at or below RANK_TOL_FACTOR * max(1, sigma_1) counts as zero.
 RANK_TOL_FACTOR = 1e-14
+# The CP and Waring engines refuse, before allocating, an input whose build
+# and decomposition hold more floats than this (0.8 GB) at once; each counts
+# its own intermediates.
+MAX_TANGENT_ENTRIES = 10**8
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +142,10 @@ def least_singular_triplet(M) -> tuple[float, np.ndarray, float]:
     n x n triangular factor R of M = QR, which has M's singular values and
     right vectors, and the N x n left factor is never formed.  LAPACK's
     gesdd takes that same QR internally above N = 11n/6, so the rule changes
-    no bits, only the work and memory spent on the left vectors.
+    no bits, only the work and memory spent on the left vectors.  Both run
+    under blas.svd_threads, which sets OpenBLAS's process-wide thread count:
+    this and the engines that call it are not safe to run from several
+    Python threads at once.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -146,15 +154,17 @@ def least_singular_triplet(M) -> tuple[float, np.ndarray, float]:
         raise ValueError("non-finite entries")
     N, n = M.shape
     full = n > N
-    if N >= 2 * n:
-        M = np.linalg.qr(M, mode="r")
-    try:
-        _, s, vt = np.linalg.svd(M, full_matrices=full)
-    except np.linalg.LinAlgError:
-        # gesdd can fail to converge on benign input; the transpose takes a
-        # different path through it, and its left vectors are M's right ones.
-        u, s, _ = np.linalg.svd(M.T, full_matrices=full)
-        vt = u.T
+    with svd_threads(M.shape):
+        if N >= 2 * n:
+            M = np.linalg.qr(M, mode="r")
+        try:
+            _, s, vt = np.linalg.svd(M, full_matrices=full)
+        except np.linalg.LinAlgError:
+            # gesdd can fail to converge on benign input; the transpose takes
+            # a different path through it, and its left vectors are M's right
+            # ones.
+            u, s, _ = np.linalg.svd(M.T, full_matrices=full)
+            vt = u.T
     if full:
         return 0.0, vt[-1].copy(), float(s[0])
     return float(s[n - 1]), vt[n - 1].copy(), float(s[0])

@@ -26,17 +26,29 @@ and column order, block diagonal:
            kron(b_i^1, ..., 1, ..., b_i^d).
 
 The singular values of U are those of the core and of the K_k (with
-multiplicity), so one SVD of the much smaller matrix diag(core, K_k, ...)
-gives sigma_n and sigma_1 exactly; no mode with m_k > r means no
-compression, and then that matrix is U itself.
+multiplicity).  The K_k never decide sigma_n or sigma_1: for a compressed
+mode k and a unit e in R^r, e x kron(b_i^l, l != k) lies in term i's
+tangent space, so for every c there is a w with ||w|| = ||c|| and
+core w = e x (K_k c).  Hence sigma_n(core) <= sigma_r(K_k) and
+sigma_1(core) >= sigma_1(K_k), and cpd_condition_number takes sigma_n,
+sigma_1 and the least vector from one SVD of the core alone (sigma_n is
+zero when the core is wide, which it is whenever a K_k is: a compressed
+mode gives the core at least r^2 columns, and K_k has prod_j min(m_j, r) / r
+rows).  No mode with m_k > r means no compression, and then the core is U
+itself.
 
-The norm-balanced condition number decomposes the same matrix with its
+The norm-balanced condition number decomposes the same blocks with their
 columns scaled.  With s_i = mu_i^(1-1/d) and t_i = a^1 x ... x a^d, term
 i's norm-balanced block for mode k is s_i * (t_i a^kT + U_i^k Q^kT), U_i^k
 being U_i's mode-k block.  So B_i = U_i C_i with C_i C_i^T = D_i^2 =
 s_i^2 * diag(d, 1, ..., 1), as Q^kT a^k = 0, and the nonzero singular values
 of [B_1 ... B_r] are those of U D, D = diag(D_i); the compression splits
-U D as it splits U.
+U D as it splits U, scaling term i's columns of the core by D_i and its
+column of every K_k by s_i.  The same w, now with ||w|| <= ||c|| as D_i
+weights the rank-one column by sqrt(d), keeps sigma_1 in the core but no
+longer bounds sigma_n: here the K_k, which all have the shape
+(prod_j min(m_j, r) / r) x r, get one batched SVD, and sigma_n is the least
+over the core and the K_k.
 """
 
 from __future__ import annotations
@@ -45,14 +57,22 @@ import math
 
 import numpy as np
 
+from .blas import svd_threads
 from .condition import (
+    MAX_TANGENT_ENTRIES,
     ConditionReport,
     SubspaceTuple,
     kappa_from_singular_values,
     least_singular_triplet,
     relative_condition_numbers,
 )
-from .tensor import CPDecomposition, assemble_cpd, khatri_rao, orthonormal_complements
+from .tensor import (
+    CPDecomposition,
+    assemble_cpd,
+    householder_vectors,
+    khatri_rao,
+    orthonormal_complements,
+)
 
 WEAK_ORTHOGONALITY_TOL = 1e-12
 
@@ -103,97 +123,99 @@ def is_defective(decomp: CPDecomposition) -> bool:
 class _Compression:
     """The Tucker compression of a decomposition's factor matrices.
 
-    mats are the A_k, bases the complete Q of the QR of A_k for each mode
-    with m_k > r (None for the others), core the B_k = P_k^T A_k (A_k
-    itself when uncompressed), where P_k is the first r columns of Q, and
-    complements those of the B_k.
+    mats are the A_k, bases the P_k of the QR of A_k for each mode with
+    m_k > r (None for the others), core the B_k = P_k^T A_k (A_k itself
+    when uncompressed), and complements those of the B_k.  The core matrix
+    has prod_k min(m_k, r) rows (self.rows) and self.width columns per
+    term.  Raises ValueError, before any of it is built, when the floats
+    held at once exceed MAX_TANGENT_ENTRIES.
     """
 
     def __init__(self, decomp: CPDecomposition):
         r = decomp.rank
         self.rank = r
+        dims = decomp.shape.dims
+        self.rows = math.prod(min(m, r) for m in dims)
+        self.width = 1 - len(dims) + sum(min(m, r) for m in dims)
+        self.modes = [k for k, m in enumerate(dims) if m > r]
+        # Floats held at once: up to three core matrices (the core and the
+        # two copies np.linalg.qr makes of it in least_singular_triplet; the
+        # build holds two, _tangent_matrix's blocks and their concatenation)
+        # and the K_k.  (10,)*5 r=10, a 4.6e7-entry core, peaked at 1.1 GB.
+        entries = self.rows * (3 * r * self.width + len(self.modes))
+        if entries > MAX_TANGENT_ENTRIES:
+            raise ValueError(
+                f"dims {dims} at rank {r} need about {entries:.2g} floats, "
+                f"above MAX_TANGENT_ENTRIES = {MAX_TANGENT_ENTRIES:.0e}"
+            )
         self.mats = decomp.factor_matrices()
-        self.bases = [
-            np.linalg.qr(A, mode="complete")[0] if A.shape[0] > r else None
-            for A in self.mats
-        ]
-        self.core = [A if Q is None else Q[:, :r].T @ A for A, Q in zip(self.mats, self.bases)]
-        self.modes = [k for k, Q in enumerate(self.bases) if Q is not None]
+        self.bases = [np.linalg.qr(A)[0] if A.shape[0] > r else None for A in self.mats]
+        self.core = [A if P is None else P.T @ A for A, P in zip(self.mats, self.bases)]
         self.complements = [orthonormal_complements(B) for B in self.core]
 
     @property
     def path(self) -> str:
         return "compressed" if self.modes else "dense"
 
-    def out_blocks(self) -> list[np.ndarray]:
-        """K_k for every compressed mode k: term i's column is
-        kron(b_i^1, ..., 1, ..., b_i^d), the direction a_i^1 x ... x x_k x
-        ... x a_i^d for a unit x_k outside span(P_k)."""
-        ones = np.ones((1, self.rank))
-        return [khatri_rao(self.core[:k] + [ones] + self.core[k + 1:]) for k in self.modes]
-
-    def matrix(self, scales=None) -> np.ndarray:
-        """M = diag(core, K_k, ...), which both condition numbers decompose,
-        times the D of the module docstring for per-term scales s_i."""
-        M = _block_diag([_tangent_matrix(self.core, self.complements)] + self.out_blocks())
+    def core_matrix(self, scales=None) -> np.ndarray:
+        """The core, times the D of the module docstring for per-term
+        scales s_i."""
+        C = _tangent_matrix(self.core, self.complements)
         if scales is not None:
-            width = 1 - len(self.core) + sum(B.shape[0] for B in self.core)
-            D = np.repeat(scales, width)
-            D[::width] *= math.sqrt(len(self.core))
-            M *= np.concatenate([D] + [scales] * len(self.modes))
-        return M
+            D = np.repeat(scales, self.width)
+            D[::self.width] *= math.sqrt(len(self.core))
+            C *= D
+        return C
+
+    def out_stack(self, scales) -> np.ndarray:
+        """K_k for every compressed mode k, stacked, with term i's column
+        kron(b_i^1, ..., 1, ..., b_i^d) times s_i."""
+        ones = np.ones((1, self.rank))
+        return np.stack(
+            [khatri_rao(self.core[:k] + [ones] + self.core[k + 1:]) for k in self.modes]
+        ) * scales
 
     def lift(self, v: np.ndarray) -> np.ndarray:
-        """v, in the column coordinates of M = diag(core, K_k, ...), mapped
-        isometrically to the coordinates of cpd_tangent_tuple, so that
-        ||U lift(v)|| = ||M v||.
+        """v, in the column coordinates of the core, mapped isometrically to
+        the coordinates of cpd_tangent_tuple, so that ||U lift(v)|| =
+        ||core v||.
 
         Core coordinates y of term i's mode-k block are the direction
-        P_k Q_c y, the K_k coordinate w_i is the direction w_i x_k with x_k
-        column r + 1 of the complete Q, and both are written in the basis
-        Q_o of the complement of a_i^k (Q_c, Q_o from orthonormal_complements).
+        P_k Q_c y, written in the basis Q_o of the complement of a_i^k (Q_c,
+        Q_o from orthonormal_complements) by applying the reflector whose
+        trailing columns are Q_o, without forming it.
         """
         r = self.rank
-        n_core = v.size - r * len(self.modes)
-        core = v[:n_core].reshape(r, -1)
-        outs = dict(zip(self.modes, v[n_core:].reshape(-1, r)))
+        core = v.reshape(r, -1)
         parts = [core[:, :1]]
         at = 1
-        for k, (A, Q, Q_c) in enumerate(zip(self.mats, self.bases, self.complements)):
+        for A, P, Q_c in zip(self.mats, self.bases, self.complements):
             if A.shape[0] == 1:
                 continue
             width = Q_c.shape[2]
             y = core[:, at:at + width]
             at += width
-            if Q is None:
+            if P is None:
                 parts.append(y)
                 continue
-            z = (Q_c @ y[:, :, None])[:, :, 0] @ Q[:, :r].T + np.outer(outs[k], Q[:, r])
-            Q_o = orthonormal_complements(A)
-            parts.append((z[:, None, :] @ Q_o)[:, 0, :])
+            z = (Q_c @ y[:, :, None])[:, :, 0] @ P.T
+            # z Q_o = (z H)[1:] for the reflector H = I - 2 w w^T / (w . w)
+            W = householder_vectors(A)
+            z -= (2.0 * np.einsum("ij,ij->i", z, W) / np.einsum("ij,ij->i", W, W))[:, None] * W
+            parts.append(z[:, 1:])
         return np.hstack(parts).ravel()
-
-
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    if len(blocks) == 1:
-        return blocks[0]
-    M = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
-    i = j = 0
-    for b in blocks:
-        M[i:i + b.shape[0], j:j + b.shape[1]] = b
-        i, j = i + b.shape[0], j + b.shape[1]
-    return M
 
 
 def cpd_condition_number(decomp: CPDecomposition) -> ConditionReport:
     """Condition number of recovering the rank-one terms from their sum.
 
     Equal to condition_number(cpd_tangent_tuple(decomp)) in exact
-    arithmetic, computed from the compressed matrix (see the module
+    arithmetic, computed from one SVD of the compressed core (see the module
     docstring); least_vector is in the coordinates of cpd_tangent_tuple.
+    Raises ValueError above MAX_TANGENT_ENTRIES.
     """
     tucker = _Compression(decomp)
-    sigma, v, sigma_1 = least_singular_triplet(tucker.matrix())
+    sigma, v, sigma_1 = least_singular_triplet(tucker.core_matrix())
     n, N = _tangent_dim(decomp), decomp.shape.ambient_dim
     return ConditionReport(
         sigma_min=sigma,
@@ -224,18 +246,26 @@ def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
 
     the derivative of (a^1, ..., a^d) -> a^1 x ... x a^d at the
     norm-balanced representative of term i, whose factors all have norm
-    mu_i^(1/d); computed as one values-only SVD of the matrix of
-    cpd_condition_number times D (see the module docstring).
+    mu_i^(1/d); computed from values-only SVDs of the compressed blocks
+    times D (see the module docstring): one of the core and, when a mode is
+    compressed, one batched SVD of the K_k.  Raises ValueError above
+    MAX_TANGENT_ENTRIES.
     """
     n, N = _tangent_dim(decomp), decomp.shape.ambient_dim
     scales = np.array([t.mu ** (1.0 - 1.0 / t.order) for t in decomp.terms])
-    # A wide stacked matrix, or a wide M, has a kernel: sigma_n is zero and
-    # no SVD is needed.  M is built only when the first test fails.
-    if n > N or (M := _Compression(decomp).matrix(scales)).shape[0] < M.shape[1]:
+    # A wide stacked matrix, or a wide core, has a kernel: sigma_n is zero
+    # and no SVD is needed.
+    if n > N or (tucker := _Compression(decomp)).rows < decomp.rank * tucker.width:
         return math.inf
     # Values only: right vectors would double the cost at larger shapes.
-    s = np.linalg.svd(M, compute_uv=False)
-    return kappa_from_singular_values(float(s[-1]), float(s[0]), n, N)
+    C = tucker.core_matrix(scales)
+    with svd_threads(C.shape):
+        s = np.linalg.svd(C, compute_uv=False)
+    sigma_n = float(s[-1])
+    if tucker.modes:
+        K = tucker.out_stack(scales)
+        sigma_n = min(sigma_n, float(np.linalg.svd(K, compute_uv=False)[:, -1].min()))
+    return kappa_from_singular_values(sigma_n, float(s[0]), n, N)
 
 
 def is_weak_3_orthogonal(decomp: CPDecomposition) -> bool:

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condition import (
+    MAX_TANGENT_ENTRIES,
     ConditionReport,
     SubspaceTuple,
     kappa_from_singular_values,
@@ -50,11 +51,6 @@ from .tensor import _unit_vector, as_int, khatri_rao, orthonormal_complements
 PAIRWISE_ORTHOGONALITY_TOL = 1e-12
 # The symmetric-row weights need d! as a double, which is finite up to 170!.
 MAX_ORDER = 170
-# waring_condition_number holds about C(m+d-1, d) * (3d + m) * r floats at
-# once: the index table, the gathered vectors, the d + 1 prefix and suffix
-# products and the output.  It refuses inputs above this many (0.8 GB), which
-# a document of under 100 bytes can ask for (m = 4, d = 170: 4.4e8).
-MAX_TANGENT_ENTRIES = 10**8
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,11 +232,14 @@ def waring_condition_number(decomp: WaringDecomposition) -> ConditionReport:
     MAX_TANGENT_ENTRIES floats.
     """
     m, d = decomp.m, decomp.d
+    # Floats held at once: the index table, the gathered vectors, the d + 1
+    # prefix and suffix products and the output.  A document of under 100
+    # bytes can ask for more than the bound (m = 4, d = 170: 4.4e8).
     entries = symmetric_dimension(m, d) * (3 * d + m) * decomp.rank
     if entries > MAX_TANGENT_ENTRIES:
         raise ValueError(
             f"(m, d, r) = ({m}, {d}, {decomp.rank}) needs about {entries:.2g} "
-            f"floats, above waring.MAX_TANGENT_ENTRIES = {MAX_TANGENT_ENTRIES:.0e}"
+            f"floats, above MAX_TANGENT_ENTRIES = {MAX_TANGENT_ENTRIES:.0e}"
         )
     rows, weights = _symmetric_rows(m, d)
     M = _tangent_matrix(_vector_matrix(decomp), rows, weights)

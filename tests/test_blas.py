@@ -1,4 +1,4 @@
-"""Single-threaded BLAS scope of the model experiment."""
+"""Single-threaded BLAS scopes: the model experiment and the engine SVDs."""
 
 import pytest
 
@@ -38,6 +38,25 @@ def test_single_threaded_is_a_no_op_without_openblas(monkeypatch):
     with blas.single_threaded():
         ran.append(True)
     assert ran == [True]
+
+
+def test_svd_threads_window_and_restore_after_an_error():
+    controls = blas.openblas_controls()
+    if controls is None:
+        pytest.skip("numpy ships no OpenBLAS whose thread count can be set")
+    get, _ = controls
+    before = get()
+    # inside the window: one thread, restored also when the body raises
+    with pytest.raises(RuntimeError), blas.svd_threads((1000, 280)):
+        assert get() == 1
+        raise RuntimeError("inside")
+    assert get() == before
+    # below the entry floor, above the entry cap (a tall matrix, whose QR
+    # two threads split well) and above the column bound: untouched
+    for shape in ((60, 30), (blas.ONE_THREAD_MIN_ENTRIES - 1, 1), (10000, 370), (1024, 512)):
+        with blas.svd_threads(shape):
+            assert get() == before
+    assert get() == before
 
 
 def test_model_samples_run_on_one_thread(monkeypatch):

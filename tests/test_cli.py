@@ -198,13 +198,11 @@ def test_cond_waring_defective_shape_exits_3_with_report(tmp_path, capsys, m, de
     assert payload == waring_condition_number(d).to_json_dict()
 
 
-def _cond_waring_capped(tmp_path, m, deg):
-    """cond-waring on the term e_1^(x deg) in R^m, run in a fresh interpreter
-    whose address space is capped at 1 GB: an unguarded allocation then
-    fails at once instead of filling the machine."""
-    vector = [1.0] + [0.0] * (m - 1)
-    path = _write_json(tmp_path / "w.json", {"m": m, "d": deg, "terms": [{"mu": 1.0, "vector": vector}]})
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+def _cli_in_subprocess(argv, threads="1", capped=False):
+    """The CLI in a fresh interpreter on the given number of BLAS threads;
+    capped limits its address space to 1 GB, so that an unguarded
+    allocation fails at once instead of filling the machine."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
@@ -212,9 +210,16 @@ def _cond_waring_capped(tmp_path, m, deg):
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
     return subprocess.run(
-        [sys.executable, "-m", "joincond.cli", "cond-waring", "--input", path],
-        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-m", "joincond.cli", *argv],
+        env=env, preexec_fn=cap if capped else None, capture_output=True, text=True, timeout=120,
     )
+
+
+def _cond_waring_capped(tmp_path, m, deg):
+    """Capped cond-waring on the term e_1^(x deg) in R^m."""
+    vector = [1.0] + [0.0] * (m - 1)
+    path = _write_json(tmp_path / "w.json", {"m": m, "d": deg, "terms": [{"mu": 1.0, "vector": vector}]})
+    return _cli_in_subprocess(["cond-waring", "--input", path], capped=True)
 
 
 def test_cond_waring_above_entry_limit_exits_2_before_allocating(tmp_path):
@@ -230,6 +235,41 @@ def test_cond_waring_below_entry_limit_runs_under_the_cap(tmp_path):
     done = _cond_waring_capped(tmp_path, 4, 60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["n"] == 4
+
+
+def test_cond_cpd_above_entry_limit_exits_2_before_allocating(tmp_path):
+    # a 15 kB document: nothing is compressed at (10,)*7 r=10, so the core
+    # is the 1e7 x 640 stacked basis (51 GB)
+    d = random_cpd(rng_for(160), (10,) * 7, 10)
+    path = _write_json(tmp_path / "big.json", d.to_json_dict())
+    done = _cli_in_subprocess(["cond-cpd", "--input", path], capped=True)
+    assert done.returncode == 2, done.stderr
+    assert "MAX_TANGENT_ENTRIES" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
+def test_cond_cpd_below_entry_limit_runs_under_the_cap(tmp_path):
+    d = random_cpd(rng_for(161), (30, 30, 30), 10)
+    path = _write_json(tmp_path / "d.json", d.to_json_dict())
+    done = _cli_in_subprocess(["cond-cpd", "--input", path], capped=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["path"] == "compressed"
+
+
+def test_engine_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the engine SVDs of these inputs fall in blas.svd_threads' one-thread
+    # window, so stdout is the same bytes on one BLAS thread and on two
+    docs = [
+        ("cond-cpd", random_cpd(rng_for(162), (15, 15, 15), 10)),
+        ("cond-cpd", random_cpd(rng_for(163), (20, 20, 20), 10)),
+        ("cond-waring", random_waring(rng_for(164), 10, 4, 12, signed=True)),
+    ]
+    for i, (command, d) in enumerate(docs):
+        path = _write_json(tmp_path / f"{i}.json", d.to_json_dict())
+        one, two = (_cli_in_subprocess([command, "--input", path], threads=t) for t in "12")
+        assert one.returncode == two.returncode == 0, (one.stderr, two.stderr)
+        assert one.stdout == two.stdout, command
 
 
 def test_cond_waring_malformed_exits_2(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """The Tucker-compressed CP engine against the dense stacked-basis reference.
 
-cpd_condition_number and norm_balanced_condition_number decompose one block
-diagonal matrix on prod_k min(m_k, r) + sum_k prod_(l != k) min(m_l, r) rows
-instead of the N = prod_k m_k rows of the stacked tangent bases, the latter
-with its columns scaled; the references here are
+cpd_condition_number and norm_balanced_condition_number decompose the blocks
+of one block diagonal matrix, a core on prod_k min(m_k, r) rows and one
+block on prod_(l != k) min(m_l, r) rows per compressed mode k, instead of
+the N = prod_k m_k rows of the stacked tangent bases, the latter with their
+columns scaled; the references here are
 condition_number(cpd_tangent_tuple(d)) and conftest's
 dense_norm_balanced_sigma, the SVD of the stacked per-term norm-balanced
 matrices built from np.kron alone.
@@ -27,6 +28,7 @@ from joincond import (
     paatero_sequence,
 )
 from joincond.condition import RANK_TOL_FACTOR
+from joincond.segre import _Compression
 from conftest import count_svd_calls, dense_norm_balanced_sigma, random_cpd, rng_for
 
 # Errors of the compressed path stay near eps * sigma_1; this is the bound
@@ -133,20 +135,22 @@ def test_uncompressed_report_is_bitwise_dense():
 
 
 def test_compressed_svd_runs_on_reduced_rows(monkeypatch):
-    # (20,20,20) r=10: core 10^3 rows plus three out-of-span blocks of 10^2
+    # (20,20,20) r=10: a (1000, 280) core and three out-of-span blocks of
+    # 100 x 10.  cond-cpd takes one SVD, of the core's R factor; the
+    # norm-balanced engine one of the scaled core and one batched SVD of the
+    # scaled (3, 100, 10) stack of out blocks.
     d = random_cpd(rng_for(151), (20, 20, 20), 10)
-    # (1300, 310) enters the engine, whose one SVD runs on its R factor
     shapes, qr_shapes = [], []
     calls = count_svd_calls(monkeypatch, shapes=shapes, qr_shapes=qr_shapes)
     report = cpd_condition_number(d)
     assert report.path == "compressed"
     assert math.isfinite(report.kappa)
     assert calls == [True]
-    assert qr_shapes == [(20, 10)] * 3 + [(1300, 310)]
-    assert shapes == [(310, 310)]
+    assert qr_shapes == [(20, 10)] * 3 + [(1000, 280)]
+    assert shapes == [(280, 280)]
     shapes.clear()
     assert math.isfinite(norm_balanced_condition_number(d))
-    assert shapes == [(1300, 310)]
+    assert shapes == [(1000, 280), (3, 100, 10)]
     assert report.least_vector.shape == (report.n,)
 
 
@@ -163,6 +167,51 @@ def test_norm_balanced_wide_compressed_matrix_runs_no_svd(monkeypatch):
     assert calls == []
     assert math.isfinite(norm_balanced_condition_number(tall))
     assert calls == [False]
+
+
+@PROPERTY_SETTINGS
+@given(cp_decompositions())
+def test_out_blocks_never_attain_cp_sigma(decomp):
+    # why cpd_condition_number decomposes the core alone: every singular
+    # value of every K_k lies between the core's sigma_n and sigma_1
+    tucker = _Compression(decomp)
+    if not tucker.modes or tucker.rows < decomp.rank * tucker.width:
+        return
+    report = cpd_condition_number(decomp)
+    s = np.linalg.svd(tucker.out_stack(np.ones(decomp.rank)), compute_uv=False)
+    scale = max(1.0, report.sigma_1)
+    assert report.sigma_min <= s[:, -1].min() + SIGMA_TOL * scale
+    assert s[:, 0].max() <= report.sigma_1 + SIGMA_TOL * scale
+
+
+def test_norm_balanced_sigma_n_in_out_block():
+    # r = 1: the core is the 1 x 1 scaled rank-one column, s * sqrt(3), and
+    # sigma_n = s comes from the out blocks, s = mu^(2/3)
+    d = random_cpd(rng_for(165), (4, 3, 2), 1)
+    s = d.terms[0].mu ** (2.0 / 3.0)
+    sigma_n, sigma_1, n, N = dense_norm_balanced_sigma(d)
+    assert abs(sigma_n - s) <= SIGMA_TOL * max(1.0, sigma_1)
+    assert abs(sigma_1 - s * math.sqrt(3.0)) <= SIGMA_TOL * max(1.0, sigma_1)
+    kappa = norm_balanced_condition_number(d)
+    assert abs(1.0 / kappa - sigma_n) <= SIGMA_TOL * max(1.0, sigma_1)
+
+
+def test_wide_out_blocks_give_infinite_kappa(monkeypatch):
+    # (20,2,2) r=5: each K_k is 4 x 5 (prod_j min(m_j, r) = 20 < r^2), so U
+    # has a kernel; a wide K_k comes with a wide core (20 x 35)
+    d = random_cpd(rng_for(166), (20, 2, 2), 5)
+    tucker = _Compression(d)
+    assert tucker.out_stack(np.ones(5)).shape == (1, 4, 5)
+    assert (tucker.rows, 5 * tucker.width) == (20, 35)
+    report = cpd_condition_number(d)
+    assert math.isinf(report.kappa)
+    assert report.sigma_min == 0.0
+    assert abs(np.linalg.norm(report.least_vector) - 1.0) <= SIGMA_TOL
+    U = cpd_tangent_tuple(d).stacked()
+    assert np.linalg.norm(U @ report.least_vector) <= SIGMA_TOL
+    calls = count_svd_calls(monkeypatch)
+    assert norm_balanced_condition_number(d) == math.inf
+    assert calls == []
 
 
 def _householder_complement(v):

@@ -197,13 +197,21 @@ def test_bridge_inverse_kappa_equals_distance():
 
 
 def test_one_svd_per_condition_number(monkeypatch):
-    d = random_cpd(rng_for(70), (4, 3, 3), 2)
+    # cpd_condition_number: one SVD, of the core, compressed or not
+    # (the out blocks never attain sigma_n; see the segre docstring)
+    for dims, r in (((3, 3, 3), 3), ((4, 3, 3), 2)):
+        d = random_cpd(rng_for(70), dims, r)
+        calls = count_svd_calls(monkeypatch)
+        assert math.isfinite(cpd_condition_number(d).kappa)
+        assert calls == [True]
+    # norm-balanced: one of the core, plus one batched SVD of the out
+    # blocks when a mode is compressed
     calls = count_svd_calls(monkeypatch)
-    assert math.isfinite(cpd_condition_number(d).kappa)
-    assert calls == [True]
-    calls.clear()
-    assert math.isfinite(norm_balanced_condition_number(d))
+    assert math.isfinite(norm_balanced_condition_number(random_cpd(rng_for(70), (3, 3, 3), 3)))
     assert calls == [False]
+    calls.clear()
+    assert math.isfinite(norm_balanced_condition_number(random_cpd(rng_for(70), (4, 3, 3), 2)))
+    assert calls == [False, False]
 
 
 def test_overcomplete_rank_gives_infinite_kappa():
@@ -308,6 +316,16 @@ def test_norm_balanced_overcomplete_is_infinite():
     rng = rng_for(77)
     d = random_cpd(rng, (2, 2, 2), 3)
     assert math.isinf(norm_balanced_condition_number(d))
+
+
+def test_entry_bound_counts_the_qr_copies():
+    # the 1e5 x 460 core has 4.6e7 entries, under the bound, but its QR
+    # holds two more copies: 1.4e8 floats at once
+    d = random_cpd(rng_for(167), (10,) * 5, 10)
+    with pytest.raises(ValueError, match="MAX_TANGENT_ENTRIES"):
+        cpd_condition_number(d)
+    with pytest.raises(ValueError, match="MAX_TANGENT_ENTRIES"):
+        norm_balanced_condition_number(d)
 
 
 def test_weak_3_orthogonality_detection():
