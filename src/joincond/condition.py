@@ -99,11 +99,10 @@ class ConditionReport:
     or sigma_min below the rank tolerance); well_posed is whether kappa is
     finite.  least_vector is a unit right singular vector of the stacked
     basis attaining sigma_min; its blocks give the most weakly determined
-    joint tangent direction.  sigma_1 is the largest singular value (None
-    when not computed), and path names the matrix that was decomposed:
-    "dense" for the stacked basis itself, "compressed" for its
-    Tucker-compressed form (see segre), "symmetric" for its weighted
-    symmetric-coordinate rows (see waring).
+    joint tangent direction.  sigma_1 is the largest singular value, and
+    path names the matrix that was decomposed: "dense" for the stacked
+    basis itself, "compressed" for its Tucker-compressed form (see segre),
+    "symmetric" for its weighted symmetric-coordinate rows (see waring).
     """
 
     sigma_min: float
@@ -111,7 +110,7 @@ class ConditionReport:
     least_vector: np.ndarray
     n: int
     N: int
-    sigma_1: float | None = None
+    sigma_1: float
     path: str = "dense"
 
     @property
@@ -190,22 +189,3 @@ def condition_number(t: SubspaceTuple) -> ConditionReport:
         N=N,
         sigma_1=sigma_1,
     )
-
-
-def relative_condition_numbers(
-    report: ConditionReport, term_norms, total_norm: float
-) -> list[float]:
-    """Per-term relative condition numbers kappa * total_norm / ||p_j||.
-
-    A term of tiny norm is correspondingly fragile in relative terms even
-    when the absolute condition number is moderate.
-    """
-    norms = [float(x) for x in term_norms]
-    if any(not x > 0 for x in norms):
-        raise ValueError("degenerate term: nonpositive norm")
-    total = float(total_norm)
-    if total < 0:
-        raise ValueError("total norm must be nonnegative")
-    if not math.isfinite(report.kappa):
-        return [math.inf] * len(norms)
-    return [report.kappa * total / x for x in norms]

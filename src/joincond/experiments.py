@@ -2,9 +2,7 @@
 ill-conditioned CP model (its dims, ranks, rate and start perturbation are
 module constants; ModelParams holds only the sample count and base seed),
 divergent sequences, regression curves, a small nonlinear least-squares
-refiner (normal equations from factor Grams, never the Jacobian), and an
-empirical validator for the forward-error rule of thumb (forward error <~
-condition number * backward error).
+refiner (normal equations from factor Grams, never the Jacobian).
 
 Determinism contract: every random draw flows through numpy's PCG64 bit
 generator (standard_normal uses the ziggurat algorithm), seeded either
@@ -33,8 +31,6 @@ from .condition import SubspaceTuple, condition_number
 from .segre import cpd_condition_number
 from .tensor import (
     CPDecomposition,
-    RankOneTerm,
-    assemble_cpd,
     khatri_rao,
     normalize_decomposition,
 )
@@ -124,12 +120,6 @@ def _draw_model(
         except ValueError:
             logger.warning("degenerate model draw at s=%s, redrawing", s)
     raise RuntimeError("could not draw a nondegenerate model instance")
-
-
-def generate_model_tensor(seed: int, s: float) -> tuple[CPDecomposition, np.ndarray]:
-    """Draw one model instance: the normalized decomposition and its tensor."""
-    _, decomp = _draw_model(make_rng(int(seed) & _MASK64), s)
-    return decomp, assemble_cpd(decomp)
 
 
 # ---------------------------------------------------------------------------
@@ -544,44 +534,6 @@ def run_forward_error_experiment(
         )
         write_csv(out / "kappa_quartiles.csv", "s,q1,median,q3", tables.kappa_quartiles)
     return tables
-
-
-def validate_rule_of_thumb(
-    decomp: CPDecomposition,
-    trials: int = 100,
-    magnitude: float = 1e-6,
-    seed: int = 0,
-) -> float:
-    """Max of forward/backward over random parameter perturbations.
-
-    Perturbs every term (mu multiplicatively, vectors additively with
-    renormalization) by the given magnitude and compares the decomposition
-    movement against the movement of the assembled tensor.  To first order
-    the ratio never exceeds the condition number; the slack grows like a
-    constant times the magnitude.  Refuses ill-posed inputs.
-    """
-    report = cpd_condition_number(decomp)
-    if not report.well_posed:
-        raise ValueError("ill-posed decomposition: condition number is infinite")
-    rng = make_rng(seed)
-    base_terms = decomp.term_tensors()
-    base_tensor = assemble_cpd(decomp)
-    max_ratio = 0.0
-    for _ in range(trials):
-        terms = []
-        for term in decomp.terms:
-            mu = term.mu * math.exp(magnitude * rng.standard_normal())
-            vectors = []
-            for v in term.vectors:
-                w = v + magnitude * rng.standard_normal(v.size)
-                vectors.append(w / np.linalg.norm(w))
-            terms.append(RankOneTerm(mu, tuple(vectors)))
-        perturbed = CPDecomposition(decomp.shape, tuple(terms))
-        forward = float(np.linalg.norm(base_terms - perturbed.term_tensors()))
-        backward = float(np.linalg.norm(base_tensor - assemble_cpd(perturbed)))
-        if backward > 0:
-            max_ratio = max(max_ratio, forward / backward)
-    return max_ratio
 
 
 # ---------------------------------------------------------------------------

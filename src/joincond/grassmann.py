@@ -18,7 +18,7 @@ import numpy as np
 from .condition import SubspaceTuple, least_singular_triplet
 from .tensor import orthonormal_complements
 
-# Tolerance for the two SVD-compounded certificate checks and is_intersecting.
+# Tolerance for the two SVD-compounded certificate checks.
 CERTIFICATE_TOL = 1e-8
 # Below this, norms are treated as zero when picking fallback directions.
 DEGENERATE_TOL = 1e-12
@@ -80,11 +80,6 @@ def projection_distance(W: SubspaceTuple, W2: SubspaceTuple) -> float:
         sines = np.clip(np.linalg.svd(residual, compute_uv=False), 0.0, 1.0)
         total += float(sines[0]) ** 2
     return float(np.sqrt(total))
-
-
-def is_intersecting(W: SubspaceTuple) -> bool:
-    """True when the subspace sum has deficient dimension (within CERTIFICATE_TOL)."""
-    return W.n > W.ambient_dim or distance_to_illposed(W) <= CERTIFICATE_TOL
 
 
 def distance_to_illposed(W: SubspaceTuple) -> float:

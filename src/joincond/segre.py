@@ -64,11 +64,9 @@ from .condition import (
     SubspaceTuple,
     kappa_from_singular_values,
     least_singular_triplet,
-    relative_condition_numbers,
 )
 from .tensor import (
     CPDecomposition,
-    assemble_cpd,
     householder_vectors,
     khatri_rao,
     orthonormal_complements,
@@ -226,13 +224,6 @@ def cpd_condition_number(decomp: CPDecomposition) -> ConditionReport:
         sigma_1=sigma_1,
         path=tucker.path,
     )
-
-
-def cpd_relative_condition_numbers(decomp: CPDecomposition) -> list[float]:
-    """Per-term relative condition numbers; term norms are the mu_i."""
-    report = cpd_condition_number(decomp)
-    total = float(np.linalg.norm(assemble_cpd(decomp)))
-    return relative_condition_numbers(report, [t.mu for t in decomp.terms], total)
 
 
 def norm_balanced_condition_number(decomp: CPDecomposition) -> float:

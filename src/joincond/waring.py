@@ -46,9 +46,8 @@ from .condition import (
     kappa_from_singular_values,
     least_singular_triplet,
 )
-from .tensor import _unit_vector, as_int, khatri_rao, orthonormal_complements
+from .tensor import _unit_vector, as_int, orthonormal_complements
 
-PAIRWISE_ORTHOGONALITY_TOL = 1e-12
 # The symmetric-row weights need d! as a double, which is finite up to 170!.
 MAX_ORDER = 170
 
@@ -117,13 +116,6 @@ class WaringDecomposition:
 
 def _vector_matrix(decomp: WaringDecomposition) -> np.ndarray:
     return np.column_stack([t.vector for t in decomp.terms])
-
-
-def assemble_waring(decomp: WaringDecomposition) -> np.ndarray:
-    """Sum the symmetric rank-one terms into an array of shape (m,) * d."""
-    V = _vector_matrix(decomp)
-    terms = khatri_rao([V] * decomp.d) * np.array([t.mu for t in decomp.terms])
-    return terms.sum(axis=1).reshape((decomp.m,) * decomp.d)
 
 
 def symmetric_dimension(m: int, d: int) -> int:
@@ -258,15 +250,3 @@ def waring_condition_number(decomp: WaringDecomposition) -> ConditionReport:
         sigma_1=sigma_1,
         path="symmetric",
     )
-
-
-def is_symmetric_odeco(decomp: WaringDecomposition) -> bool:
-    """True when the term vectors are pairwise orthogonal and r <= m."""
-    if decomp.rank > decomp.m:
-        return False
-    terms = decomp.terms
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            if abs(float(terms[i].vector @ terms[j].vector)) > PAIRWISE_ORTHOGONALITY_TOL:
-                return False
-    return True

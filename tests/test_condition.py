@@ -1,5 +1,5 @@
-"""Generic condition-number engine: kernel accuracy, report semantics,
-relative condition numbers, and the invariance properties."""
+"""Generic condition-number engine: kernel accuracy, report semantics and
+the invariance properties."""
 
 import math
 
@@ -13,7 +13,6 @@ from joincond import (
     cpd_condition_number,
     cpd_tangent_tuple,
     paatero_sequence,
-    relative_condition_numbers,
 )
 from joincond.condition import least_singular_triplet
 from conftest import count_svd_calls, random_cpd, random_orthonormal, rng_for
@@ -222,51 +221,17 @@ def test_r_factor_svd_is_bitwise_direct_svd(monkeypatch, source, reduced):
     assert np.array_equal(v, vt[n - 1])
 
 
-def test_relative_condition_numbers_tiny_term():
-    report = ConditionReport(
-        sigma_min=1.0, kappa=1.0, least_vector=np.array([1.0]), n=1, N=3
-    )
-    rel = relative_condition_numbers(report, [1.0, 1e-10], 1.0)
-    assert math.isclose(rel[0], 1.0, rel_tol=1e-12)
-    assert math.isclose(rel[1], 1e10, rel_tol=1e-12)
-
-
-def test_relative_condition_numbers_equal_norms():
-    report = ConditionReport(
-        sigma_min=0.5, kappa=2.0, least_vector=np.array([1.0]), n=1, N=3
-    )
-    rel = relative_condition_numbers(report, [3.0, 3.0, 3.0], 3.0)
-    assert all(math.isclose(x, 2.0, rel_tol=1e-14) for x in rel)
-
-
-def test_relative_condition_numbers_propagate_infinity():
-    report = ConditionReport(
-        sigma_min=0.0, kappa=math.inf, least_vector=np.array([1.0]), n=1, N=3
-    )
-    rel = relative_condition_numbers(report, [1.0, 2.0], 1.0)
-    assert all(math.isinf(x) for x in rel)
-
-
-def test_relative_condition_numbers_reject_degenerate():
-    report = ConditionReport(
-        sigma_min=1.0, kappa=1.0, least_vector=np.array([1.0]), n=1, N=3
-    )
-    with pytest.raises(ValueError, match="degenerate term"):
-        relative_condition_numbers(report, [1.0, 0.0], 1.0)
-    with pytest.raises(ValueError):
-        relative_condition_numbers(report, [1.0], -1.0)
-
-
 def test_report_json_serialization():
     finite = ConditionReport(
-        sigma_min=0.5, kappa=2.0, least_vector=np.array([0.6, 0.8]), n=2, N=4
+        sigma_min=0.5, kappa=2.0, least_vector=np.array([0.6, 0.8]), n=2, N=4, sigma_1=1.5
     )
     j = finite.to_json_dict()
     assert j["kappa"] == 2.0
     assert j["well_posed"] is True
     assert j["least_vector"] == [0.6, 0.8]
+    assert (j["sigma_1"], j["path"]) == (1.5, "dense")
     infinite = ConditionReport(
-        sigma_min=0.0, kappa=math.inf, least_vector=np.array([1.0]), n=3, N=2
+        sigma_min=0.0, kappa=math.inf, least_vector=np.array([1.0]), n=3, N=2, sigma_1=1.0
     )
     assert infinite.to_json_dict()["kappa"] == "inf"
     # well_posed is derived from kappa, not stored
@@ -274,12 +239,9 @@ def test_report_json_serialization():
 
 
 def test_report_carries_sigma_1_and_path():
-    # the five-field constructor above still works; the new keys have defaults
-    old = ConditionReport(
-        sigma_min=0.5, kappa=2.0, least_vector=np.array([1.0]), n=1, N=2
-    )
-    assert (old.sigma_1, old.path) == (None, "dense")
-    assert old.to_json_dict()["sigma_1"] is None
+    # every engine computes sigma_1, so a report cannot leave it out
+    with pytest.raises(TypeError, match="sigma_1"):
+        ConditionReport(sigma_min=0.5, kappa=2.0, least_vector=np.array([1.0]), n=1, N=2)
     t = SubspaceTuple(
         7, (random_orthonormal(rng_for(36), 7, 2), random_orthonormal(rng_for(37), 7, 3))
     )

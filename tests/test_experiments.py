@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -25,12 +24,10 @@ from joincond import (
     example_41_kappa,
     example_42_kappa,
     example_42_kappa_analytic,
-    generate_model_tensor,
     normalize_decomposition,
     paatero_sequence,
     run_forward_error_experiment,
     sequence_table,
-    validate_rule_of_thumb,
     write_csv,
 )
 from joincond.blas import openblas_controls
@@ -81,22 +78,29 @@ def test_model_params_validation():
     assert MODEL_RANK == 6 and MODEL_RATE == 0.2 and MODEL_TAU == 5e-4
 
 
+def _model_tensor(seed, s):
+    """One model instance through _draw_model, as _run_sample draws it, and
+    its tensor."""
+    _, decomp = experiments._draw_model(make_rng(seed), s)
+    return decomp, assemble_cpd(decomp)
+
+
 def test_generate_model_tensor_deterministic():
-    d1, t1 = generate_model_tensor(9, 5)
-    d2, t2 = generate_model_tensor(9, 5)
+    d1, t1 = _model_tensor(9, 5)
+    d2, t2 = _model_tensor(9, 5)
     assert np.array_equal(t1, t2)
     for a, b in zip(d1.terms, d2.terms):
         assert a.mu == b.mu
         for x, y in zip(a.vectors, b.vectors):
             assert np.array_equal(x, y)
-    d3, t3 = generate_model_tensor(10, 5)
+    d3, t3 = _model_tensor(10, 5)
     assert not np.array_equal(t1, t3)
 
 
 def test_generate_model_tensor_matches_direct_draw():
     # replay the documented draw order (per mode: C, X, Y) and rebuild A_k
     seed, s = 21, 12
-    decomp, tensor = generate_model_tensor(seed, s)
+    decomp, tensor = _model_tensor(seed, s)
     rng = make_rng(seed)
     damp = 2.0 ** (-MODEL_RATE * s)
     mats = []
@@ -305,30 +309,6 @@ def test_match_columns_recovers_permutation():
         assert np.allclose(P[:, i], Q[:, found[i]])
 
 
-def test_validate_rule_of_thumb_well_conditioned():
-    rng = rng_for(105)
-    d = orthogonal_cpd(rng, (4, 4, 4), 2)
-    kappa = cpd_condition_number(d).kappa
-    assert abs(kappa - 1.0) <= 1e-12
-    ratio = validate_rule_of_thumb(d, trials=50, magnitude=1e-6, seed=1)
-    assert ratio <= 1.1
-
-
-def test_validate_rule_of_thumb_generic():
-    rng = rng_for(106)
-    d = random_cpd(rng, (3, 4, 2), 2)
-    kappa = cpd_condition_number(d).kappa
-    ratio = validate_rule_of_thumb(d, trials=50, magnitude=1e-7, seed=2)
-    assert ratio <= kappa * 1.1
-
-
-def test_validate_rule_of_thumb_refuses_ill_posed():
-    rng = rng_for(107)
-    d = random_cpd(rng, (2, 2, 2), 3)  # n > N
-    with pytest.raises(ValueError, match="ill-posed"):
-        validate_rule_of_thumb(d)
-
-
 def test_run_sample_record_fields():
     params = ModelParams(samples=1, base_seed=3)
     rec = _run_sample(params, 1, 0)
@@ -371,7 +351,7 @@ def test_degenerate_draw_redraws_from_same_stream(monkeypatch):
     seed, s = 21, 3
     expected = _second_draw_tensor(seed, s)
     draws = _degenerate_draws(monkeypatch, 1)
-    _, tensor = generate_model_tensor(seed, s)
+    _, tensor = _model_tensor(seed, s)
     assert len(draws) == 2
     assert np.array_equal(tensor, expected)
 
@@ -393,7 +373,7 @@ def test_persistently_degenerate_draws_raise(monkeypatch):
     params = ModelParams(samples=1)
     draws = _degenerate_draws(monkeypatch, math.inf)
     with pytest.raises(RuntimeError):
-        generate_model_tensor(5, 2)
+        _model_tensor(5, 2)
     assert len(draws) == 8
     draws.clear()
     with pytest.raises(RuntimeError):
@@ -476,15 +456,15 @@ def test_model_csvs_identical_per_thread_count_and_close_across(tmp_path):
 
 
 def _dense_jacobian(mats):
-    """The factor Jacobian built with one chained np.kron per (mode, term)
-    block: the reference for the Gram-built normal equations."""
+    """The factor Jacobian built with one chained Kronecker product per
+    (mode, term) block: the reference for the Gram-built normal equations."""
     r = mats[0].shape[1]
     blocks = []
     for k, M in enumerate(mats):
         for i in range(r):
             factors = [F[:, i:i + 1] for F in mats]
             factors[k] = np.eye(M.shape[0])
-            blocks.append(reduce(np.kron, factors))
+            blocks.append(kron(factors))
     return np.hstack(blocks)
 
 
@@ -539,6 +519,50 @@ def test_refine_with_gram_equations_matches_dense_jacobian(monkeypatch, s):
         start = 0.5 * float(np.sum((assemble_cpd(init) - target) ** 2))
         for a, b in zip(got.trace, ref.trace):
             assert abs(a[0] - b[0]) <= 1e-10 * b[0] + np.finfo(float).eps * start
+
+
+# What Gram squaring costs.  J has an r(d-1)-dimensional kernel (each term's
+# scaling indeterminacy), so the damped normal equations
+# (J^T J + lam I) delta = -J^T r have condition number cond_ne =
+# (sigma_1(J)^2 + lam) / lam, the square of that of the least-squares form
+# [J; sqrt(lam) I] delta = [-r; 0].  At s = 50, the top of the model's s
+# range, from the refiner's start on each of the first three samples, the
+# relative gap between the two steps measured (2 vCPUs, OpenBLAS 0.3.31)
+#   lam = 1e-2: 1.5e-15 .. 2.8e-15     lam = 1e-8:  6.2e-11 .. 4.8e-10
+#   lam = 1e-6: 8.0e-13 .. 5.7e-12     lam = 1e-16: 2.9e-3 .. 2.5e-2,
+# that is 0.02 .. 0.22 * eps * cond_ne, and up to 1.7 * eps * cond_ne at
+# lam = 1e-2, where cond_ne is about 10 and both solves' rounding counts.
+# The damping schedule's floor is 1e-16, but over s = 40..50 (20 samples
+# each) the refiner accepted no step below lam = 1e-9, where the gap is at
+# most a few 1e-9.
+@pytest.mark.parametrize("sample", range(3))
+@pytest.mark.parametrize("lam", [1e-2, 1e-6, 1e-8, 1e-16])
+def test_gram_squaring_cost_of_one_damped_step(sample, lam):
+    init, target = _model_refine_problem(ModelParams(), 50, sample)
+    scales = np.array([t.mu ** (1.0 / init.order) for t in init.terms])
+    mats = [A * scales for A in init.factor_matrices()]  # as cpd_refine starts
+    residual = sum(kron([M[:, i] for M in mats]) for i in range(MODEL_RANK)) - target.ravel()
+    hessian, gradient = experiments._normal_equations(mats, residual)
+    hessian[np.diag_indices_from(hessian)] += lam
+    step = np.linalg.solve(hessian, -gradient)
+
+    J = _dense_jacobian(mats)
+    n = J.shape[1]
+    reference = np.linalg.lstsq(
+        np.vstack([J, math.sqrt(lam) * np.eye(n)]),
+        np.concatenate([-residual, np.zeros(n)]),
+        rcond=None,
+    )[0]
+    sigma = np.linalg.svd(J, compute_uv=False)
+    assert sigma[n - MODEL_RANK * (len(mats) - 1)] <= 1e-14 * sigma[0]  # the kernel
+    cond_ne = (sigma[0] ** 2 + lam) / lam
+    gap = np.linalg.norm(step - reference) / np.linalg.norm(reference)
+    eps = np.finfo(float).eps
+    assert gap <= 10 * eps * cond_ne
+    if lam == 1e-16:
+        # at the floor the squaring shows: the gap is far above the
+        # eps * sqrt(cond_ne) error scale of the least-squares form
+        assert gap >= 1e3 * eps * math.sqrt(cond_ne)
 
 
 def test_refine_trace_records_every_iteration():

@@ -5,17 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from joincond import (
     CertificateError,
     SubspaceTuple,
     cpd_tangent_tuple,
     distance_to_illposed,
-    is_intersecting,
     nearest_intersecting_tuple,
     projection_distance,
     waring_tangent_tuple,
 )
+from joincond.grassmann import CERTIFICATE_TOL
 from conftest import (
     random_cpd,
     random_orthonormal,
@@ -25,6 +27,10 @@ from conftest import (
 )
 
 BISECTOR_DIST = 0.7071067811865476  # sin(45 deg): span(e1) vs the bisector line
+# Distances of orthonormal-column tuples are at most sqrt(r) <= 2 here, so
+# their rounding errors stay far below this.
+ROUNDING_TOL = 1e-12
+PROPERTY_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
 
 def _line(*entries):
@@ -34,6 +40,11 @@ def _line(*entries):
 
 def _projector(W):
     return W @ W.T
+
+
+def _is_intersecting(W):
+    """The dependence verdict: the distance to the locus is 0.0 when n > N."""
+    return distance_to_illposed(W) <= CERTIFICATE_TOL
 
 
 def test_distance_zero_on_identical_tuples():
@@ -94,15 +105,15 @@ def test_distance_dimension_mismatch_rejected():
 def test_is_intersecting_cases():
     e1 = _line(1, 0, 0)
     e2 = _line(0, 1, 0)
-    assert is_intersecting(SubspaceTuple(3, (e1, e1)))
-    assert not is_intersecting(SubspaceTuple(3, (e1, e2)))
+    assert _is_intersecting(SubspaceTuple(3, (e1, e1)))
+    assert not _is_intersecting(SubspaceTuple(3, (e1, e2)))
 
 
 def test_is_intersecting_forced_by_dimension():
     rng = rng_for(43)
     for _ in range(10):
         t = random_subspace_tuple(rng, 3, (2, 2))
-        assert is_intersecting(t)
+        assert _is_intersecting(t)
 
 
 def test_distance_to_illposed_orthogonal_blocks():
@@ -146,7 +157,7 @@ def test_certificate_soundness_random_tuples():
             budget -= extra
         t = random_subspace_tuple(rng, N, tuple(dims))
         cert = nearest_intersecting_tuple(t)
-        assert is_intersecting(cert.nearest)
+        assert _is_intersecting(cert.nearest)
         assert abs(cert.distance - distance_to_illposed(t)) <= 1e-8
         # witnesses: unit vectors inside the nearest blocks, jointly dependent
         X = np.column_stack(cert.witness_directions)
@@ -175,7 +186,7 @@ def test_certificate_no_closer_planted_tuple():
                 q, _ = np.linalg.qr(basis)
                 blocks.append(q[:, : W.shape[1]])
             probe = SubspaceTuple(6, tuple(blocks))
-            assert is_intersecting(probe)
+            assert _is_intersecting(probe)
             assert projection_distance(t, probe) >= cert.distance - 1e-8
 
 
@@ -188,7 +199,7 @@ def test_certificate_two_orthogonal_lines():
     b0 = cert.nearest.subspaces[0][:, 0]
     b1 = cert.nearest.subspaces[1][:, 0]
     assert abs(abs(float(b0 @ b1)) - 1.0) <= 1e-8
-    assert is_intersecting(cert.nearest)
+    assert _is_intersecting(cert.nearest)
 
 
 def test_certificate_intersecting_input_returns_input():
@@ -267,3 +278,76 @@ def test_tuple_validation():
         SubspaceTuple(3, (np.array([[1.0], [1.0], [0.0]]),))
     with pytest.raises(ValueError):
         SubspaceTuple(3, ())
+
+
+@st.composite
+def subspace_tuples(draw, fits=False):
+    """Random tuples with r in 1..4 blocks of dims 1..3 in R^N, N <= 12.
+
+    With fits, r >= 2 and n <= N, the inputs a certificate accepts;
+    otherwise n may exceed N.  Some pull one column of the second block
+    toward the first block's, so sigma_n falls to about the pull size.
+    """
+    r = draw(st.integers(2 if fits else 1, 4))
+    dims = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+    N = draw(st.integers(sum(dims) if fits else max(dims), 12))
+    pull = draw(st.sampled_from([0.0, 1e-3, 1e-7, 1e-12]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = [rng.standard_normal((N, n)) for n in dims]
+    if pull and r > 1:
+        blocks[1][:, 0] = blocks[0][:, 0] + pull * blocks[1][:, 0]
+    return SubspaceTuple(N, tuple(np.linalg.qr(B)[0] for B in blocks))
+
+
+@PROPERTY_SETTINGS
+@given(subspace_tuples(), st.integers(0, 2**32 - 1))
+def test_distance_and_verdict_ignore_the_bases(t, seed):
+    rng = np.random.default_rng(seed)
+    moved = SubspaceTuple(
+        t.ambient_dim,
+        tuple(W @ random_orthonormal(rng, W.shape[1], W.shape[1]) for W in t.subspaces),
+    )
+    dist, moved_dist = distance_to_illposed(t), distance_to_illposed(moved)
+    assert abs(dist - moved_dist) <= ROUNDING_TOL
+    if t.n > t.ambient_dim:
+        assert dist == moved_dist == 0.0
+    if abs(dist - CERTIFICATE_TOL) > ROUNDING_TOL:
+        assert _is_intersecting(t) == _is_intersecting(moved)
+
+
+@PROPERTY_SETTINGS
+@given(subspace_tuples(fits=True))
+def test_certificate_is_met_or_raises_with_residuals(t):
+    try:
+        cert = nearest_intersecting_tuple(t)
+    except CertificateError as err:
+        residuals = (err.distance_residual, err.intersect_residual)
+        assert all(math.isfinite(x) for x in residuals)
+        assert max(residuals) > CERTIFICATE_TOL
+        return
+    assert cert.diagnostics["distance_residual"] <= CERTIFICATE_TOL
+    assert cert.diagnostics["intersect_residual"] <= CERTIFICATE_TOL
+    assert abs(cert.distance - distance_to_illposed(t)) <= CERTIFICATE_TOL
+    assert _is_intersecting(cert.nearest)
+
+
+@PROPERTY_SETTINGS
+@given(subspace_tuples(), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-4, 1e-9]))
+def test_projection_distance_is_symmetric_and_triangular(x, seed, step):
+    # y is a random tuple of x's shape, z sits a small step off x, so the
+    # triangle is checked with near-zero sides as well as order-one ones
+    rng = np.random.default_rng(seed)
+    y = random_subspace_tuple(rng, x.ambient_dim, x.block_dims)
+    z = SubspaceTuple(
+        x.ambient_dim,
+        tuple(
+            np.linalg.qr(W + step * rng.standard_normal(W.shape))[0] for W in x.subspaces
+        ),
+    )
+    for a, b in ((x, y), (x, z), (y, z)):
+        assert abs(projection_distance(a, b) - projection_distance(b, a)) <= ROUNDING_TOL
+    assert projection_distance(x, x) <= ROUNDING_TOL
+    for a, b, c in ((x, y, z), (x, z, y), (y, x, z)):
+        assert projection_distance(a, b) <= (
+            projection_distance(a, c) + projection_distance(c, b) + ROUNDING_TOL
+        )

@@ -10,9 +10,7 @@ from joincond import (
     CPDecomposition,
     RankOneTerm,
     Shape,
-    assemble_cpd,
     cpd_condition_number,
-    cpd_relative_condition_numbers,
     cpd_tangent_tuple,
     distance_to_illposed,
     is_weak_3_orthogonal,
@@ -361,30 +359,6 @@ def test_weak_3_orthogonality_detection():
     tq = RankOneTerm(1.0, (q, q, q))
     ta = RankOneTerm(1.0, (a, a, a))
     assert is_weak_3_orthogonal(CPDecomposition(Shape((4, 4, 4)), (ta, tq)))
-
-
-def test_relative_condition_numbers_tiny_term_scenario():
-    e = np.eye(4)
-    t1 = RankOneTerm(1.0, (e[:, 0], e[:, 0], e[:, 0]))
-    t2 = RankOneTerm(1e-10, (e[:, 1], e[:, 1], e[:, 1]))
-    d = CPDecomposition(Shape((4, 4, 4)), (t1, t2))
-    kappa = cpd_condition_number(d).kappa
-    assert abs(kappa - 1.0) <= 1e-12
-    rel = cpd_relative_condition_numbers(d)
-    total = np.linalg.norm(assemble_cpd(d))
-    assert math.isclose(rel[0], kappa * total / 1.0, rel_tol=1e-12)
-    assert math.isclose(rel[1], kappa * total / 1e-10, rel_tol=1e-12)
-    assert rel[1] > 0.99e10
-
-
-def test_relative_condition_numbers_recomputed_independently():
-    rng = rng_for(79)
-    d = random_cpd(rng, (3, 4, 2), 2)
-    rel = cpd_relative_condition_numbers(d)
-    report = cpd_condition_number(d)
-    total = np.linalg.norm(assemble_cpd(d))
-    for j, term in enumerate(d.terms):
-        assert math.isclose(rel[j], report.kappa * total / term.mu, rel_tol=1e-13)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,5 @@
-"""Symmetric decompositions: Veronese tangent bases, condition numbers,
-and odeco detection."""
+"""Symmetric decompositions: Veronese tangent bases and condition numbers."""
 
-import itertools
 import math
 
 import numpy as np
@@ -10,8 +8,6 @@ import pytest
 from joincond import (
     SymmetricRankOneTerm,
     WaringDecomposition,
-    assemble_waring,
-    is_symmetric_odeco,
     RankOneTerm,
     waring_condition_number,
     waring_tangent_tuple,
@@ -47,32 +43,6 @@ def test_decomposition_validation():
         WaringDecomposition(2, 3, (SymmetricRankOneTerm(1.0, v2, 2),))
     with pytest.raises(ValueError):
         WaringDecomposition(2, 3, ())
-
-
-def test_assemble_single_basis_term():
-    e1 = np.array([1.0, 0.0])
-    d = WaringDecomposition(2, 3, (SymmetricRankOneTerm(1.0, e1, 3),))
-    t = assemble_waring(d)
-    assert t.shape == (2, 2, 2)
-    expect = np.zeros(8)
-    expect[0] = 1.0
-    assert np.array_equal(t.ravel(), expect)
-
-
-def test_assemble_is_symmetric_and_matches_oracle():
-    rng = rng_for(80)
-    d = random_waring(rng, 3, 3, 2, signed=True)
-    nd = assemble_waring(d)
-    for perm in itertools.permutations(range(3)):
-        assert np.allclose(nd, np.transpose(nd, perm), atol=1e-12)
-    oracle = np.zeros((3, 3, 3))
-    for term in d.terms:
-        a = term.vector
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    oracle[j, k, l] += term.mu * a[j] * a[k] * a[l]
-    assert np.allclose(nd, oracle, atol=1e-13)
 
 
 def test_tangent_basis_column_count_grid():
@@ -169,7 +139,6 @@ def test_odeco_kappa_is_one():
             for i in range(r)
         )
         d = WaringDecomposition(m, order, terms)
-        assert is_symmetric_odeco(d)
         assert abs(waring_condition_number(d).kappa - 1.0) <= 1e-12
 
 
@@ -180,7 +149,6 @@ def test_odeco_needs_order_three():
     basis = random_orthonormal(rng, 3, 2)
     terms = tuple(SymmetricRankOneTerm(1.0, basis[:, i], 2) for i in range(2))
     d = WaringDecomposition(3, 2, terms)
-    assert is_symmetric_odeco(d)
     assert waring_condition_number(d).kappa > 1.0 + 1e-6
 
 
@@ -221,22 +189,6 @@ def test_scale_and_orthogonal_invariance():
         assert math.isclose(k1, k2, rel_tol=1e-10)
 
 
-def test_odeco_detection():
-    e = np.eye(4)
-    terms = tuple(SymmetricRankOneTerm(1.0, e[:, i], 3) for i in range(3))
-    assert is_symmetric_odeco(WaringDecomposition(4, 3, terms))
-    repeated = (terms[0], terms[0])
-    assert not is_symmetric_odeco(WaringDecomposition(4, 3, repeated))
-
-
-def test_odeco_rejects_too_many_terms():
-    rng = rng_for(91)
-    m = 3
-    vs = [random_unit(rng, m) for _ in range(m + 1)]
-    terms = tuple(SymmetricRankOneTerm(1.0, v, 3) for v in vs)
-    assert not is_symmetric_odeco(WaringDecomposition(m, 3, terms))
-
-
 def test_symmetric_tangent_narrower_than_cpd_tangent():
     # re-encoding a symmetric term as an asymmetric rank-one term widens the
     # tangent space from m to 1 - d + d*m columns
@@ -256,7 +208,10 @@ def test_json_roundtrip():
     j = d.to_json_dict()
     assert j["m"] == 3 and j["d"] == 4
     d2 = WaringDecomposition.from_json_dict(j)
-    assert np.array_equal(assemble_waring(d2), assemble_waring(d))
+    assert (d2.m, d2.d) == (d.m, d.d)
+    for a, b in zip(d2.terms, d.terms):
+        assert a.mu == b.mu
+        assert np.array_equal(a.vector, b.vector)
 
 
 def test_kappa_one_norm_check():
@@ -264,6 +219,7 @@ def test_kappa_one_norm_check():
     d = random_waring(rng, 4, 3, 1)
     t = waring_tangent_tuple(d)
     assert t.n == 4
+    term = d.terms[0]
     assert math.isclose(
-        np.linalg.norm(assemble_waring(d)), abs(d.terms[0].mu), rel_tol=1e-12
+        np.linalg.norm(term.mu * kron([term.vector] * 3)), abs(term.mu), rel_tol=1e-12
     )
