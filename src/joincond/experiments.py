@@ -541,8 +541,6 @@ def run_forward_error_experiment(
 
 
 def _format_cell(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))

@@ -90,25 +90,6 @@ def distance_to_illposed(W: SubspaceTuple) -> float:
     return sigma
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
-def _span_vector_orthogonal_to(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A unit vector in colspan(basis) orthogonal to y, if one exists.
-
-    Works in span coordinates: z = basis @ w is orthogonal to y iff w is
-    orthogonal to c = basis^T y.  Falls back to the first basis column when
-    no orthogonal direction exists (then the certificate check decides).
-    """
-    c = basis.T @ y
-    nc = float(np.linalg.norm(c))
-    if nc <= DEGENERATE_TOL or basis.shape[1] == 1:
-        return basis[:, 0].copy()
-    w = orthonormal_complements((c / nc)[:, None])[0, :, 0]
-    return basis @ w
-
-
 def _rotate_to_contain(Wi: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Minimally rotate the subspace spanned by Wi so it contains unit x.
 
@@ -179,7 +160,10 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
         col = X[:, i]
         nc = float(np.linalg.norm(col))
         if nc <= DEGENERATE_TOL:
-            xs.append(_unit(_span_vector_orthogonal_to(span, ys[i])))
+            # X = span span^T Y, so ||X[:, i]|| = ||span^T y_i||: y_i is
+            # orthogonal to the whole span, and any unit vector in it will do
+            x = span[:, 0]
+            xs.append(x / np.linalg.norm(x))
         else:
             xs.append(col / nc)
 

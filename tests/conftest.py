@@ -1,12 +1,15 @@
-"""Shared generators for the test suite.
+"""Shared generators and hypothesis scaffolding for the test suite.
 
 All randomness flows through seeded PCG64 generators so every test is
-reproducible on its own.
+reproducible on its own.  The property tests run under one derandomized
+hypothesis profile, registered and loaded here.
 """
 
 from functools import reduce
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from joincond import (
     CPDecomposition,
@@ -16,8 +19,26 @@ from joincond import (
     SymmetricRankOneTerm,
     WaringDecomposition,
     cpd_tangent_tuple,
+    normalize_decomposition,
     waring_tangent_tuple,
 )
+from joincond.condition import RANK_TOL_FACTOR
+
+settings.register_profile(
+    "joincond", max_examples=120, deadline=None, derandomize=True, database=None
+)
+settings.load_profile("joincond")
+
+# Errors of the compressed CP path and the symmetric Waring path stay near
+# eps * sigma_1; this is the bound the properties hold them to.
+SIGMA_TOL = 1e-12
+
+
+def near_threshold(sigma, sigma_1):
+    """Whether sigma lies within a factor 10 of the rank tolerance, where a
+    finite/infinite verdict may flip on rounding."""
+    tol = RANK_TOL_FACTOR * max(1.0, sigma_1)
+    return tol / 10 <= sigma <= 10 * tol
 
 
 def rng_for(seed):
@@ -60,6 +81,23 @@ def random_orthonormal(rng, n, k):
 def random_subspace_tuple(rng, ambient, block_dims):
     blocks = tuple(random_orthonormal(rng, ambient, d) for d in block_dims)
     return SubspaceTuple(ambient, blocks)
+
+
+@st.composite
+def cp_decompositions(draw):
+    """d in 1..4, m_k in 1..9 (so prod_k m_k <= 6561) and r in 1..6, standard
+    normal factors; some draws pull the second column of every factor toward
+    the first so that sigma_n falls toward and through the rank threshold."""
+    d = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 9), min_size=d, max_size=d))
+    r = draw(st.integers(1, 6))
+    pull = draw(st.sampled_from([0.0, 1e-3, 1e-7, 1e-12]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = [rng.standard_normal((m, r)) for m in dims]
+    if pull and r > 1:
+        for A in mats:
+            A[:, 1] = A[:, 0] + pull * A[:, 1]
+    return normalize_decomposition(mats)
 
 
 def orthogonal_cpd(rng, dims, rank):

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 import joincond.cli as cli
 from joincond.waring import MAX_ORDER
 
-FUZZ_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# the conftest profile, with 150 examples instead of 120
+FUZZ_SETTINGS = settings(max_examples=150)
 EXIT_CODES = {0, 2, 3, 4}
 
 # Junk for any position.  Waring's "d" takes the kind that keeps m^d small

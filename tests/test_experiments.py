@@ -9,13 +9,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from joincond import (
-    CPDecomposition,
     ModelParams,
-    RankOneTerm,
     assemble_cpd,
     cpd_condition_number,
     cpd_refine,
@@ -298,6 +296,40 @@ def test_refine_shape_mismatch_rejected():
         cpd_refine(d, target)
 
 
+def _singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def test_refine_gives_up_when_no_damping_is_accepted(monkeypatch):
+    # every damped solve fails, so all 16 dampings 1e-2, ..., 1e13 are
+    # rejected in the first iteration and the refiner stops there, with one
+    # trace entry
+    d = random_cpd(rng_for(106), (3, 3, 3), 2)
+    target = rng_for(107).standard_normal((3, 3, 3))
+    monkeypatch.setattr(np.linalg, "solve", _singular)
+    res = cpd_refine(d, target)
+    assert not res.converged
+    assert res.iterations == 1
+    ((objective, damping, rejected),) = res.trace
+    assert objective == res.objective > 0.0
+    assert damping >= 1e14 and rejected == 16
+
+
+def test_refine_returns_the_input_when_a_factor_column_collapses(monkeypatch, caplog):
+    # the step zeroes term 2's mode-1 vector and fits the target exactly;
+    # normalize_decomposition refuses the zero column, so the input comes
+    # back, marked as not converged
+    init = normalize_decomposition([np.eye(2), np.eye(2)])
+    target = np.outer([1.0, 0.0], [1.0, 0.0])
+    step = np.array([0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+    monkeypatch.setattr(np.linalg, "solve", lambda damped, rhs: step)
+    res = cpd_refine(init, target)
+    assert res.decomposition is init
+    assert not res.converged
+    assert (res.iterations, res.objective) == (1, 0.0)
+    assert "zero factor column" in caplog.text
+
+
 def test_match_columns_recovers_permutation():
     rng = rng_for(104)
     P = rng.standard_normal((12, 4))
@@ -401,6 +433,20 @@ def test_forward_error_experiment_small_run(tmp_path):
     assert b"\r" not in deciles_csv and b"\r" not in quartiles_csv
 
 
+def test_forward_error_s_without_usable_samples_writes_nan_rows(tmp_path, monkeypatch):
+    # a refiner that never converges leaves s = 3 without a usable sample:
+    # both tables get a row of NaNs there and every sample is discarded
+    monkeypatch.setattr(np.linalg, "solve", _singular)
+    params = ModelParams(samples=2, base_seed=5)
+    tables = run_forward_error_experiment(params, s_values=(3,), out_dir=tmp_path)
+    assert tables.discarded == 2
+    assert all(not rec.converged and math.isnan(rec.scaling) for rec in tables.records)
+    deciles = (tmp_path / "scaling_factor_deciles.csv").read_text().splitlines()
+    quartiles = (tmp_path / "kappa_quartiles.csv").read_text().splitlines()
+    assert deciles[1:] == ["3," + ",".join(["nan"] * 9)]
+    assert quartiles[1:] == ["3,nan,nan,nan"]
+
+
 def test_forward_error_experiment_deterministic(tmp_path):
     params = ModelParams(samples=3, base_seed=8)
     t1 = run_forward_error_experiment(params, s_values=(2,), out_dir=tmp_path / "a")
@@ -473,7 +519,6 @@ def _dense_normal_equations(mats, residual):
     return J.T @ J, J.T @ residual
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(
     dims=st.integers(2, 4).flatmap(
         lambda d: st.lists(st.integers(1, 7), min_size=d, max_size=d)

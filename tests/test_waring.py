@@ -125,23 +125,6 @@ def test_rank_one_kappa_is_one():
         assert report.n == 4 and report.N == 64
 
 
-def test_odeco_kappa_is_one():
-    rng = rng_for(87)
-    for _ in range(20):
-        m, order, r = 5, 3, 3
-        basis = random_orthonormal(rng, m, r)
-        terms = tuple(
-            SymmetricRankOneTerm(
-                float(rng.uniform(0.5, 2.0)) * (1.0 if rng.uniform() < 0.5 else -1.0),
-                basis[:, i],
-                order,
-            )
-            for i in range(r)
-        )
-        d = WaringDecomposition(m, order, terms)
-        assert abs(waring_condition_number(d).kappa - 1.0) <= 1e-12
-
-
 def test_odeco_needs_order_three():
     # for matrices (d=2) the tangent spaces of distinct eigendirections
     # overlap, so orthogonality does not buy kappa = 1
