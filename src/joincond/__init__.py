@@ -44,7 +44,6 @@ from .segre import (
 from .tensor import (
     CPDecomposition,
     RankOneTerm,
-    Shape,
     assemble_cpd,
     normalize_decomposition,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "norm_balanced_condition_number",
     "CPDecomposition",
     "RankOneTerm",
-    "Shape",
     "assemble_cpd",
     "normalize_decomposition",
     "SymmetricRankOneTerm",

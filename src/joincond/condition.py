@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import svd_threads
-from .tensor import as_int
+from .tensor import as_int, as_vector
 
 # A block is accepted as orthonormal when max |U^T U - I| stays below this.
 ORTHONORMAL_TOL = 1e-10
@@ -82,7 +82,7 @@ class SubspaceTuple:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SubspaceTuple":
         blocks = tuple(
-            np.asarray(cols, dtype=float).T for cols in obj["blocks"]
+            np.array([as_vector(col, "block column") for col in cols]).T for cols in obj["blocks"]
         )
         return cls(obj["N"], blocks)
 

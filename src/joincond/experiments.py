@@ -361,7 +361,7 @@ def cpd_refine(
     the objective reaches OBJECTIVE_TOL or after max_iterations accepted
     steps.  Never raises on non-convergence; the flag in the result decides.
     """
-    if np.shape(target) != init.shape.dims:
+    if np.shape(target) != init.dims:
         raise ValueError("init and target shapes differ")
     # the norm-balanced factors: every column of term i scaled by mu_i^(1/d)
     scales = np.array([t.mu ** (1.0 / init.order) for t in init.terms])
@@ -466,7 +466,7 @@ def _run_sample(params: ModelParams, s: int, sample: int) -> ExperimentRecord:
     init = normalize_decomposition(
         [B + MODEL_TAU * rng.standard_normal(B.shape) for B in mats]
     )
-    result = cpd_refine(init, target.reshape(decomp.shape.dims))
+    result = cpd_refine(init, target.reshape(decomp.dims))
     computed_terms = result.decomposition.term_tensors()
     backward = float(np.linalg.norm(computed_terms.sum(axis=1) - target))
     perm = _match_columns(original_terms, computed_terms)

@@ -6,7 +6,8 @@ i.e. the subspaces share a linear dependence.  The distance from a tuple to
 that locus (in the Euclidean combination of per-block projector distances)
 equals sigma_n([W_1 ... W_r]), the quantity whose inverse is the condition
 number.  nearest_intersecting_tuple makes that distance constructive by
-exhibiting a closest dependent tuple.
+exhibiting a closest dependent tuple, built from the least singular triplet
+of the stacked bases with a closed-form rank-(r-1) step and no further SVD.
 """
 
 from __future__ import annotations
@@ -112,13 +113,17 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
     """Construct a closest dependent tuple together with its witnesses.
 
     Construction: take a unit right singular vector v of U = [W_1 ... W_r]
-    attaining sigma_n, split it into per-block coefficients v_i, and form the
-    witness candidates y_i = W_i v_i / ||v_i||.  The best rank-(r-1)
-    approximation X of Y = [y_1 ... y_r] yields dependent directions
-    x_i = X[:, i] / ||X[:, i]||; rotating each W_i minimally to contain x_i
-    gives a dependent tuple at distance exactly sigma_n(U).  Degenerate
-    blocks (v_i = 0, or a zero column of X) fall back to deterministic
-    choices that preserve the bound.
+    attaining sigma = sigma_n(U), split it into per-block coefficients v_i,
+    and form the witness candidates y_i = W_i v_i / ||v_i|| (W_i[:, 0] when
+    v_i = 0).  Y = [y_1 ... y_r] is U times the isometry diag(v_i / ||v_i||),
+    so sigma_min(Y) >= sigma; and with c_i = ||v_i|| and Uv = sigma u,
+    Y c = sigma u and Y^T u = sigma c.  So sigma is Y's least singular value
+    and its best rank-(r-1) approximation is, in closed form,
+    X = Y - (Uv) c^T.  The dependent directions x_i = X[:, i] / ||X[:, i]||
+    and a minimal rotation of each W_i to contain x_i give a dependent tuple
+    at distance exactly sigma.  A zero column of X needs sigma = 1 with v in
+    one block W_i; the blocks are then mutually orthogonal, and any nonzero
+    column of X, orthogonal to W_i, serves as x_i at the same distance 1.
     """
     if W.n > W.ambient_dim:
         raise ValueError("tuple is dependent outright: n exceeds the ambient dimension")
@@ -128,10 +133,11 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
     sigma, v, _ = least_singular_triplet(U)
 
     offsets = np.cumsum((0,) + W.block_dims)
-    ys = []
+    ys, c = [], []
     for i, Wi in enumerate(W.subspaces):
         vi = v[offsets[i]:offsets[i + 1]]
         nv = float(np.linalg.norm(vi))
+        c.append(nv)
         if nv <= DEGENERATE_TOL:
             ys.append(Wi[:, 0].copy())
         else:
@@ -147,25 +153,10 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
                          "intersect_residual": sigma},
         )
 
-    Y = np.column_stack(ys)
-    uy, sy, vty = np.linalg.svd(Y, full_matrices=False)
-    r = Y.shape[1]
-    sy_trunc = sy.copy()
-    sy_trunc[-1] = 0.0
-    X = (uy * sy_trunc) @ vty
-    span = uy[:, : r - 1]
-
-    xs = []
-    for i in range(r):
-        col = X[:, i]
-        nc = float(np.linalg.norm(col))
-        if nc <= DEGENERATE_TOL:
-            # X = span span^T Y, so ||X[:, i]|| = ||span^T y_i||: y_i is
-            # orthogonal to the whole span, and any unit vector in it will do
-            x = span[:, 0]
-            xs.append(x / np.linalg.norm(x))
-        else:
-            xs.append(col / nc)
+    X = np.column_stack(ys) - np.outer(U @ v, c)
+    norms = [float(np.linalg.norm(col)) for col in X.T]
+    fallback = X[:, int(np.argmax(norms))] / max(norms)
+    xs = [X[:, i] / nc if nc > DEGENERATE_TOL else fallback for i, nc in enumerate(norms)]
 
     nearest = SubspaceTuple(
         W.ambient_dim,

@@ -98,11 +98,11 @@ def cpd_tangent_tuple(decomp: CPDecomposition) -> SubspaceTuple:
     """Tangent bases of all terms, ready for the condition-number engine."""
     mats = decomp.factor_matrices()
     U = _tangent_matrix(mats, [orthonormal_complements(A) for A in mats])
-    return SubspaceTuple(decomp.shape.ambient_dim, tuple(np.hsplit(U, decomp.rank)))
+    return SubspaceTuple(decomp.ambient_dim, tuple(np.hsplit(U, decomp.rank)))
 
 
 def _tangent_dim(decomp: CPDecomposition) -> int:
-    return decomp.rank * (1 - decomp.order + sum(decomp.shape.dims))
+    return decomp.rank * (1 - decomp.order + sum(decomp.dims))
 
 
 def is_defective(decomp: CPDecomposition) -> bool:
@@ -114,8 +114,8 @@ def is_defective(decomp: CPDecomposition) -> bool:
         decomposition: a_1 x b_2 lies in the tangent spaces of the terms
         a_1 x b_1 and a_2 x b_2 (the CP twin of Waring's d = 2).
     """
-    matrix_like = sum(m >= 2 for m in decomp.shape.dims) <= 2
-    return _tangent_dim(decomp) > decomp.shape.ambient_dim or (decomp.rank >= 2 and matrix_like)
+    matrix_like = sum(m >= 2 for m in decomp.dims) <= 2
+    return _tangent_dim(decomp) > decomp.ambient_dim or (decomp.rank >= 2 and matrix_like)
 
 
 class _Compression:
@@ -132,7 +132,7 @@ class _Compression:
     def __init__(self, decomp: CPDecomposition):
         r = decomp.rank
         self.rank = r
-        dims = decomp.shape.dims
+        dims = decomp.dims
         self.rows = math.prod(min(m, r) for m in dims)
         self.width = 1 - len(dims) + sum(min(m, r) for m in dims)
         self.modes = [k for k, m in enumerate(dims) if m > r]
@@ -214,7 +214,7 @@ def cpd_condition_number(decomp: CPDecomposition) -> ConditionReport:
     """
     tucker = _Compression(decomp)
     sigma, v, sigma_1 = least_singular_triplet(tucker.core_matrix())
-    n, N = _tangent_dim(decomp), decomp.shape.ambient_dim
+    n, N = _tangent_dim(decomp), decomp.ambient_dim
     return ConditionReport(
         sigma_min=sigma,
         kappa=kappa_from_singular_values(sigma, sigma_1, n, N),
@@ -242,7 +242,7 @@ def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
     compressed, one batched SVD of the K_k.  Raises ValueError above
     MAX_TANGENT_ENTRIES.
     """
-    n, N = _tangent_dim(decomp), decomp.shape.ambient_dim
+    n, N = _tangent_dim(decomp), decomp.ambient_dim
     scales = np.array([t.mu ** (1.0 - 1.0 / t.order) for t in decomp.terms])
     # A wide stacked matrix, or a wide core, has a kernel: sigma_n is zero
     # and no SVD is needed.

@@ -36,36 +36,31 @@ def _unit_vector(x, what: str) -> np.ndarray:
 
 
 def as_int(value, what: str) -> int:
-    """value as an int when it is integral; int() alone would truncate 2.5 to 2."""
+    """value as an int when it is integral; int() alone would truncate 2.5 to
+    2, and operator.index alone would take True as 1."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Shape:
-    """Dimensions (m_1, ..., m_d) of the ambient tensor space."""
+def as_float(value, what: str) -> float:
+    """A JSON number as a float; float() alone would also take True and "2.5"."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
-    dims: tuple[int, ...]
 
-    def __post_init__(self):
-        dims = tuple(as_int(m, "dims") for m in self.dims)
-        if len(dims) < 1:
-            raise ValueError("shape needs at least one mode")
-        if any(m < 1 for m in dims):
-            raise ValueError(f"all dims must be >= 1, got {dims}")
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def order(self) -> int:
-        return len(self.dims)
-
-    @property
-    def ambient_dim(self) -> int:
-        return math.prod(self.dims)
+def as_vector(value, what: str) -> np.ndarray:
+    """A JSON list of numbers as a float array; np.asarray alone would also
+    take strings and booleans, and nested lists that _unit_vector ravels."""
+    if type(value) is not list or not set(map(type, value)) <= {int, float}:
+        raise ValueError(f"{what} must be a list of numbers")
+    return np.array(value, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,29 +90,33 @@ class RankOneTerm:
 
 @dataclass(frozen=True, eq=False)
 class CPDecomposition:
-    """A sum of r rank-one terms sharing one ambient shape."""
+    """A sum of r rank-one terms in one tensor space of dims (m_1, ..., m_d)."""
 
-    shape: Shape
     terms: tuple[RankOneTerm, ...]
 
     def __post_init__(self):
-        terms = tuple(self.terms)
-        if not terms:
+        object.__setattr__(self, "terms", tuple(self.terms))
+        if not self.terms:
             raise ValueError("decomposition needs at least one term")
-        for t in terms:
-            if t.mode_dims() != self.shape.dims:
-                raise ValueError(
-                    f"term dims {t.mode_dims()} do not match shape {self.shape.dims}"
-                )
-        object.__setattr__(self, "terms", terms)
+        for t in self.terms:
+            if t.mode_dims() != self.dims:
+                raise ValueError(f"term dims {t.mode_dims()} do not match {self.dims}")
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.terms[0].mode_dims()
+
+    @property
+    def ambient_dim(self) -> int:
+        return math.prod(self.dims)
+
+    @property
+    def order(self) -> int:
+        return self.terms[0].order
 
     @property
     def rank(self) -> int:
         return len(self.terms)
-
-    @property
-    def order(self) -> int:
-        return self.shape.order
 
     def factor_matrices(self) -> list[np.ndarray]:
         """One m_k x r matrix per mode whose column i is term i's mode-k vector."""
@@ -129,7 +128,7 @@ class CPDecomposition:
 
     def to_json_dict(self) -> dict:
         return {
-            "dims": list(self.shape.dims),
+            "dims": list(self.dims),
             "terms": [
                 {"mu": t.mu, "vectors": [v.tolist() for v in t.vectors]}
                 for t in self.terms
@@ -138,12 +137,15 @@ class CPDecomposition:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CPDecomposition":
-        shape = Shape(tuple(obj["dims"]))
-        terms = tuple(
-            RankOneTerm(float(t["mu"]), tuple(np.asarray(v, dtype=float) for v in t["vectors"]))
+        """Raises ValueError when the declared dims are not the vectors'."""
+        dims = tuple(as_int(m, "dims") for m in obj["dims"])
+        decomp = cls(tuple(
+            RankOneTerm(as_float(t["mu"], "mu"), tuple(as_vector(v, "vector") for v in t["vectors"]))
             for t in obj["terms"]
-        )
-        return cls(shape, terms)
+        ))
+        if decomp.dims != dims:
+            raise ValueError(f"declared dims {dims} do not match the vectors' {decomp.dims}")
+        return decomp
 
 
 def khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -164,7 +166,7 @@ def khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 def assemble_cpd(decomp: CPDecomposition) -> np.ndarray:
     """Sum the rank-one terms of a decomposition into an array of shape dims."""
-    return decomp.term_tensors().sum(axis=1).reshape(decomp.shape.dims)
+    return decomp.term_tensors().sum(axis=1).reshape(decomp.dims)
 
 
 def normalize_decomposition(factor_matrices: Sequence[np.ndarray]) -> CPDecomposition:
@@ -186,7 +188,6 @@ def normalize_decomposition(factor_matrices: Sequence[np.ndarray]) -> CPDecompos
         raise ValueError("all factor matrices must have the same column count")
     if r < 1:
         raise ValueError("need at least one column per factor matrix")
-    shape = Shape(tuple(A.shape[0] for A in mats))
     terms = []
     # A non-finite entry or an overflowing norm makes mu non-finite, and
     # RankOneTerm rejects it.
@@ -202,7 +203,7 @@ def normalize_decomposition(factor_matrices: Sequence[np.ndarray]) -> CPDecompos
                 mu *= norm
                 vectors.append(col / norm)
             terms.append(RankOneTerm(mu, tuple(vectors)))
-    return CPDecomposition(shape, tuple(terms))
+    return CPDecomposition(tuple(terms))
 
 
 def householder_vectors(A: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ from .condition import (
     kappa_from_singular_values,
     least_singular_triplet,
 )
-from .tensor import _unit_vector, as_int, orthonormal_complements
+from .tensor import _unit_vector, as_float, as_int, as_vector, orthonormal_complements
 
 # The symmetric-row weights need d! as a double, which is finite up to 170!.
 MAX_ORDER = 170
@@ -77,21 +77,22 @@ class SymmetricRankOneTerm:
 class WaringDecomposition:
     """A sum of r symmetric rank-one terms in (R^m)^(x d)."""
 
-    m: int
-    d: int
     terms: tuple[SymmetricRankOneTerm, ...]
 
     def __post_init__(self):
-        m, d = as_int(self.m, "m"), as_int(self.d, "d")
-        terms = tuple(self.terms)
-        if not terms:
+        object.__setattr__(self, "terms", tuple(self.terms))
+        if not self.terms:
             raise ValueError("decomposition needs at least one term")
-        for t in terms:
-            if t.vector.size != m or t.order != d:
-                raise ValueError("terms must share m and d")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "terms", terms)
+        if any((t.vector.size, t.order) != (self.m, self.d) for t in self.terms):
+            raise ValueError("terms must share m and d")
+
+    @property
+    def m(self) -> int:
+        return self.terms[0].vector.size
+
+    @property
+    def d(self) -> int:
+        return self.terms[0].order
 
     @property
     def rank(self) -> int:
@@ -106,12 +107,15 @@ class WaringDecomposition:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "WaringDecomposition":
+        """Raises ValueError when the declared m is not the vectors'."""
         m, d = as_int(obj["m"], "m"), as_int(obj["d"], "d")
-        terms = tuple(
-            SymmetricRankOneTerm(float(t["mu"]), np.asarray(t["vector"], dtype=float), d)
+        decomp = cls(tuple(
+            SymmetricRankOneTerm(as_float(t["mu"], "mu"), as_vector(t["vector"], "vector"), d)
             for t in obj["terms"]
-        )
-        return cls(m, d, terms)
+        ))
+        if decomp.m != m:
+            raise ValueError(f"declared m = {m} does not match the vectors' {decomp.m}")
+        return decomp
 
 
 def _vector_matrix(decomp: WaringDecomposition) -> np.ndarray:

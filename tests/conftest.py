@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from joincond import (
     CPDecomposition,
     RankOneTerm,
-    Shape,
     SubspaceTuple,
     SymmetricRankOneTerm,
     WaringDecomposition,
@@ -59,7 +58,7 @@ def random_cpd(rng, dims, rank, mu_range=(0.5, 2.0)):
         mu = float(rng.uniform(*mu_range))
         vectors = tuple(random_unit(rng, m) for m in dims)
         terms.append(RankOneTerm(mu, vectors))
-    return CPDecomposition(Shape(tuple(dims)), tuple(terms))
+    return CPDecomposition(tuple(terms))
 
 
 def random_waring(rng, m, d, rank, signed=False):
@@ -69,7 +68,7 @@ def random_waring(rng, m, d, rank, signed=False):
         if signed and rng.uniform() < 0.5:
             mu = -mu
         terms.append(SymmetricRankOneTerm(mu, random_unit(rng, m), d))
-    return WaringDecomposition(m, d, tuple(terms))
+    return WaringDecomposition(tuple(terms))
 
 
 def random_orthonormal(rng, n, k):
@@ -108,7 +107,7 @@ def orthogonal_cpd(rng, dims, rank):
     for i in range(rank):
         mu = float(rng.uniform(0.5, 2.0))
         terms.append(RankOneTerm(mu, tuple(M[:, i] for M in mats)))
-    return CPDecomposition(Shape(tuple(dims)), tuple(terms))
+    return CPDecomposition(tuple(terms))
 
 
 def count_svd_calls(monkeypatch, fail_first=False, shapes=None, qr_shapes=None):
@@ -149,12 +148,12 @@ def kron(vectors):
 
 def segre_tangent_basis(term):
     """The orthonormal tangent basis of one rank-one term."""
-    return cpd_tangent_tuple(CPDecomposition(Shape(term.mode_dims()), (term,))).subspaces[0]
+    return cpd_tangent_tuple(CPDecomposition((term,))).subspaces[0]
 
 
 def veronese_tangent_basis(term):
     """The orthonormal tangent basis (m^d x m) of one symmetric term."""
-    decomp = WaringDecomposition(term.vector.size, term.order, (term,))
+    decomp = WaringDecomposition((term,))
     return waring_tangent_tuple(decomp).subspaces[0]
 
 
@@ -175,8 +174,8 @@ def norm_balanced_basis(term):
 def dense_norm_balanced_sigma(decomp):
     """(sigma_n, sigma_1, n, N) of the full stacked norm-balanced matrix, the
     reference for norm_balanced_condition_number (sigma_n is 0 when n > N)."""
-    n = decomp.rank * (1 - decomp.order + sum(decomp.shape.dims))
-    N = decomp.shape.ambient_dim
+    n = decomp.rank * (1 - decomp.order + sum(decomp.dims))
+    N = decomp.ambient_dim
     M = np.hstack([norm_balanced_basis(t) for t in decomp.terms])
     s = np.linalg.svd(M, compute_uv=False)
     return (float(s[n - 1]) if n <= N else 0.0), float(s[0]), n, N

@@ -100,7 +100,7 @@ def test_01_exactness_families():
             )
             for i in range(r)
         )
-        w = WaringDecomposition(5, 3, terms)
+        w = WaringDecomposition(terms)
         worst = max(worst, abs(waring_condition_number(w).kappa - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 10.0
@@ -120,12 +120,10 @@ def test_02_invariance_suite():
         d, report = _well_conditioned_cpd(rng, dims, 2)
         betas = rng.uniform(1e-3, 1e3, size=d.rank)
         scaled = CPDecomposition(
-            d.shape,
             tuple(RankOneTerm(float(b) * t.mu, t.vectors) for b, t in zip(betas, d.terms)),
         )
         qs = [random_orthonormal(rng, m, m) for m in dims]
         rotated = CPDecomposition(
-            d.shape,
             tuple(
                 RankOneTerm(t.mu, tuple(q @ v for q, v in zip(qs, t.vectors)))
                 for t in d.terms
@@ -140,8 +138,6 @@ def test_02_invariance_suite():
         Q = random_orthonormal(rng, m, m)
         betas = rng.uniform(1e-3, 1e3, size=d.rank)
         moved = WaringDecomposition(
-            m,
-            order,
             tuple(
                 SymmetricRankOneTerm(float(b) * t.mu, Q @ t.vector, order)
                 for b, t in zip(betas, d.terms)

@@ -160,7 +160,7 @@ def test_cond_waring_odeco(tmp_path, capsys):
     rng = rng_for(125)
     basis = random_orthonormal(rng, 4, 2)
     d = WaringDecomposition(
-        4, 3, tuple(SymmetricRankOneTerm(1.0, basis[:, i], 3) for i in range(2))
+        tuple(SymmetricRankOneTerm(1.0, basis[:, i], 3) for i in range(2))
     )
     path = _write_json(tmp_path / "w.json", d.to_json_dict())
     code, out, _ = _run(capsys, ["cond-waring", "--input", path])
@@ -589,6 +589,8 @@ def test_cond_cpd_fractional_dims_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "dims must be an integer" in err
+    payload["dims"] = [2.0, 2]  # an integral float is an integer
+    assert _run(capsys, ["cond-cpd", "--input", _write_json(tmp_path / "e.json", payload)])[0] == 0
 
 
 def test_cond_waring_fractional_m_exits_2(tmp_path, capsys):

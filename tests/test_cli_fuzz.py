@@ -2,8 +2,9 @@
 (0, 2, 3 or 4) and no exception escapes cli.main.
 
 Documents start from a valid cond-cpd, cond-waring or grassmann input and
-take up to three mutations: a value replaced by junk, a key or list item
-dropped, or junk appended.  Tensors keep prod_k m_k <= 1e5 (m_k <= 6 in at
+take up to three mutations: a value replaced by junk or by its JSON text,
+a key or list item dropped, or junk appended.  A draw that holds a string,
+boolean or null must exit 2.  Tensors keep prod_k m_k <= 1e5 (m_k <= 6 in at
 most four modes; m <= 4 and d <= 8, or m = 1 and d <= MAX_ORDER, for
 Waring terms), so no example allocates much.  argparse reports a usage
 error by raising SystemExit(2), which is exit 2 as well.
@@ -71,9 +72,12 @@ def _mutated(draw, doc):
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        action = draw(st.sampled_from(["replace", "drop", "append"]))
+        action = draw(st.sampled_from(["replace", "drop", "append", "quote"]))
         if action == "replace":
             parent[path[-1]] = junk
+        elif action == "quote":
+            # a number turns into a numeric string, which is still no number
+            parent[path[-1]] = json.dumps(parent[path[-1]])
         elif action == "drop":
             del parent[path[-1]]
         elif isinstance(parent[path[-1]], list):
@@ -136,6 +140,16 @@ RAW_TEXT = st.one_of(
 )
 
 
+def _holds_non_number(node):
+    """Whether a document holds a string, boolean or null value (keys aside);
+    no valid document does, so each such draw must exit 2."""
+    if isinstance(node, dict):
+        return any(_holds_non_number(value) for value in node.values())
+    if isinstance(node, list):
+        return any(_holds_non_number(value) for value in node)
+    return node is None or isinstance(node, (str, bool))
+
+
 def _exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -165,14 +179,16 @@ def _write(workdir, suffix, payload):
 @given(doc=st.one_of(cpd_documents(), RAW_TEXT))
 def test_cond_cpd_fuzz(workdir, doc):
     path = _write(workdir, ".json", doc)
-    assert _exit_code(["cond-cpd", "--input", path]) in EXIT_CODES
+    code = _exit_code(["cond-cpd", "--input", path])
+    assert code == 2 if _holds_non_number(doc) else code in EXIT_CODES
 
 
 @FUZZ_SETTINGS
 @given(doc=st.one_of(waring_documents(), RAW_TEXT))
 def test_cond_waring_fuzz(workdir, doc):
     path = _write(workdir, ".json", doc)
-    assert _exit_code(["cond-waring", "--input", path]) in EXIT_CODES
+    code = _exit_code(["cond-waring", "--input", path])
+    assert code == 2 if _holds_non_number(doc) else code in EXIT_CODES
 
 
 @FUZZ_SETTINGS
@@ -190,7 +206,8 @@ def test_grassmann_fuzz(workdir, mode, misfit, tol, data):
     argv = ["grassmann", "--input", path, "--mode", mode]
     if tol is not None:
         argv += ["--tol", tol]
-    assert _exit_code(argv) in EXIT_CODES
+    code = _exit_code(argv)
+    assert code == 2 if _holds_non_number(doc) else code in EXIT_CODES
 
 
 # Each draw carries at least one of these, so no model grid ever runs.
@@ -276,12 +293,35 @@ BIG = "1" + "0" * 400  # an integer literal too large for a float
         ("grassmann", "\udcff"),
         ("cond-cpd", "[" * 5000),
         ("cond-waring", '{"m": 1, "d": 171, "terms": [{"mu": 1.0, "vector": [1.0]}]}'),
+        # a string, boolean or null is no number, and a nested list no vector
+        ("cond-cpd", '{"dims": [true, 2], "terms": [{"mu": 1.0, "vectors": [[1], [1, 0]]}]}'),
+        ("cond-cpd", '{"dims": [2], "terms": [{"mu": "2.5", "vectors": [[1, 0]]}]}'),
+        ("cond-cpd", '{"dims": [2], "terms": [{"mu": true, "vectors": [[1, 0]]}]}'),
+        ("cond-cpd", '{"dims": [2], "terms": [{"mu": 1.0, "vectors": [["1", "0"]]}]}'),
+        ("cond-cpd", '{"dims": [2], "terms": [{"mu": 1.0, "vectors": [[1, false]]}]}'),
+        ("cond-cpd", '{"dims": [2], "terms": [{"mu": 1.0, "vectors": [[[1, 0]]]}]}'),
+        ("cond-waring", '{"m": 2, "d": true, "terms": [{"mu": 1.0, "vector": [1, 0]}]}'),
+        ("cond-waring", '{"m": 2, "d": 3, "terms": [{"mu": 1.0, "vector": ["1", "0"]}]}'),
+        ("cond-waring", '{"m": 2, "d": 3, "terms": [{"mu": 1.0, "vector": [[1, 0]]}]}'),
+        ("grassmann", '{"N": true, "blocks": [[[1]]]}'),
+        ("grassmann", '{"N": 2, "blocks": [[["1", 0]], [[0, "1"]]]}'),
+        ("grassmann", '{"N": 2, "blocks": [[[1, false]], [[false, 1]]]}'),
+        # declared dims or m that are not the vectors'
+        ("cond-cpd", '{"dims": [3], "terms": [{"mu": 1.0, "vectors": [[1, 0]]}]}'),
+        ("cond-waring", '{"m": 3, "d": 2, "terms": [{"mu": 1.0, "vector": [1, 0]}]}'),
+        # a term without mode vectors, blocks of the wrong height or no
+        # width, and a pair of tuples in different ambient spaces
+        ("cond-cpd", '{"dims": [], "terms": [{"mu": 1.0, "vectors": []}]}'),
+        ("grassmann", '{"N": 3, "blocks": [[[1, 0]]]}'),
+        ("grassmann", '{"N": 3, "blocks": [[], [[0, 1, 0]]]}'),
+        ("grassmann --mode dist",
+         '[{"N": 2, "blocks": [[[1, 0]]]}, {"N": 3, "blocks": [[[1, 0, 0]]]}]'),
     ],
 )
 def test_documents_that_raised_exit_2(tmp_path, capsys, command, text):
     path = tmp_path / "doc.json"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    code = cli.main([command, "--input", str(path)])
+    code = cli.main(command.split() + ["--input", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

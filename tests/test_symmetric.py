@@ -52,7 +52,7 @@ def waring_decompositions(draw):
     A /= np.linalg.norm(A, axis=0)
     mu = rng.uniform(0.5, 2.0, r) * rng.choice([-1.0, 1.0], r)
     return WaringDecomposition(
-        m, d, tuple(SymmetricRankOneTerm(float(w), A[:, i], d) for i, w in enumerate(mu))
+        tuple(SymmetricRankOneTerm(float(w), A[:, i], d) for i, w in enumerate(mu))
     )
 
 
@@ -73,7 +73,7 @@ def _moved(decomp, Q=None, order=None, scales=None, flips=None):
         terms.append(
             SymmetricRankOneTerm(scales[i] * sign**d * t.mu, sign * (Q @ t.vector), d)
         )
-    return WaringDecomposition(decomp.m, d, tuple(terms))
+    return WaringDecomposition(tuple(terms))
 
 
 @given(waring_decompositions())
@@ -133,7 +133,7 @@ def test_odeco_kappa_is_one(m, d, r, seed):
     basis = random_orthonormal(rng, m, r)
     mu = rng.uniform(0.5, 2.0, r) * rng.choice([-1.0, 1.0], r)
     decomp = WaringDecomposition(
-        m, d, tuple(SymmetricRankOneTerm(float(w), basis[:, i], d) for i, w in enumerate(mu))
+        tuple(SymmetricRankOneTerm(float(w), basis[:, i], d) for i, w in enumerate(mu))
     )
     assert abs(waring_condition_number(decomp).kappa - 1.0) <= SIGMA_TOL
 

@@ -10,7 +10,6 @@ from joincond.tensor import khatri_rao, orthonormal_complements
 from joincond import (
     CPDecomposition,
     RankOneTerm,
-    Shape,
     assemble_cpd,
     normalize_decomposition,
 )
@@ -18,13 +17,13 @@ from conftest import kron, random_cpd, random_unit, rng_for
 
 
 def test_shape_basics():
-    s = Shape((3, 4, 2))
-    assert s.order == 3
-    assert s.ambient_dim == 24
+    # dims, order and ambient dimension are read from the terms' vectors
+    d = random_cpd(rng_for(11), (3, 4, 2), 2)
+    assert (d.dims, d.order, d.ambient_dim) == ((3, 4, 2), 3, 24)
     with pytest.raises(ValueError):
-        Shape((3, 0))
+        RankOneTerm(1.0, (np.array([1.0, 0.0, 0.0]), np.array([])))
     with pytest.raises(ValueError):
-        Shape(())
+        RankOneTerm(1.0, ())
 
 
 def _kr(vectors):
@@ -66,7 +65,7 @@ def test_assemble_cpd_matches_term_by_term_sum(rank):
     for j in range(rank):
         expected += terms[:, j]
     assembled = assemble_cpd(d)
-    assert assembled.shape == d.shape.dims
+    assert assembled.shape == d.dims
     out = assembled.ravel()
     if rank <= 7:
         assert np.array_equal(out, expected)
@@ -105,53 +104,11 @@ def test_rank_one_term_validation():
     assert term.mode_dims() == (2, 2)
 
 
-def test_assemble_single_term_basis():
-    e1 = np.array([1.0, 0.0])
-    d = CPDecomposition(Shape((2, 2, 2)), (RankOneTerm(1.0, (e1, e1, e1)),))
-    t = assemble_cpd(d)
-    expect = np.zeros(8)
-    expect[0] = 1.0
-    assert np.array_equal(t.ravel(), expect)
-
-
-def test_assemble_linearity_in_terms():
-    e1 = np.array([1.0, 0.0])
-    one = CPDecomposition(Shape((2, 2)), (RankOneTerm(1.0, (e1, e1)),))
-    two = CPDecomposition(
-        Shape((2, 2)),
-        (RankOneTerm(1.0, (e1, e1)), RankOneTerm(1.0, (e1, e1))),
-    )
-    assert np.allclose(assemble_cpd(two), 2.0 * assemble_cpd(one))
-
-
-def test_assemble_matches_elementwise_oracle():
-    rng = rng_for(14)
-    d = random_cpd(rng, (3, 3, 3), 3)
-    t = assemble_cpd(d)
-    oracle = np.zeros((3, 3, 3))
-    for term in d.terms:
-        a, b, c = term.vectors
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    oracle[j, k, l] += term.mu * a[j] * b[k] * c[l]
-    assert np.allclose(t, oracle, atol=1e-13)
-
-
 def test_assemble_invariant_under_term_permutation():
     rng = rng_for(15)
     d = random_cpd(rng, (2, 3, 4), 3)
-    flipped = CPDecomposition(d.shape, tuple(reversed(d.terms)))
+    flipped = CPDecomposition(tuple(reversed(d.terms)))
     assert np.allclose(assemble_cpd(d), assemble_cpd(flipped), atol=1e-14)
-
-
-def test_term_tensors_columns():
-    rng = rng_for(16)
-    d = random_cpd(rng, (2, 3), 2)
-    cols = d.term_tensors()
-    assert cols.shape == (6, 2)
-    for i, term in enumerate(d.terms):
-        assert np.allclose(cols[:, i], term.mu * kron(list(term.vectors)))
 
 
 def test_normalize_decomposition_explicit():
@@ -192,6 +149,11 @@ def test_normalize_rejects_zero_column():
     F2 = np.array([[1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="degenerate rank-one term"):
         normalize_decomposition([F1, F2])
+    # and no factor matrix, a 3-D one, or matrices of zero columns
+    for mats, match in [([], "at least one factor"), ([np.ones((2, 2, 2))], "2-dimensional"),
+                        ([np.ones((2, 0)), np.ones((3, 0))], "at least one column")]:
+        with pytest.raises(ValueError, match=match):
+            normalize_decomposition(mats)
 
 
 def _complement(v):
@@ -233,12 +195,14 @@ def test_cpd_json_roundtrip():
     d2 = CPDecomposition.from_json_dict(j)
     assert d2.rank == 2
     assert np.array_equal(assemble_cpd(d2), assemble_cpd(d))
+    with pytest.raises(ValueError, match="declared dims"):
+        CPDecomposition.from_json_dict({**j, "dims": [2, 2, 3]})
 
 
 def test_cpd_shape_mismatch_rejected():
     e1 = np.array([1.0, 0.0])
     e1_3 = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="do not match"):
+        CPDecomposition((RankOneTerm(1.0, (e1, e1)), RankOneTerm(1.0, (e1, e1_3))))
     with pytest.raises(ValueError):
-        CPDecomposition(Shape((2, 2)), (RankOneTerm(1.0, (e1, e1_3)),))
-    with pytest.raises(ValueError):
-        CPDecomposition(Shape((2, 2)), ())
+        CPDecomposition(())
