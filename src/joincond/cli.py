@@ -53,12 +53,18 @@ class InputError(Exception):
     """Unreadable or malformed input; maps to exit code 2."""
 
 
-def _load_json(path: str):
+def _read(path: str, parse, what: str):
+    """parse applied to the JSON document at path; every failure to read or
+    parse it is an InputError that names the file or the kind of document."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise InputError(f"cannot read JSON input {path}: {exc}") from exc
+    try:
+        return parse(data)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"invalid {what} JSON: {exc}") from exc
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -92,10 +98,7 @@ def _load_cpd(args) -> CPDecomposition:
             return normalize_decomposition(mats)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-    try:
-        return CPDecomposition.from_json_dict(_load_json(args.input))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"invalid decomposition JSON: {exc}") from exc
+    return _read(args.input, CPDecomposition.from_json_dict, "decomposition")
 
 
 def cmd_cond_cpd(args) -> int:
@@ -109,10 +112,7 @@ def cmd_cond_cpd(args) -> int:
 
 
 def cmd_cond_waring(args) -> int:
-    try:
-        decomp = WaringDecomposition.from_json_dict(_load_json(args.input))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"invalid decomposition JSON: {exc}") from exc
+    decomp = _read(args.input, WaringDecomposition.from_json_dict, "decomposition")
     try:
         report = waring_condition_number(decomp)
     except ValueError as exc:  # above condition.MAX_TANGENT_ENTRIES
@@ -121,28 +121,24 @@ def cmd_cond_waring(args) -> int:
     return EXIT_DIMENSION if is_defective(decomp.m, decomp.d, decomp.rank) else EXIT_OK
 
 
-def _load_tuple(data) -> SubspaceTuple:
-    try:
-        return SubspaceTuple.from_json_dict(data)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"invalid subspace tuple JSON: {exc}") from exc
+def _tuple_pair(data) -> tuple[SubspaceTuple, SubspaceTuple]:
+    if not (isinstance(data, list) and len(data) == 2):
+        raise InputError("dist mode expects a JSON array of two tuples")
+    return SubspaceTuple.from_json_dict(data[0]), SubspaceTuple.from_json_dict(data[1])
 
 
 def cmd_grassmann(args) -> int:
     if not 0 <= args.tol < math.inf:
         raise InputError("--tol must be a finite number >= 0")
-    data = _load_json(args.input)
     if args.mode == "dist":
-        if not (isinstance(data, list) and len(data) == 2):
-            raise InputError("dist mode expects a JSON array of two tuples")
-        first, second = _load_tuple(data[0]), _load_tuple(data[1])
+        first, second = _read(args.input, _tuple_pair, "subspace tuple")
         try:
             distance = projection_distance(first, second)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         _emit({"distance": distance}, args.out)
         return EXIT_OK
-    tup = _load_tuple(data)
+    tup = _read(args.input, SubspaceTuple.from_json_dict, "subspace tuple")
     if args.mode == "illposed":
         # one SVD: the distance is 0 when n > N, and tol >= 0 was checked
         distance = distance_to_illposed(tup)

@@ -282,9 +282,12 @@ class RefineResult:
 
     decomposition: CPDecomposition
     converged: bool
-    iterations: int
     objective: float
-    trace: tuple[tuple[float, float, int], ...] = ()
+    trace: tuple[tuple[float, float, int], ...]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 def _hadamard_of_grams(grams: Sequence[np.ndarray], skip: tuple[int, ...]) -> np.ndarray:
@@ -370,10 +373,9 @@ def cpd_refine(
     residual = khatri_rao(mats).sum(axis=1) - target_vec
     objective = 0.5 * float(residual @ residual)
     lam = 1e-2
-    iterations = 0
     trace = []
     converged = objective <= OBJECTIVE_TOL
-    while not converged and iterations < max_iterations:
+    while not converged and len(trace) < max_iterations:
         hessian, gradient = _normal_equations(mats, residual)
         diagonal = np.diag_indices_from(hessian)
         accepted = False
@@ -398,7 +400,6 @@ def cpd_refine(
                 break
             lam *= 10.0
             rejected += 1
-        iterations += 1
         if not accepted:
             trace.append((objective, lam, rejected))
             break
@@ -408,8 +409,8 @@ def cpd_refine(
     except ValueError:
         # A factor column collapsed to zero; report failure on the input.
         logger.warning("refinement produced a zero factor column")
-        return RefineResult(init, False, iterations, objective, tuple(trace))
-    return RefineResult(refined, converged, iterations, objective, tuple(trace))
+        return RefineResult(init, False, objective, tuple(trace))
+    return RefineResult(refined, converged, objective, tuple(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,17 @@ reproducible on its own.  The property tests run under one derandomized
 hypothesis profile, registered and loaded here.
 """
 
+import os
+import resource
+import subprocess
+import sys
 from functools import reduce
 
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import joincond
 from joincond import (
     CPDecomposition,
     RankOneTerm,
@@ -179,3 +184,21 @@ def dense_norm_balanced_sigma(decomp):
     M = np.hstack([norm_balanced_basis(t) for t in decomp.terms])
     s = np.linalg.svd(M, compute_uv=False)
     return (float(s[n - 1]) if n <= N else 0.0), float(s[0]), n, N
+
+
+def run_cli(argv, threads=1, capped=False):
+    """`python -m joincond.cli argv` in a fresh interpreter on the given
+    number of BLAS threads, with this checkout's src on the import path;
+    capped limits its address space to 1 GB, so that an unguarded
+    allocation fails at once instead of filling the machine."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    src = os.path.dirname(os.path.dirname(joincond.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "joincond.cli", *argv],
+        env=env, preexec_fn=cap if capped else None, capture_output=True, text=True, timeout=120,
+    )

@@ -3,10 +3,6 @@ with the documented exit codes."""
 
 import json
 import math
-import os
-import resource
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -36,6 +32,7 @@ from conftest import (
     random_subspace_tuple,
     random_waring,
     rng_for,
+    run_cli,
 )
 
 
@@ -90,45 +87,13 @@ def test_cond_cpd_csv_equals_json(tmp_path, capsys):
     assert a["n"] == b["n"] and a["N"] == b["N"]
 
 
-def test_cond_cpd_malformed_json_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"broken', encoding="utf-8")
-    code, out, err = _run(capsys, ["cond-cpd", "--input", str(bad)])
-    assert code == 2
-    assert out == ""
-    assert "error" in err
-
-
-def test_cond_cpd_missing_file_exits_2(tmp_path, capsys):
-    code, _, err = _run(capsys, ["cond-cpd", "--input", str(tmp_path / "nope.json")])
-    assert code == 2
-    assert err
-
-
-def test_cond_cpd_dimension_shortfall_exits_3_with_report(tmp_path, capsys):
-    rng = rng_for(123)
-    d = random_cpd(rng, (2, 2, 2), 3)  # n = 12 > N = 8
-    path = _write_json(tmp_path / "d.json", d.to_json_dict())
-    code, out, _ = _run(capsys, ["cond-cpd", "--input", path])
-    assert code == 3
-    payload = json.loads(out)
-    assert payload["kappa"] == "inf"
-    assert payload["n"] > payload["N"]
-
-
-@pytest.mark.parametrize("dims, fmt", [((5, 5), "json"), ((5, 1, 5), "json"), ((5, 5), "csv")])
-def test_cond_cpd_matrix_shaped_exits_3_with_report(tmp_path, capsys, dims, fmt):
-    # at most two modes of size >= 2 and r >= 2: a_1 x b_2 lies in the
-    # tangent spaces of both terms whatever the input, although n <= N
-    d = random_cpd(rng_for(149), dims, 2)
-    if fmt == "json":
-        spec = _write_json(tmp_path / "d.json", d.to_json_dict())
-    else:
-        paths = [tmp_path / f"f{k}.csv" for k in range(len(dims))]
-        for p, A in zip(paths, d.factor_matrices()):
-            np.savetxt(p, A, delimiter=",")
-        spec = ",".join(map(str, paths))
-    code, out, _ = _run(capsys, ["cond-cpd", "--input", spec, "--format", fmt])
+def test_cond_cpd_matrix_shaped_csv_exits_3_with_report(tmp_path, capsys):
+    # the CSV twin of the matrix rows of test_cli_fuzz::test_documents_that_exit_3
+    paths = [tmp_path / f"f{k}.csv" for k in range(2)]
+    for p, A in zip(paths, random_cpd(rng_for(149), (5, 5), 2).factor_matrices()):
+        np.savetxt(p, A, delimiter=",")
+    spec = ",".join(map(str, paths))
+    code, out, _ = _run(capsys, ["cond-cpd", "--input", spec, "--format", "csv"])
     assert code == 3
     payload = json.loads(out)
     assert payload["n"] <= payload["N"]
@@ -170,56 +135,11 @@ def test_cond_waring_odeco(tmp_path, capsys):
     assert payload == waring_condition_number(d).to_json_dict()
 
 
-def test_cond_waring_overfull_exits_3_with_report(tmp_path, capsys):
-    # n = r * m = 12 tangent directions in dim S^3(R^3) = 10 < N = 27
-    d = random_waring(rng_for(144), 3, 3, 4, signed=True)
-    path = _write_json(tmp_path / "w.json", d.to_json_dict())
-    code, out, _ = _run(capsys, ["cond-waring", "--input", path])
-    assert code == 3
-    payload = json.loads(out)
-    assert (payload["n"], payload["N"]) == (12, 27)
-    assert payload["kappa"] == "inf"
-    assert payload["well_posed"] is False
-    assert payload["sigma_min"] == 0.0
-    assert payload["path"] == "symmetric"
-
-
-@pytest.mark.parametrize("m, deg, r", [(5, 2, 3), (3, 4, 5)])
-def test_cond_waring_defective_shape_exits_3_with_report(tmp_path, capsys, m, deg, r):
-    # d = 2 with r >= 2, and an Alexander-Hirschowitz exception: the tangent
-    # spaces meet at every input although r * m <= C(m+d-1, d)
-    d = random_waring(rng_for(148), m, deg, r, signed=True)
-    path = _write_json(tmp_path / "w.json", d.to_json_dict())
-    code, out, _ = _run(capsys, ["cond-waring", "--input", path])
-    assert code == 3
-    payload = json.loads(out)
-    assert payload["kappa"] == "inf"
-    assert payload["well_posed"] is False
-    assert payload == waring_condition_number(d).to_json_dict()
-
-
-def _cli_in_subprocess(argv, threads="1", capped=False):
-    """The CLI in a fresh interpreter on the given number of BLAS threads;
-    capped limits its address space to 1 GB, so that an unguarded
-    allocation fails at once instead of filling the machine."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-    return subprocess.run(
-        [sys.executable, "-m", "joincond.cli", *argv],
-        env=env, preexec_fn=cap if capped else None, capture_output=True, text=True, timeout=120,
-    )
-
-
 def _cond_waring_capped(tmp_path, m, deg):
     """Capped cond-waring on the term e_1^(x deg) in R^m."""
     vector = [1.0] + [0.0] * (m - 1)
     path = _write_json(tmp_path / "w.json", {"m": m, "d": deg, "terms": [{"mu": 1.0, "vector": vector}]})
-    return _cli_in_subprocess(["cond-waring", "--input", path], capped=True)
+    return run_cli(["cond-waring", "--input", path], capped=True)
 
 
 def test_cond_waring_above_entry_limit_exits_2_before_allocating(tmp_path):
@@ -242,7 +162,7 @@ def test_cond_cpd_above_entry_limit_exits_2_before_allocating(tmp_path):
     # is the 1e7 x 640 stacked basis (51 GB)
     d = random_cpd(rng_for(160), (10,) * 7, 10)
     path = _write_json(tmp_path / "big.json", d.to_json_dict())
-    done = _cli_in_subprocess(["cond-cpd", "--input", path], capped=True)
+    done = run_cli(["cond-cpd", "--input", path], capped=True)
     assert done.returncode == 2, done.stderr
     assert "MAX_TANGENT_ENTRIES" in done.stderr
     assert "Traceback" not in done.stderr
@@ -252,7 +172,7 @@ def test_cond_cpd_above_entry_limit_exits_2_before_allocating(tmp_path):
 def test_cond_cpd_below_entry_limit_runs_under_the_cap(tmp_path):
     d = random_cpd(rng_for(161), (30, 30, 30), 10)
     path = _write_json(tmp_path / "d.json", d.to_json_dict())
-    done = _cli_in_subprocess(["cond-cpd", "--input", path], capped=True)
+    done = run_cli(["cond-cpd", "--input", path], capped=True)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["path"] == "compressed"
 
@@ -267,16 +187,9 @@ def test_engine_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     ]
     for i, (command, d) in enumerate(docs):
         path = _write_json(tmp_path / f"{i}.json", d.to_json_dict())
-        one, two = (_cli_in_subprocess([command, "--input", path], threads=t) for t in "12")
+        one, two = (run_cli([command, "--input", path], threads=t) for t in (1, 2))
         assert one.returncode == two.returncode == 0, (one.stderr, two.stderr)
         assert one.stdout == two.stdout, command
-
-
-def test_cond_waring_malformed_exits_2(tmp_path, capsys):
-    path = _write_json(tmp_path / "w.json", {"m": 3, "terms": []})
-    code, _, err = _run(capsys, ["cond-waring", "--input", path])
-    assert code == 2
-    assert err
 
 
 def test_grassmann_dist_identical_tuples(tmp_path, capsys):
@@ -286,15 +199,6 @@ def test_grassmann_dist_identical_tuples(tmp_path, capsys):
     code, out, _ = _run(capsys, ["grassmann", "--input", path, "--mode", "dist"])
     assert code == 0
     assert json.loads(out)["distance"] <= 1e-12
-
-
-def test_grassmann_dist_needs_pair(tmp_path, capsys):
-    rng = rng_for(127)
-    t = random_subspace_tuple(rng, 4, (1, 1))
-    path = _write_json(tmp_path / "single.json", t.to_json_dict())
-    code, _, err = _run(capsys, ["grassmann", "--input", path, "--mode", "dist"])
-    assert code == 2
-    assert err
 
 
 def test_grassmann_illposed_orthogonal_lines(tmp_path, capsys):
@@ -345,24 +249,6 @@ def test_grassmann_certify_matches_illposed(tmp_path, capsys):
     assert math.isclose(payload["distance"], library.distance, rel_tol=1e-12)
 
 
-def test_grassmann_certify_overfull_exits_3(tmp_path, capsys):
-    rng = rng_for(129)
-    t = random_subspace_tuple(rng, 3, (2, 2))
-    path = _write_json(tmp_path / "t.json", t.to_json_dict())
-    code, _, err = _run(capsys, ["grassmann", "--input", path, "--mode", "certify"])
-    assert code == 3
-    assert err
-
-
-def test_grassmann_certify_single_block_exits_2(tmp_path, capsys):
-    rng = rng_for(130)
-    t = random_subspace_tuple(rng, 4, (2,))
-    path = _write_json(tmp_path / "t.json", t.to_json_dict())
-    code, _, err = _run(capsys, ["grassmann", "--input", path, "--mode", "certify"])
-    assert code == 2
-    assert err
-
-
 def test_grassmann_certify_tolerance_failure_exits_4(tmp_path, capsys, monkeypatch):
     rng = rng_for(131)
     t = random_subspace_tuple(rng, 5, (1, 1))
@@ -375,14 +261,6 @@ def test_grassmann_certify_tolerance_failure_exits_4(tmp_path, capsys, monkeypat
     code, _, err = _run(capsys, ["grassmann", "--input", path, "--mode", "certify"])
     assert code == 4
     assert "certificate" in err
-
-
-def test_grassmann_invalid_tuple_exits_2(tmp_path, capsys):
-    payload = {"N": 3, "blocks": [[[1.0, 1.0, 0.0]]]}  # not unit norm
-    path = _write_json(tmp_path / "t.json", payload)
-    code, _, err = _run(capsys, ["grassmann", "--input", path, "--mode", "illposed"])
-    assert code == 2
-    assert err
 
 
 def test_experiment_paatero_matches_library_and_reruns_identically(tmp_path, capsys):
@@ -478,48 +356,6 @@ def test_unknown_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_cond_cpd_infinite_mu_exits_2(tmp_path, capsys):
-    payload = random_cpd(rng_for(140), (3, 2, 2), 2).to_json_dict()
-    payload["terms"][0]["mu"] = math.inf
-    path = _write_json(tmp_path / "d.json", payload)
-    code, _, err = _run(capsys, ["cond-cpd", "--input", path])
-    assert code == 2
-    assert "finite" in err
-
-
-def test_cond_waring_nan_mu_exits_2(tmp_path, capsys):
-    payload = {"m": 2, "d": 3, "terms": [{"mu": math.nan, "vector": [1.0, 0.0]}]}
-    path = _write_json(tmp_path / "w.json", payload)
-    code, _, err = _run(capsys, ["cond-waring", "--input", path])
-    assert code == 2
-    assert "finite" in err
-
-
-def test_cond_cpd_nan_mode_vector_exits_2(tmp_path, capsys):
-    payload = random_cpd(rng_for(141), (3, 2, 2), 2).to_json_dict()
-    payload["terms"][1]["vectors"][0][0] = math.nan
-    path = _write_json(tmp_path / "d.json", payload)
-    code, _, err = _run(capsys, ["cond-cpd", "--input", path])
-    assert code == 2
-    assert "unit norm" in err
-
-
-def test_cond_waring_nan_vector_exits_2(tmp_path, capsys):
-    payload = {"m": 2, "d": 3, "terms": [{"mu": 1.0, "vector": [math.nan, 0.0]}]}
-    path = _write_json(tmp_path / "w.json", payload)
-    code, _, err = _run(capsys, ["cond-waring", "--input", path])
-    assert code == 2
-    assert "unit norm" in err
-
-
-def test_grassmann_illposed_nan_basis_exits_2(tmp_path, capsys):
-    payload = {"N": 3, "blocks": [[[1.0, 0.0, 0.0]], [[0.0, math.nan, 0.0]]]}
-    path = _write_json(tmp_path / "t.json", payload)
-    code, _, err = _run(capsys, ["grassmann", "--input", path, "--mode", "illposed"])
-    assert code == 2
-    assert "orthonormality" in err
-
-
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_experiment_model_nonpositive_samples_exits_2(tmp_path, capsys, samples):
     argv = ["experiment", "--name", "model", "--samples", samples, "--out", str(tmp_path / "m")]
@@ -582,24 +418,10 @@ def test_grassmann_illposed_bad_tolerance_exits_2(tmp_path, capsys, tol):
     assert "--tol" in err
 
 
-def test_cond_cpd_fractional_dims_exits_2(tmp_path, capsys):
-    payload = {"dims": [2.5, 2], "terms": [{"mu": 1.0, "vectors": [[1.0, 0.0], [1.0, 0.0]]}]}
-    path = _write_json(tmp_path / "d.json", payload)
-    code, out, err = _run(capsys, ["cond-cpd", "--input", path])
-    assert code == 2
-    assert out == ""
-    assert "dims must be an integer" in err
-    payload["dims"] = [2.0, 2]  # an integral float is an integer
-    assert _run(capsys, ["cond-cpd", "--input", _write_json(tmp_path / "e.json", payload)])[0] == 0
-
-
-def test_cond_waring_fractional_m_exits_2(tmp_path, capsys):
-    payload = {"m": 2.7, "d": 3, "terms": [{"mu": 1.0, "vector": [1.0, 0.0]}]}
-    path = _write_json(tmp_path / "w.json", payload)
-    code, out, err = _run(capsys, ["cond-waring", "--input", path])
-    assert code == 2
-    assert out == ""
-    assert "m must be an integer" in err
+def test_cond_cpd_integral_float_dims_exit_0(tmp_path, capsys):
+    # 2.5 is refused (test_cli_fuzz::test_documents_that_raised_exit_2); 2.0 is an integer
+    payload = {"dims": [2.0, 2], "terms": [{"mu": 1.0, "vectors": [[1.0, 0.0], [1.0, 0.0]]}]}
+    assert _run(capsys, ["cond-cpd", "--input", _write_json(tmp_path / "d.json", payload)])[0] == 0
 
 
 def test_cond_cpd_reports_path_and_sigma_1(tmp_path, capsys):
@@ -612,15 +434,6 @@ def test_cond_cpd_reports_path_and_sigma_1(tmp_path, capsys):
     assert payload["path"] == "compressed"
     U = cpd_tangent_tuple(d).stacked()
     assert math.isclose(payload["sigma_1"], np.linalg.svd(U, compute_uv=False)[0], rel_tol=1e-12)
-
-
-def test_grassmann_fractional_ambient_dim_exits_2(tmp_path, capsys):
-    payload = {"N": 3.5, "blocks": [[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]]}
-    path = _write_json(tmp_path / "t.json", payload)
-    code, out, err = _run(capsys, ["grassmann", "--input", path, "--mode", "illposed"])
-    assert code == 2
-    assert out == ""
-    assert "ambient dimension must be an integer" in err
 
 
 def test_parser_is_built_once_and_reused_across_calls(tmp_path, capsys, monkeypatch):

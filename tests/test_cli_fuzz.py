@@ -24,6 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import joincond.cli as cli
+from joincond import (
+    CPDecomposition,
+    WaringDecomposition,
+    cpd_condition_number,
+    waring_condition_number,
+)
 from joincond.waring import MAX_ORDER
 
 # the conftest profile, with 150 examples instead of 120
@@ -283,49 +289,137 @@ def test_cond_cpd_csv_failures_exit_2(tmp_path, capsys, case, second):
 BIG = "1" + "0" * 400  # an integer literal too large for a float
 
 
+# Each row: the command, the document's text (None: no file at that path),
+# and a substring that stderr must hold.
 @pytest.mark.parametrize(
-    "command, text",
+    "command, text, err",
     [
-        ("cond-cpd", '{"dims": [2], "terms": [{"mu": %s, "vectors": [[1.0, 0.0]]}]}' % BIG),
-        ("cond-cpd", '{"dims": [1], "terms": [{"mu": 1.0, "vectors": [[1e308]]}]}'),
-        ("cond-waring", '{"m": 2, "d": 3, "terms": [{"mu": 1.0, "vector": [%s, 0]}]}' % BIG),
-        ("grassmann", '{"N": 2, "blocks": [[[%s, 0]]]}' % BIG),
-        ("grassmann", "\udcff"),
-        ("cond-cpd", "[" * 5000),
-        ("cond-waring", '{"m": 1, "d": 171, "terms": [{"mu": 1.0, "vector": [1.0]}]}'),
+        ("cond-cpd", None, ""),
+        ("cond-cpd", '{"broken', ""),
+        ("cond-cpd", "[" * 5000, ""),
+        ("grassmann", "\udcff", ""),
+        ("cond-waring", '{"m": 3, "terms": []}', ""),
+        ("cond-cpd", '{"dims": [2], "terms": [{"mu": %s, "vectors": [[1.0, 0.0]]}]}' % BIG, ""),
+        ("cond-cpd", '{"dims": [1], "terms": [{"mu": 1.0, "vectors": [[1e308]]}]}', ""),
+        ("cond-waring", '{"m": 2, "d": 3, "terms": [{"mu": 1.0, "vector": [%s, 0]}]}' % BIG, ""),
+        ("grassmann", '{"N": 2, "blocks": [[[%s, 0]]]}' % BIG, ""),
+        # non-finite weights, vectors and bases
+        ("cond-cpd", '{"dims": [2], "terms": [{"mu": Infinity, "vectors": [[1, 0]]}]}', "finite"),
+        ("cond-waring", '{"m": 2, "d": 3, "terms": [{"mu": NaN, "vector": [1, 0]}]}', "finite"),
+        ("cond-cpd", '{"dims": [2, 2], "terms": [{"mu": 1.0, "vectors": [[NaN, 0], [1, 0]]}]}',
+         "unit norm"),
+        ("cond-waring", '{"m": 2, "d": 3, "terms": [{"mu": 1.0, "vector": [NaN, 0]}]}',
+         "unit norm"),
+        ("grassmann --mode illposed", '{"N": 3, "blocks": [[[1, 0, 0]], [[0, NaN, 0]]]}',
+         "orthonormality"),
+        ("grassmann --mode illposed", '{"N": 3, "blocks": [[[1, 1, 0]]]}', ""),
+        # non-integral dims, m, d and N, and Waring orders outside 1..MAX_ORDER
+        ("cond-cpd", '{"dims": [2.5, 2], "terms": [{"mu": 1.0, "vectors": [[1, 0], [1, 0]]}]}',
+         "dims must be an integer"),
+        ("cond-waring", '{"m": 2.7, "d": 3, "terms": [{"mu": 1.0, "vector": [1, 0]}]}',
+         "m must be an integer"),
+        ("cond-waring", '{"m": 2, "d": 2.5, "terms": [{"mu": 1.0, "vector": [1, 0]}]}',
+         "d must be an integer"),
+        ("grassmann --mode illposed", '{"N": 3.5, "blocks": [[[1, 0, 0]], [[0, 1, 0]]]}',
+         "ambient dimension must be an integer"),
+        ("cond-waring", '{"m": 2, "d": 0, "terms": [{"mu": 1.0, "vector": [1, 0]}]}',
+         "order must be in 1..170"),
+        ("cond-waring", '{"m": 1, "d": 171, "terms": [{"mu": 1.0, "vector": [1.0]}]}', ""),
         # a string, boolean or null is no number, and a nested list no vector
-        ("cond-cpd", '{"dims": [true, 2], "terms": [{"mu": 1.0, "vectors": [[1], [1, 0]]}]}'),
-        ("cond-cpd", '{"dims": [2], "terms": [{"mu": "2.5", "vectors": [[1, 0]]}]}'),
-        ("cond-cpd", '{"dims": [2], "terms": [{"mu": true, "vectors": [[1, 0]]}]}'),
-        ("cond-cpd", '{"dims": [2], "terms": [{"mu": 1.0, "vectors": [["1", "0"]]}]}'),
-        ("cond-cpd", '{"dims": [2], "terms": [{"mu": 1.0, "vectors": [[1, false]]}]}'),
-        ("cond-cpd", '{"dims": [2], "terms": [{"mu": 1.0, "vectors": [[[1, 0]]]}]}'),
-        ("cond-waring", '{"m": 2, "d": true, "terms": [{"mu": 1.0, "vector": [1, 0]}]}'),
-        ("cond-waring", '{"m": 2, "d": 3, "terms": [{"mu": 1.0, "vector": ["1", "0"]}]}'),
-        ("cond-waring", '{"m": 2, "d": 3, "terms": [{"mu": 1.0, "vector": [[1, 0]]}]}'),
-        ("grassmann", '{"N": true, "blocks": [[[1]]]}'),
-        ("grassmann", '{"N": 2, "blocks": [[["1", 0]], [[0, "1"]]]}'),
-        ("grassmann", '{"N": 2, "blocks": [[[1, false]], [[false, 1]]]}'),
+        ("cond-cpd", '{"dims": [true, 2], "terms": [{"mu": 1.0, "vectors": [[1], [1, 0]]}]}', ""),
+        ("cond-cpd", '{"dims": [2], "terms": [{"mu": "2.5", "vectors": [[1, 0]]}]}', ""),
+        ("cond-cpd", '{"dims": [2], "terms": [{"mu": true, "vectors": [[1, 0]]}]}', ""),
+        ("cond-cpd", '{"dims": [2], "terms": [{"mu": 1.0, "vectors": [["1", "0"]]}]}', ""),
+        ("cond-cpd", '{"dims": [2], "terms": [{"mu": 1.0, "vectors": [[1, false]]}]}', ""),
+        ("cond-cpd", '{"dims": [2], "terms": [{"mu": 1.0, "vectors": [[[1, 0]]]}]}', ""),
+        ("cond-waring", '{"m": 2, "d": true, "terms": [{"mu": 1.0, "vector": [1, 0]}]}', ""),
+        ("cond-waring", '{"m": 2, "d": 3, "terms": [{"mu": 1.0, "vector": ["1", "0"]}]}', ""),
+        ("cond-waring", '{"m": 2, "d": 3, "terms": [{"mu": 1.0, "vector": [[1, 0]]}]}', ""),
+        ("grassmann", '{"N": true, "blocks": [[[1]]]}', ""),
+        ("grassmann", '{"N": 2, "blocks": [[["1", 0]], [[0, "1"]]]}', ""),
+        ("grassmann", '{"N": 2, "blocks": [[[1, false]], [[false, 1]]]}', ""),
         # declared dims or m that are not the vectors'
-        ("cond-cpd", '{"dims": [3], "terms": [{"mu": 1.0, "vectors": [[1, 0]]}]}'),
-        ("cond-waring", '{"m": 3, "d": 2, "terms": [{"mu": 1.0, "vector": [1, 0]}]}'),
+        ("cond-cpd", '{"dims": [3], "terms": [{"mu": 1.0, "vectors": [[1, 0]]}]}', ""),
+        ("cond-waring", '{"m": 3, "d": 2, "terms": [{"mu": 1.0, "vector": [1, 0]}]}', ""),
         # a term without mode vectors, blocks of the wrong height or no
-        # width, and a pair of tuples in different ambient spaces
-        ("cond-cpd", '{"dims": [], "terms": [{"mu": 1.0, "vectors": []}]}'),
-        ("grassmann", '{"N": 3, "blocks": [[[1, 0]]]}'),
-        ("grassmann", '{"N": 3, "blocks": [[], [[0, 1, 0]]]}'),
+        # width, one tuple or a pair in different ambient spaces for --mode
+        # dist, and one block to certify
+        ("cond-cpd", '{"dims": [], "terms": [{"mu": 1.0, "vectors": []}]}', ""),
+        ("grassmann", '{"N": 3, "blocks": [[[1, 0]]]}', ""),
+        ("grassmann", '{"N": 3, "blocks": [[], [[0, 1, 0]]]}', ""),
+        ("grassmann --mode dist", '{"N": 4, "blocks": [[[1, 0, 0, 0]], [[0, 1, 0, 0]]]}', ""),
         ("grassmann --mode dist",
-         '[{"N": 2, "blocks": [[[1, 0]]]}, {"N": 3, "blocks": [[[1, 0, 0]]]}]'),
+         '[{"N": 2, "blocks": [[[1, 0]]]}, {"N": 3, "blocks": [[[1, 0, 0]]]}]', ""),
+        ("grassmann --mode certify", '{"N": 4, "blocks": [[[1, 0, 0, 0], [0, 1, 0, 0]]]}', ""),
     ],
 )
-def test_documents_that_raised_exit_2(tmp_path, capsys, command, text):
+def test_documents_that_raised_exit_2(tmp_path, capsys, command, text, err):
     path = tmp_path / "doc.json"
-    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    if text is not None:
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
     code = cli.main(command.split() + ["--input", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert err in captured.err
+
+
+LIBRARY = {
+    "cond-cpd": lambda doc: cpd_condition_number(CPDecomposition.from_json_dict(doc)),
+    "cond-waring": lambda doc: waring_condition_number(WaringDecomposition.from_json_dict(doc)),
+}
+
+
+# Each row: a document that is ill posed by its dimensions alone.  Its
+# vectors are basis vectors and (0.6, 0.8) pairs, so no verdict rests on
+# rounding.
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        # n = 12 > N = 8
+        ("cond-cpd", '{"dims": [2, 2, 2], "terms": ['
+         '{"mu": 1.0, "vectors": [[1, 0], [1, 0], [1, 0]]}, '
+         '{"mu": 1.0, "vectors": [[0, 1], [0, 1], [0, 1]]}, '
+         '{"mu": 1.0, "vectors": [[0.6, 0.8], [0.6, 0.8], [0.6, 0.8]]}]}'),
+        # matrix decompositions with n <= N: a_1 x b_2 lies in both tangent spaces
+        ("cond-cpd", '{"dims": [5, 5], "terms": ['
+         '{"mu": 1.0, "vectors": [[1, 0, 0, 0, 0], [1, 0, 0, 0, 0]]}, '
+         '{"mu": 2.0, "vectors": [[0, 1, 0, 0, 0], [0, 1, 0, 0, 0]]}]}'),
+        ("cond-cpd", '{"dims": [5, 1, 5], "terms": ['
+         '{"mu": 1.0, "vectors": [[1, 0, 0, 0, 0], [1], [1, 0, 0, 0, 0]]}, '
+         '{"mu": 2.0, "vectors": [[0, 1, 0, 0, 0], [1], [0.6, 0.8, 0, 0, 0]]}]}'),
+        # n = r * m = 12 > dim S^3(R^3) = 10
+        ("cond-waring", '{"m": 3, "d": 3, "terms": ['
+         '{"mu": 1.0, "vector": [1, 0, 0]}, {"mu": 1.0, "vector": [0, 1, 0]}, '
+         '{"mu": -1.0, "vector": [0, 0, 1]}, {"mu": 1.0, "vector": [0.6, 0.8, 0]}]}'),
+        # d = 2 with r >= 2, and the Alexander-Hirschowitz shape (m, d, r) = (3, 4, 5)
+        ("cond-waring", '{"m": 5, "d": 2, "terms": ['
+         '{"mu": 1.0, "vector": [1, 0, 0, 0, 0]}, {"mu": -1.0, "vector": [0, 1, 0, 0, 0]}, '
+         '{"mu": 1.0, "vector": [0, 0, 0.6, 0.8, 0]}]}'),
+        ("cond-waring", '{"m": 3, "d": 4, "terms": ['
+         '{"mu": 1.0, "vector": [1, 0, 0]}, {"mu": 1.0, "vector": [0, 1, 0]}, '
+         '{"mu": 1.0, "vector": [0, 0, 1]}, {"mu": -1.0, "vector": [0.6, 0.8, 0]}, '
+         '{"mu": 1.0, "vector": [0, 0.6, 0.8]}]}'),
+        # n = 4 > N = 3: no certificate
+        ("grassmann --mode certify",
+         '{"N": 3, "blocks": [[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]]}'),
+    ],
+)
+def test_documents_that_exit_3(tmp_path, capsys, command, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    code = cli.main(command.split() + ["--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    if command.startswith("grassmann"):
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        return
+    payload = json.loads(captured.out)
+    assert payload["kappa"] == "inf"
+    assert payload["well_posed"] is False
+    assert payload == LIBRARY[command](json.loads(text)).to_json_dict()
 
 
 def test_waring_runs_at_the_order_bound(tmp_path, capsys):
