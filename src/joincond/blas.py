@@ -28,10 +28,13 @@ Inside either scope results do not depend on the BLAS thread count.
 numpy has no thread control, so single_threaded() calls OpenBLAS's own
 get/set functions through ctypes, on the OpenBLAS that a numpy wheel ships
 (numpy.libs/ or numpy/.dylibs/).  Where none is found, e.g. a numpy built
-on another BLAS, it does nothing.  The setting is process-wide and each
-scope restores the count it found, so neither scope, nor any engine call
-that uses one, is safe to run from several Python threads at once: one
-thread's restore can undo another's setting.
+on another BLAS, it does nothing.  The setting is process-wide, so the
+scopes of all Python threads share one depth count under a module lock:
+only the outermost scope saves the count and sets one thread, and only the
+last scope to close restores it.  Scopes nested or interleaved across
+threads are thus safe, and a nested scope makes no ctypes call.  The cost
+is that BLAS work outside any scope runs on one thread while another
+Python thread is inside one.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -75,20 +79,35 @@ def openblas_controls():
     return None
 
 
+# Open single_threaded() scopes across all Python threads, and the count
+# the outermost one found.
+_lock = threading.Lock()
+_depth = 0
+_saved = 0
+
+
 @contextlib.contextmanager
 def single_threaded():
-    """Run the body with one BLAS thread; restore the previous count after."""
+    """Run the body with one BLAS thread; the last scope to close restores
+    the count that the first one found."""
+    global _depth, _saved
     controls = openblas_controls()
     if controls is None:
         yield
         return
     get, set_ = controls
-    previous = get()
-    set_(1)
+    with _lock:
+        if _depth == 0:
+            _saved = get()
+            set_(1)
+        _depth += 1
     try:
         yield
     finally:
-        set_(previous)
+        with _lock:
+            _depth -= 1
+            if _depth == 0:
+                set_(_saved)
 
 
 def svd_threads(shape):

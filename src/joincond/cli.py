@@ -67,8 +67,34 @@ def _read(path: str, parse, what: str):
         raise InputError(f"invalid {what} JSON: {exc}") from exc
 
 
+def _dumps(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    indent=2 forces json's pure-Python encoder, so this writes the layout
+    itself: each scalar and key goes through json.dumps, and a non-empty
+    list of finite, exactly-float items is written in one str() call, whose
+    float repr is json's.  Lists holding NaN or inf (json writes NaN and
+    Infinity), other types or nothing take the generic branch.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{inner}{json.dumps(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj))
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if type(obj) is list and obj and set(map(type, obj)) == {float}:
+        text = str(obj)
+        if "n" not in text:  # nan, inf
+            return "[\n" + inner + text[1:-1].replace(", ", ",\n" + inner) + "\n" + indent + "]"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[\n" + ",\n".join(inner + _dumps(x, inner) for x in obj) + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _dumps(payload)
     if out is None:
         print(text)
     else:

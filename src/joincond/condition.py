@@ -15,7 +15,6 @@ gesdd takes the same QR itself at that shape, so the results are unchanged.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,6 +26,13 @@ from .tensor import as_int, as_vector
 # A block is accepted as orthonormal when max |U^T U - I| stays below this.
 ORTHONORMAL_TOL = 1e-10
 # sigma_min at or below RANK_TOL_FACTOR * max(1, sigma_1) counts as zero.
+# segre.norm_balanced_condition_number weights term i by w_i = mu_i^(1-1/d):
+# its sigma_1 is sqrt(d) * max w_i and its sigma_n about min w_i at most, so
+# kappa becomes inf once the spread max w / min w passes about
+# 1/RANK_TOL_FACTOR (at (3,3,3) r=2, mu = (1e20, 1) is finite and (1e22, 1)
+# inf).  Digits go before that: sigma_n's rounding error is near eps * sigma_1,
+# and over 40 random (3,3,3) r=2 inputs kappa at mu = (1e20, 1) moved by up
+# to 3e-4, relatively, from its value at (1e14, 1).
 RANK_TOL_FACTOR = 1e-14
 # The CP and Waring engines refuse, before allocating, an input whose build
 # and decomposition hold more floats than this (0.8 GB) at once; each counts
@@ -39,8 +45,9 @@ class SubspaceTuple:
     """Subspaces W_1, ..., W_r of a common R^N, each an orthonormal column basis.
 
     The engine's one input type: the tangent bases of a join decomposition
-    and general subspace tuples alike.  All operations depend on the
-    subspaces only, never on the chosen bases.
+    and general subspace tuples alike.  Every operation but sha256()
+    depends on the subspaces only, never on the chosen bases; sha256()
+    identifies the input as given, basis and all.
     """
 
     ambient_dim: int
@@ -87,8 +94,14 @@ class SubspaceTuple:
         return cls(obj["N"], blocks)
 
     def sha256(self) -> str:
-        canonical = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+        """sha256 over the little-endian int64 header [N, r, n_1, ..., n_r],
+        then each block's columns, in the JSON's order, as little-endian
+        float64 (W.T in C order).  It hashes the basis, not the subspaces."""
+        header = (self.ambient_dim, len(self.subspaces)) + self.block_dims
+        digest = hashlib.sha256(np.array(header, dtype="<i8").tobytes())
+        for W in self.subspaces:
+            digest.update(W.T.astype("<f8", copy=False).tobytes())
+        return digest.hexdigest()
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,9 +155,8 @@ def least_singular_triplet(M) -> tuple[float, np.ndarray, float]:
     right vectors, and the N x n left factor is never formed.  LAPACK's
     gesdd takes that same QR internally above N = 11n/6, so the rule changes
     no bits, only the work and memory spent on the left vectors.  Both run
-    under blas.svd_threads, which sets OpenBLAS's process-wide thread count:
-    this and the engines that call it are not safe to run from several
-    Python threads at once.
+    under blas.svd_threads, which may set OpenBLAS's process-wide thread
+    count (see blas for how scopes in several Python threads share it).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -164,9 +176,10 @@ def least_singular_triplet(M) -> tuple[float, np.ndarray, float]:
             # ones.
             u, s, _ = np.linalg.svd(M.T, full_matrices=full)
             vt = u.T
+    # abs: LAPACK can return a zero singular value as -0.0
     if full:
-        return 0.0, vt[-1].copy(), float(s[0])
-    return float(s[n - 1]), vt[n - 1].copy(), float(s[0])
+        return 0.0, vt[-1].copy(), abs(float(s[0]))
+    return abs(float(s[n - 1])), vt[n - 1].copy(), abs(float(s[0]))
 
 
 def kappa_from_singular_values(sigma_n: float, sigma_1: float, n: int, N: int) -> float:

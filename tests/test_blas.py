@@ -1,5 +1,7 @@
 """Single-threaded BLAS scopes: the model experiment and the engine SVDs."""
 
+import threading
+
 import pytest
 
 import joincond.blas as blas
@@ -29,6 +31,39 @@ def test_single_threaded_restores_after_an_error():
     before = get()
     with pytest.raises(RuntimeError), blas.single_threaded():
         raise RuntimeError("inside")
+    assert get() == before
+
+
+def test_single_threaded_scopes_interleaved_across_threads_restore_the_count():
+    # A opens, B opens, A closes, B closes: with a save and restore per
+    # scope, B would restore A's one thread for good
+    controls = blas.openblas_controls()
+    if controls is None:
+        pytest.skip("numpy ships no OpenBLAS whose thread count can be set")
+    get, _ = controls
+    before = get()
+    barrier = threading.Barrier(2, timeout=30)
+    seen = {}
+
+    def scope(name, closes_first):
+        with blas.single_threaded():
+            barrier.wait()  # both open
+            if not closes_first:
+                barrier.wait()  # the other has closed
+            seen[name] = get()
+        if closes_first:
+            seen[name + " closed"] = get()
+            barrier.wait()
+
+    threads = [threading.Thread(target=scope, args=("A", True)),
+               threading.Thread(target=scope, args=("B", False))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    # A's close leaves B's scope on one thread; B's close restores the count
+    assert seen == {"A": 1, "A closed": 1, "B": 1}
     assert get() == before
 
 

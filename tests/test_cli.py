@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import joincond.cli as cli
 from joincond import (
@@ -469,3 +471,26 @@ def test_parser_is_built_once_and_reused_across_calls(tmp_path, capsys, monkeypa
     # the same calls, each through a freshly built parser, print the same bytes
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     assert run_all() == reused
+
+
+# The emitter's float lists: finite ones take its str() branch, and lists
+# with NaN, inf, np.float64 or other items take the generic one.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FLOATS = st.one_of(
+    FINITE,
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-310, 1e300, 5e-324]),
+    FINITE.map(np.float64),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, st.text())
+PAYLOADS = st.recursive(
+    st.one_of(SCALARS, st.lists(FINITE), st.lists(FLOATS)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(payload=PAYLOADS)
+@example(payload={"a": [], "b": {}, "c": [[1.0, -0.0], [2.0, math.nan]], "\u00e9": [1e300, 1]})
+@example(payload=[True, 1.0])
+def test_emitter_writes_the_bytes_of_json_dumps(payload):
+    assert cli._dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)

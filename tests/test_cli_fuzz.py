@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -412,6 +413,8 @@ def test_documents_that_exit_3(tmp_path, capsys, command, text):
     code = cli.main(command.split() + ["--input", str(path)])
     captured = capsys.readouterr()
     assert code == 3
+    # no -0.0 token: a zero singular value is +0.0
+    assert "-0.0" not in re.findall(r"[-+.\w]+", captured.out)
     if command.startswith("grassmann"):
         assert captured.out == ""
         assert captured.err.startswith("error: ")

@@ -1,5 +1,6 @@
 """Projection distances, the ill-posed locus, and nearest-tuple certificates."""
 
+import hashlib
 import json
 import math
 
@@ -278,6 +279,34 @@ def test_certificate_error_carries_residuals():
     err = CertificateError("missed", 1e-3, 2e-5)
     assert err.distance_residual == 1e-3
     assert err.intersect_residual == 2e-5
+
+
+README_TUPLE = '{"N": 3, "blocks": [[[1, 0, 0]], [[0, 1, 0]]]}'
+
+
+def _recipe_sha256(doc):
+    """The README's recipe for input_sha256, from the JSON document alone."""
+    blocks = doc["blocks"]
+    header = np.array([doc["N"], len(blocks), *map(len, blocks)], dtype="<i8").tobytes()
+    return hashlib.sha256(
+        header + b"".join(np.array(cols, dtype="<f8").tobytes() for cols in blocks)
+    ).hexdigest()
+
+
+def test_input_sha256_is_pinned_and_follows_the_readme_recipe():
+    doc = json.loads(README_TUPLE)
+    digest = SubspaceTuple.from_json_dict(doc).sha256()
+    assert digest == "9676178105d7ff91284cb26adeb8dd3fdc0143222daaef5acb84cb86ac55736f"
+    assert digest == _recipe_sha256(doc)
+    variants = [
+        {"N": 4, "blocks": [[[1, 0, 0, 0]], [[0, 1, 0, 0]]]},  # N
+        {"N": 3, "blocks": [[[1, 0, 0], [0, 1, 0]]]},  # the block split
+        {"N": 3, "blocks": [[[0, 1, 0]], [[1, 0, 0]]]},  # the block order
+        {"N": 3, "blocks": [[[1, -0.0, 0]], [[0, 1, 0]]]},  # a 0.0 to -0.0
+    ]
+    for variant in variants:
+        changed = SubspaceTuple.from_json_dict(variant).sha256()
+        assert changed == _recipe_sha256(variant) != digest
 
 
 def test_tuple_json_roundtrip_and_hash_echo():

@@ -315,3 +315,20 @@ def test_is_defective_matrix_shapes_and_overfull(dims, r, defective):
         d = random_cpd(rng, dims, r)
         assert is_defective(d) == defective
         assert (cpd_condition_number(d).kappa == math.inf) == defective
+
+
+def test_norm_balanced_is_inf_once_the_weight_spread_passes_the_rank_tolerance():
+    # the weights mu_i^(2/3) are 1e13.3 and 1 at mu = (1e20, 1), and 1e14.7
+    # and 1 at (1e22, 1): sigma_1 = sqrt(3) * 1e14.7 puts the rank tolerance
+    # above sigma_n (about 0.7); the term-wise kappa does not see mu at all
+    a = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    e = np.eye(3)
+    first = (e[0], e[1], e[0])
+    second = (a, a[[0, 2, 1]], a[[2, 0, 1]])
+    kappas = {}
+    for mu in (1.0, 1e20, 1e22):
+        d = CPDecomposition((RankOneTerm(mu, first), RankOneTerm(1.0, second)))
+        kappas[mu] = (cpd_condition_number(d).kappa, norm_balanced_condition_number(d))
+    assert kappas[1e20][0] == kappas[1e22][0] == kappas[1.0][0] < math.inf
+    assert math.isfinite(kappas[1e20][1])
+    assert kappas[1e22][1] == math.inf
