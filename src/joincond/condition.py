@@ -116,6 +116,7 @@ class ConditionReport:
     path names the matrix that was decomposed: "dense" for the stacked
     basis itself, "compressed" for its Tucker-compressed form (see segre),
     "symmetric" for its weighted symmetric-coordinate rows (see waring).
+    Every engine builds its reports with condition_report.
     """
 
     sigma_min: float
@@ -190,15 +191,26 @@ def kappa_from_singular_values(sigma_n: float, sigma_1: float, n: int, N: int) -
     return 1.0 / sigma_n
 
 
-def condition_number(t: SubspaceTuple) -> ConditionReport:
-    """Condition number of the join decomposition with tangent bases t."""
-    n, N = t.n, t.ambient_dim
-    sigma, v, sigma_1 = least_singular_triplet(t.stacked())
+def condition_report(
+    M, n: int, N: int, path: str = "dense", lift=None, defective: bool = False
+) -> ConditionReport:
+    """Every engine's report, from one SVD of M: a matrix with the Gram
+    matrix of n stacked tangent columns in R^N, or the part of it that holds
+    sigma_n and sigma_1.  kappa is inf when defective (ill posed by dimension
+    alone), else kappa_from_singular_values; lift maps M's least right
+    singular vector to the stacked columns' coordinates."""
+    sigma, v, sigma_1 = least_singular_triplet(M)
     return ConditionReport(
         sigma_min=sigma,
-        kappa=kappa_from_singular_values(sigma, sigma_1, n, N),
-        least_vector=v,
+        kappa=math.inf if defective else kappa_from_singular_values(sigma, sigma_1, n, N),
+        least_vector=v if lift is None else lift(v),
         n=n,
         N=N,
         sigma_1=sigma_1,
+        path=path,
     )
+
+
+def condition_number(t: SubspaceTuple) -> ConditionReport:
+    """Condition number of the join decomposition with tangent bases t."""
+    return condition_report(t.stacked(), t.n, t.ambient_dim)

@@ -363,6 +363,9 @@ def cpd_refine(
     from factor Grams and MTTKRPs; the Jacobian J is never built.  Stops when
     the objective reaches OBJECTIVE_TOL or after max_iterations accepted
     steps.  Never raises on non-convergence; the flag in the result decides.
+    A trial step that overflows is rejected; an overflow of the objective or
+    the normal equations at the start or an accepted iterate, which no
+    damping avoids, raises ValueError naming the input's scale.
     """
     if np.shape(target) != init.dims:
         raise ValueError("init and target shapes differ")
@@ -370,40 +373,48 @@ def cpd_refine(
     scales = np.array([t.mu ** (1.0 / init.order) for t in init.terms])
     mats = [A * scales for A in init.factor_matrices()]
     target_vec = np.ravel(target)
-    residual = khatri_rao(mats).sum(axis=1) - target_vec
-    objective = 0.5 * float(residual @ residual)
+    scale = max(max(t.mu for t in init.terms), float(np.abs(target_vec).max()))
+    overflow = f"cpd_refine overflows at scale {scale:.3g} (largest term norm or target entry)"
     lam = 1e-2
     trace = []
-    converged = objective <= OBJECTIVE_TOL
-    while not converged and len(trace) < max_iterations:
-        hessian, gradient = _normal_equations(mats, residual)
-        diagonal = np.diag_indices_from(hessian)
-        accepted = False
-        rejected = 0
-        while lam < 1e14:
-            damped = hessian.copy()
-            damped[diagonal] += lam
-            try:
-                delta = np.linalg.solve(damped, -gradient)
-            except np.linalg.LinAlgError:
+    # Overflow gives inf or nan, checked below, instead of a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = khatri_rao(mats).sum(axis=1) - target_vec
+        objective = 0.5 * float(residual @ residual)
+        if not math.isfinite(objective):
+            raise ValueError(overflow)
+        converged = objective <= OBJECTIVE_TOL
+        while not converged and len(trace) < max_iterations:
+            hessian, gradient = _normal_equations(mats, residual)
+            if not (np.isfinite(hessian).all() and np.isfinite(gradient).all()):
+                raise ValueError(overflow)
+            diagonal = np.diag_indices_from(hessian)
+            accepted = False
+            rejected = 0
+            while lam < 1e14:
+                damped = hessian.copy()
+                damped[diagonal] += lam
+                try:
+                    delta = np.linalg.solve(damped, -gradient)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    rejected += 1
+                    continue
+                new_mats = _apply_step(mats, delta)
+                new_residual = khatri_rao(new_mats).sum(axis=1) - target_vec
+                new_objective = 0.5 * float(new_residual @ new_residual)
+                if new_objective < objective:  # False for inf and nan
+                    mats, residual, objective = new_mats, new_residual, new_objective
+                    trace.append((objective, lam, rejected))
+                    lam = max(lam / 10.0, 1e-16)
+                    accepted = True
+                    break
                 lam *= 10.0
                 rejected += 1
-                continue
-            new_mats = _apply_step(mats, delta)
-            new_residual = khatri_rao(new_mats).sum(axis=1) - target_vec
-            new_objective = 0.5 * float(new_residual @ new_residual)
-            if new_objective < objective:
-                mats, residual, objective = new_mats, new_residual, new_objective
+            if not accepted:
                 trace.append((objective, lam, rejected))
-                lam = max(lam / 10.0, 1e-16)
-                accepted = True
                 break
-            lam *= 10.0
-            rejected += 1
-        if not accepted:
-            trace.append((objective, lam, rejected))
-            break
-        converged = objective <= OBJECTIVE_TOL
+            converged = objective <= OBJECTIVE_TOL
     try:
         refined = normalize_decomposition(mats)
     except ValueError:

@@ -62,42 +62,24 @@ from .condition import (
     MAX_TANGENT_ENTRIES,
     ConditionReport,
     SubspaceTuple,
+    condition_report,
     kappa_from_singular_values,
-    least_singular_triplet,
 )
 from .tensor import (
     CPDecomposition,
     householder_vectors,
     khatri_rao,
     orthonormal_complements,
+    tangent_matrix,
 )
 
 WEAK_ORTHOGONALITY_TOL = 1e-12
 
 
-def _tangent_matrix(mats, complements) -> np.ndarray:
-    """[U_1 ... U_r] for the terms whose mode-k vectors are the columns of
-    mats[k], each U_i with its columns in the order of the module docstring;
-    complements[k] is orthonormal_complements(mats[k]).  Block k of all
-    terms is one Khatri-Rao product: column i*c + j of its mode-k factor is
-    complements[k][i, :, j], and every other mode repeats each column c times.
-    """
-    N = math.prod(A.shape[0] for A in mats)
-    r = mats[0].shape[1]
-    blocks = [khatri_rao(mats).reshape(N, r, 1)]  # the columns kron(a_i^1, ..., a_i^d)
-    for k, Q in enumerate(complements):
-        c = Q.shape[2]
-        if c:
-            factors = [np.repeat(A, c, axis=1) for A in mats]
-            factors[k] = Q.transpose(1, 0, 2).reshape(-1, r * c)
-            blocks.append(khatri_rao(factors).reshape(N, r, c))
-    return np.concatenate(blocks, axis=2).reshape(N, -1)
-
-
 def cpd_tangent_tuple(decomp: CPDecomposition) -> SubspaceTuple:
     """Tangent bases of all terms, ready for the condition-number engine."""
     mats = decomp.factor_matrices()
-    U = _tangent_matrix(mats, [orthonormal_complements(A) for A in mats])
+    U = tangent_matrix(mats, [orthonormal_complements(A) for A in mats])
     return SubspaceTuple(decomp.ambient_dim, tuple(np.hsplit(U, decomp.rank)))
 
 
@@ -138,7 +120,7 @@ class _Compression:
         self.modes = [k for k, m in enumerate(dims) if m > r]
         # Floats held at once: up to three core matrices (the core and the
         # two copies np.linalg.qr makes of it in least_singular_triplet; the
-        # build holds two, _tangent_matrix's blocks and their concatenation)
+        # build holds two, tangent_matrix's blocks and their concatenation)
         # and the K_k.  (10,)*5 r=10, a 4.6e7-entry core, peaked at 1.1 GB.
         entries = self.rows * (3 * r * self.width + len(self.modes))
         if entries > MAX_TANGENT_ENTRIES:
@@ -158,7 +140,7 @@ class _Compression:
     def core_matrix(self, scales=None) -> np.ndarray:
         """The core, times the D of the module docstring for per-term
         scales s_i."""
-        C = _tangent_matrix(self.core, self.complements)
+        C = tangent_matrix(self.core, self.complements)
         if scales is not None:
             D = np.repeat(scales, self.width)
             D[::self.width] *= math.sqrt(len(self.core))
@@ -213,16 +195,8 @@ def cpd_condition_number(decomp: CPDecomposition) -> ConditionReport:
     Raises ValueError above MAX_TANGENT_ENTRIES.
     """
     tucker = _Compression(decomp)
-    sigma, v, sigma_1 = least_singular_triplet(tucker.core_matrix())
-    n, N = _tangent_dim(decomp), decomp.ambient_dim
-    return ConditionReport(
-        sigma_min=sigma,
-        kappa=kappa_from_singular_values(sigma, sigma_1, n, N),
-        least_vector=tucker.lift(v),
-        n=n,
-        N=N,
-        sigma_1=sigma_1,
-        path=tucker.path,
+    return condition_report(
+        tucker.core_matrix(), _tangent_dim(decomp), decomp.ambient_dim, tucker.path, tucker.lift
     )
 
 

@@ -9,7 +9,8 @@ every tangent-basis formula in this package relies on.
 
 khatri_rao is the one builder of Kronecker-structured arrays: assembled
 terms, tangent blocks and the refiner's MTTKRPs all use column-wise
-Kronecker products.
+Kronecker products.  tangent_matrix, built on it, assembles every stacked
+tangent basis, CP and Waring, and alone knows a term's column layout.
 """
 
 from __future__ import annotations
@@ -162,6 +163,27 @@ def khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
             raise ValueError("khatri_rao factors must have equal column counts")
         out = (out[:, None, :] * M[None, :, :]).reshape(out.shape[0] * M.shape[0], c)
     return out
+
+
+def tangent_matrix(mats, complements) -> np.ndarray:
+    """[U_1 ... U_r] for the terms whose group-k vectors are the columns of
+    mats[k]: term i's rank-one column kron(a_i^1, ..., a_i^d), then per group
+    k the columns with a_i^k replaced by those of complements[k][i] (an
+    r x m_k x c_k stack).  A CP term has one group per mode, a Waring term
+    one group of symmetric-coordinate rows (see waring).  Block k of all
+    terms is one Khatri-Rao product: column i*c + j of its group-k factor is
+    complements[k][i, :, j], and every other group repeats each column c times.
+    """
+    N = math.prod(A.shape[0] for A in mats)
+    r = mats[0].shape[1]
+    blocks = [khatri_rao(mats).reshape(N, r, 1)]
+    for k, Q in enumerate(complements):
+        c = Q.shape[2]
+        if c:
+            factors = [np.repeat(A, c, axis=1) for A in mats]
+            factors[k] = Q.transpose(1, 0, 2).reshape(-1, r * c)
+            blocks.append(khatri_rao(factors).reshape(N, r, c))
+    return np.concatenate(blocks, axis=2).reshape(N, -1)
 
 
 def assemble_cpd(decomp: CPDecomposition) -> np.ndarray:

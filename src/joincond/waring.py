@@ -26,10 +26,11 @@ n = r * m above C(m+d-1, d), d = 2 with r >= 2, and the Alexander-Hirschowitz
 exceptions are ill posed by dimension alone (is_defective).
 
 One builder, _tangent_matrix, produces every Waring tangent matrix for all
-terms at once from a table of multi-indices: the sorted rows with their
-weights for the engine, and all m^d rows in C order for the dense
+terms at once from a table of weighted multi-indices: the sorted rows for
+the engine, and all m^d rows in C order, of weight 1, for the dense
 waring_tangent_tuple, which distance_to_illposed, the certificates and the
-tests take.
+tests take.  It gathers the power and symmetrized complement rows and hands
+them to tensor.tangent_matrix, the CP builder, as one factor group.
 """
 
 from __future__ import annotations
@@ -39,14 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condition import (
-    MAX_TANGENT_ENTRIES,
-    ConditionReport,
-    SubspaceTuple,
-    kappa_from_singular_values,
-    least_singular_triplet,
-)
-from .tensor import _unit_vector, as_float, as_int, as_vector, orthonormal_complements
+from .condition import MAX_TANGENT_ENTRIES, ConditionReport, SubspaceTuple, condition_report
+from .tensor import _unit_vector, as_float, as_int, as_vector
+from .tensor import orthonormal_complements, tangent_matrix
 
 # The symmetric-row weights need d! as a double, which is finite up to 170!.
 MAX_ORDER = 170
@@ -149,9 +145,10 @@ def is_defective(m: int, d: int, r: int) -> bool:
     return r * m > symmetric_dimension(m, d) or (d == 2 and r >= 2) or (m, d, r) in _AH_EXCEPTIONS
 
 
-def _dense_rows(m: int, d: int) -> np.ndarray:
-    """All m^d multi-indices (i_1, ..., i_d) in C order, as an m^d x d array."""
-    return np.indices((m,) * d).reshape(d, -1).T
+def _dense_rows(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """All m^d multi-indices (i_1, ..., i_d) in C order, as an m^d x d array,
+    each of weight 1."""
+    return np.indices((m,) * d).reshape(d, -1).T, np.ones(m ** d)
 
 
 def _symmetric_rows(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +175,7 @@ def _symmetric_rows(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.sqrt(math.factorial(d) / ties)
 
 
-def _tangent_matrix(A: np.ndarray, rows: np.ndarray, weights=None) -> np.ndarray:
+def _tangent_matrix(A: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The rows I of [V_1 ... V_r], each scaled by its weight, for the terms
     whose unit vectors are the columns of the m x r matrix A; V_i's columns
     are in the order of the module docstring.
@@ -189,7 +186,7 @@ def _tangent_matrix(A: np.ndarray, rows: np.ndarray, weights=None) -> np.ndarray
     and terms at once.
     """
     R, d = rows.shape
-    m, r = A.shape
+    r = A.shape[1]
     G = A[rows]
     prefix = [np.ones((R, r))]
     for k in range(d):
@@ -197,22 +194,17 @@ def _tangent_matrix(A: np.ndarray, rows: np.ndarray, weights=None) -> np.ndarray
     suffix = [np.ones((R, r))]
     for k in range(d - 1, 0, -1):
         suffix.insert(0, G[:, k] * suffix[0])
-    U = np.empty((R, r, m))
-    U[:, :, 0] = prefix[d]
-    if m > 1:
-        # Q[j, i] is row j of Q_i, contiguous for the row gathers below
-        Q = np.ascontiguousarray(orthonormal_complements(A).transpose(1, 0, 2))
-        sym = sum((prefix[k] * suffix[k])[:, :, None] * Q[rows[:, k]] for k in range(d))
-        U[:, :, 1:] = sym / math.sqrt(d)
-    if weights is not None:
-        U *= weights[:, None, None]
-    return U.reshape(R, r * m)
+    # Q[j, i] is row j of Q_i, contiguous for the row gathers below
+    Q = np.ascontiguousarray(orthonormal_complements(A).transpose(1, 0, 2))
+    sym = sum((prefix[k] * suffix[k])[:, :, None] * Q[rows[:, k]] for k in range(d)) / math.sqrt(d)
+    w = weights[:, None]
+    return tangent_matrix([prefix[d] * w], [(sym * w[:, :, None]).transpose(1, 0, 2)])
 
 
 def waring_tangent_tuple(decomp: WaringDecomposition) -> SubspaceTuple:
     """Tangent bases of all terms on all N = m^d rows; the total tangent
     dimension is r * m."""
-    U = _tangent_matrix(_vector_matrix(decomp), _dense_rows(decomp.m, decomp.d))
+    U = _tangent_matrix(_vector_matrix(decomp), *_dense_rows(decomp.m, decomp.d))
     return SubspaceTuple(decomp.m ** decomp.d, tuple(np.hsplit(U, decomp.rank)))
 
 
@@ -223,9 +215,9 @@ def waring_condition_number(decomp: WaringDecomposition) -> ConditionReport:
     arithmetic, computed on the C(m+d-1, d) weighted symmetric rows (see the
     module docstring); least_vector is in the coordinates of
     waring_tangent_tuple.  N stays m^d, and kappa is infinite whenever
-    is_defective(m, d, r), whatever sigma_min rounds to.  Raises ValueError,
-    before allocating, when the matrix and its intermediates would exceed
-    MAX_TANGENT_ENTRIES floats.
+    is_defective(m, d, r) (which covers n > C(m+d-1, d)), whatever sigma_min
+    rounds to.  Raises ValueError, before allocating, when the matrix and its
+    intermediates would exceed MAX_TANGENT_ENTRIES floats.
     """
     m, d = decomp.m, decomp.d
     # Floats held at once: the index table, the gathered vectors, the d + 1
@@ -237,20 +229,7 @@ def waring_condition_number(decomp: WaringDecomposition) -> ConditionReport:
             f"(m, d, r) = ({m}, {d}, {decomp.rank}) needs about {entries:.2g} "
             f"floats, above MAX_TANGENT_ENTRIES = {MAX_TANGENT_ENTRIES:.0e}"
         )
-    rows, weights = _symmetric_rows(m, d)
-    M = _tangent_matrix(_vector_matrix(decomp), rows, weights)
-    sigma, v, sigma_1 = least_singular_triplet(M)
-    n = decomp.rank * m
-    if is_defective(m, d, decomp.rank):
-        kappa = math.inf
-    else:
-        kappa = kappa_from_singular_values(sigma, sigma_1, n, symmetric_dimension(m, d))
-    return ConditionReport(
-        sigma_min=sigma,
-        kappa=kappa,
-        least_vector=v,
-        n=n,
-        N=m ** d,
-        sigma_1=sigma_1,
-        path="symmetric",
+    M = _tangent_matrix(_vector_matrix(decomp), *_symmetric_rows(m, d))
+    return condition_report(
+        M, decomp.rank * m, m ** d, "symmetric", defective=is_defective(m, d, decomp.rank)
     )

@@ -10,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from joincond import (
+    CPDecomposition,
     ModelParams,
+    RankOneTerm,
     assemble_cpd,
     cpd_condition_number,
     cpd_refine,
@@ -291,6 +293,28 @@ def test_refine_shape_mismatch_rejected():
     target = np.zeros((3, 4))
     with pytest.raises(ValueError):
         cpd_refine(d, target)
+
+
+@pytest.mark.parametrize("big", [1e100, 1e150, 1e200])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_refine_overflow_is_a_finite_result_or_an_error_naming_the_scale(big, perturbed):
+    # A random (3,3,3) r=2 input with mu = (big, 1), against a zero target or
+    # its own tensor times 1 + 1e-9.  Each used to overflow with a
+    # RuntimeWarning (an error under this suite's filterwarnings): in the
+    # first objective at 1e200, in a trial step's objective or assembly at
+    # 1e100 and 1e150.  A trial step that overflows is now rejected; an
+    # objective 0.5 * ||residual||^2 above the float range at the start
+    # cannot be refined, and the error names the scale.
+    d = random_cpd(rng_for(108), (3, 3, 3), 2)
+    d = CPDecomposition(tuple(RankOneTerm(mu, t.vectors) for mu, t in zip((big, 1.0), d.terms)))
+    target = assemble_cpd(d) * (1 + 1e-9) if perturbed else np.zeros((3, 3, 3))
+    if big == 1e200:
+        with pytest.raises(ValueError, match="scale 1e\\+200"):
+            cpd_refine(d, target)
+        return
+    res = cpd_refine(d, target)
+    assert all(math.isfinite(objective) for objective, _, _ in res.trace)
+    assert math.isfinite(res.objective) and not res.converged
 
 
 def _singular(*args, **kwargs):
