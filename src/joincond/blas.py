@@ -5,7 +5,8 @@ the split of the work depends on the thread count, so the last bits do too.
 Two scopes use one thread:
 
 - svd_threads(shape) wraps the engine SVDs: condition.least_singular_triplet
-  and the norm-balanced engine's values-only SVD of the core in segre.  It
+  and its values-only twin least_singular_values, which takes the
+  norm-balanced engine's core in segre and the certificate's check.  It
   runs single_threaded() for a matrix with ONE_THREAD_MIN_ENTRIES to
   ONE_THREAD_MAX_ENTRIES entries and at most ONE_THREAD_MAX_COLUMNS
   columns, and leaves the thread count alone otherwise.  The window is

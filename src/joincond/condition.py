@@ -34,10 +34,20 @@ ORTHONORMAL_TOL = 1e-10
 # and over 40 random (3,3,3) r=2 inputs kappa at mu = (1e20, 1) moved by up
 # to 3e-4, relatively, from its value at (1e14, 1).
 RANK_TOL_FACTOR = 1e-14
-# The CP and Waring engines refuse, before allocating, an input whose build
-# and decomposition hold more floats than this (0.8 GB) at once; each counts
-# its own intermediates.
+# The CP and Waring engines and dense tuples refuse, before allocating, an
+# input whose build and decomposition hold more floats than this (0.8 GB) at
+# once; each counts its own intermediates.
 MAX_TANGENT_ENTRIES = 10**8
+
+
+def check_entries(entries: int, what: str) -> None:
+    """Raise ValueError when a build would hold more than
+    MAX_TANGENT_ENTRIES floats at once; what names the input and its verb."""
+    if entries > MAX_TANGENT_ENTRIES:
+        raise ValueError(
+            f"{what} about {entries:.2g} floats, above MAX_TANGENT_ENTRIES = "
+            f"{MAX_TANGENT_ENTRIES:.0e}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +154,15 @@ class ConditionReport:
         }
 
 
+def _finite_matrix(M) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError("expected a matrix")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("non-finite entries")
+    return M
+
+
 def least_singular_triplet(M) -> tuple[float, np.ndarray, float]:
     """(sigma_n, v, sigma_1) of an N x n matrix: its n-th and first largest
     singular values and a unit right singular vector v attaining sigma_n.
@@ -159,11 +178,7 @@ def least_singular_triplet(M) -> tuple[float, np.ndarray, float]:
     under blas.svd_threads, which may set OpenBLAS's process-wide thread
     count (see blas for how scopes in several Python threads share it).
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError("expected a matrix")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("non-finite entries")
+    M = _finite_matrix(M)
     N, n = M.shape
     full = n > N
     with svd_threads(M.shape):
@@ -181,6 +196,22 @@ def least_singular_triplet(M) -> tuple[float, np.ndarray, float]:
     if full:
         return 0.0, vt[-1].copy(), abs(float(s[0]))
     return abs(float(s[n - 1])), vt[n - 1].copy(), abs(float(s[0]))
+
+
+def least_singular_values(M) -> tuple[float, float]:
+    """(sigma_n, sigma_1) of an N x n matrix, as least_singular_triplet
+    gives them, from one values-only SVD: sigma_n is 0 for n > N.  For
+    callers that read no singular vector; checks, threads and the retry on
+    the transpose are least_singular_triplet's."""
+    M = _finite_matrix(M)
+    N, n = M.shape
+    with svd_threads(M.shape):
+        try:
+            s = np.linalg.svd(M, compute_uv=False)
+        except np.linalg.LinAlgError:
+            s = np.linalg.svd(M.T, compute_uv=False)
+    # abs: LAPACK can return a zero singular value as -0.0
+    return (0.0 if n > N else abs(float(s[n - 1]))), abs(float(s[0]))
 
 
 def kappa_from_singular_values(sigma_n: float, sigma_1: float, n: int, N: int) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .condition import SubspaceTuple, least_singular_triplet
+from .condition import SubspaceTuple, least_singular_triplet, least_singular_values
 from .tensor import orthonormal_complements
 
 # Tolerance for the two SVD-compounded certificate checks.
@@ -124,6 +124,8 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
     at distance exactly sigma.  A zero column of X needs sigma = 1 with v in
     one block W_i; the blocks are then mutually orthogonal, and any nonzero
     column of X, orthogonal to W_i, serves as x_i at the same distance 1.
+    The check reads sigma_n of the nearest tuple from a values-only SVD
+    (least_singular_values) and records it as intersect_residual.
     """
     if W.n > W.ambient_dim:
         raise ValueError("tuple is dependent outright: n exceeds the ambient dimension")
@@ -165,7 +167,7 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
 
     distance = projection_distance(W, nearest)
     distance_residual = abs(distance - sigma)
-    intersect_residual, _, _ = least_singular_triplet(nearest.stacked())
+    intersect_residual, _ = least_singular_values(nearest.stacked())
     if distance_residual > CERTIFICATE_TOL or intersect_residual > CERTIFICATE_TOL:
         raise CertificateError(
             "certificate tolerances not met: "

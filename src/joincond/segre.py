@@ -57,13 +57,13 @@ import math
 
 import numpy as np
 
-from .blas import svd_threads
 from .condition import (
-    MAX_TANGENT_ENTRIES,
     ConditionReport,
     SubspaceTuple,
+    check_entries,
     condition_report,
     kappa_from_singular_values,
+    least_singular_values,
 )
 from .tensor import (
     CPDecomposition,
@@ -77,7 +77,13 @@ WEAK_ORTHOGONALITY_TOL = 1e-12
 
 
 def cpd_tangent_tuple(decomp: CPDecomposition) -> SubspaceTuple:
-    """Tangent bases of all terms, ready for the condition-number engine."""
+    """Tangent bases of all terms, ready for the condition-number engine.
+    Raises ValueError, before allocating, above MAX_TANGENT_ENTRIES."""
+    dims, r, n, N = decomp.dims, decomp.rank, _tangent_dim(decomp), decomp.ambient_dim
+    # Floats held at once: the N x n output, the build's last intermediate
+    # (N / m_d rows) and the r x m_k x m_k complement stacks.
+    entries = (N + N // dims[-1]) * n + r * sum(m * m for m in dims)
+    check_entries(entries, f"dims {dims} at rank {r} need")
     mats = decomp.factor_matrices()
     U = tangent_matrix(mats, [orthonormal_complements(A) for A in mats])
     return SubspaceTuple(decomp.ambient_dim, tuple(np.hsplit(U, decomp.rank)))
@@ -120,14 +126,11 @@ class _Compression:
         self.modes = [k for k, m in enumerate(dims) if m > r]
         # Floats held at once: up to three core matrices (the core and the
         # two copies np.linalg.qr makes of it in least_singular_triplet; the
-        # build holds two, tangent_matrix's blocks and their concatenation)
-        # and the K_k.  (10,)*5 r=10, a 4.6e7-entry core, peaked at 1.1 GB.
+        # build holds at most two, tangent_matrix's output and its last
+        # intermediate) and the K_k.  (10,)*5 r=10, a 4.6e7-entry core,
+        # peaked at 1.1 GB.
         entries = self.rows * (3 * r * self.width + len(self.modes))
-        if entries > MAX_TANGENT_ENTRIES:
-            raise ValueError(
-                f"dims {dims} at rank {r} need about {entries:.2g} floats, "
-                f"above MAX_TANGENT_ENTRIES = {MAX_TANGENT_ENTRIES:.0e}"
-            )
+        check_entries(entries, f"dims {dims} at rank {r} need")
         self.mats = decomp.factor_matrices()
         self.bases = [np.linalg.qr(A)[0] if A.shape[0] > r else None for A in self.mats]
         self.core = [A if P is None else P.T @ A for A, P in zip(self.mats, self.bases)]
@@ -223,14 +226,11 @@ def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
     if n > N or (tucker := _Compression(decomp)).rows < decomp.rank * tucker.width:
         return math.inf
     # Values only: right vectors would double the cost at larger shapes.
-    C = tucker.core_matrix(scales)
-    with svd_threads(C.shape):
-        s = np.linalg.svd(C, compute_uv=False)
-    sigma_n = float(s[-1])
+    sigma_n, sigma_1 = least_singular_values(tucker.core_matrix(scales))
     if tucker.modes:
         K = tucker.out_stack(scales)
         sigma_n = min(sigma_n, float(np.linalg.svd(K, compute_uv=False)[:, -1].min()))
-    return kappa_from_singular_values(sigma_n, float(s[0]), n, N)
+    return kappa_from_singular_values(sigma_n, sigma_1, n, N)
 
 
 def is_weak_3_orthogonal(decomp: CPDecomposition) -> bool:

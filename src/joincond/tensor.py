@@ -7,10 +7,11 @@ Under this convention the flattening of a rank-one tensor a^1 x ... x a^d
 equals the chained Kronecker product kron(a^1, ..., a^d), which is what
 every tangent-basis formula in this package relies on.
 
-khatri_rao is the one builder of Kronecker-structured arrays: assembled
-terms, tangent blocks and the refiner's MTTKRPs all use column-wise
-Kronecker products.  tangent_matrix, built on it, assembles every stacked
-tangent basis, CP and Waring, and alone knows a term's column layout.
+khatri_rao builds the column-wise Kronecker products of assembled terms,
+the refiner's MTTKRPs and segre's out-of-core blocks.  tangent_matrix
+assembles every stacked tangent basis, CP and Waring, and alone knows a
+term's column layout; it does not call khatri_rao but forms the same
+left-to-right products in one broadcast chain over all blocks at once.
 """
 
 from __future__ import annotations
@@ -170,20 +171,25 @@ def tangent_matrix(mats, complements) -> np.ndarray:
     mats[k]: term i's rank-one column kron(a_i^1, ..., a_i^d), then per group
     k the columns with a_i^k replaced by those of complements[k][i] (an
     r x m_k x c_k stack).  A CP term has one group per mode, a Waring term
-    one group of symmetric-coordinate rows (see waring).  Block k of all
-    terms is one Khatri-Rao product: column i*c + j of its group-k factor is
-    complements[k][i, :, j], and every other group repeats each column c times.
+    one group of symmetric-coordinate rows (see waring).
+
+    Built in one pass: group k's factor is an m_k x r x w array, w the
+    column count of a term, holding a_i^k in every column of term i but
+    group k's own, which hold complements[k][i].  Their chained broadcast
+    product is the m_1 x ... x m_d x r x w stack, whose entries are the
+    left-to-right products khatri_rao forms, and its C-order reshape is
+    the matrix.
     """
-    N = math.prod(A.shape[0] for A in mats)
     r = mats[0].shape[1]
-    blocks = [khatri_rao(mats).reshape(N, r, 1)]
-    for k, Q in enumerate(complements):
-        c = Q.shape[2]
-        if c:
-            factors = [np.repeat(A, c, axis=1) for A in mats]
-            factors[k] = Q.transpose(1, 0, 2).reshape(-1, r * c)
-            blocks.append(khatri_rao(factors).reshape(N, r, c))
-    return np.concatenate(blocks, axis=2).reshape(N, -1)
+    w = 1 + sum(Q.shape[2] for Q in complements)
+    out, at = None, 1
+    for A, Q in zip(mats, complements):
+        F = np.empty((A.shape[0], r, w))
+        F[...] = A[:, :, None]
+        F[:, :, at:at + Q.shape[2]] = Q.transpose(1, 0, 2)
+        at += Q.shape[2]
+        out = F if out is None else (out[:, None] * F[None]).reshape(-1, r, w)
+    return out.reshape(-1, r * w)
 
 
 def assemble_cpd(decomp: CPDecomposition) -> np.ndarray:

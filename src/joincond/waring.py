@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condition import MAX_TANGENT_ENTRIES, ConditionReport, SubspaceTuple, condition_report
+from .condition import ConditionReport, SubspaceTuple, check_entries, condition_report
 from .tensor import _unit_vector, as_float, as_int, as_vector
 from .tensor import orthonormal_complements, tangent_matrix
 
@@ -201,9 +201,22 @@ def _tangent_matrix(A: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> np.
     return tangent_matrix([prefix[d] * w], [(sym * w[:, :, None]).transpose(1, 0, 2)])
 
 
+def _check_rows(decomp: WaringDecomposition, rows: int) -> None:
+    """Raise ValueError, before allocating, when the tangent matrix on rows
+    rows and its intermediates would exceed MAX_TANGENT_ENTRIES floats."""
+    m, d, r = decomp.m, decomp.d, decomp.rank
+    # Floats held at once: the index table, the gathered vectors, the d + 1
+    # prefix and suffix products and the output.  A document of under 100
+    # bytes can ask for more than the bound (m = 4, d = 170: 4.4e8 on the
+    # symmetric rows).
+    check_entries(rows * (3 * d + m) * r, f"(m, d, r) = ({m}, {d}, {r}) needs")
+
+
 def waring_tangent_tuple(decomp: WaringDecomposition) -> SubspaceTuple:
     """Tangent bases of all terms on all N = m^d rows; the total tangent
-    dimension is r * m."""
+    dimension is r * m.  Raises ValueError, before allocating, above
+    MAX_TANGENT_ENTRIES."""
+    _check_rows(decomp, decomp.m ** decomp.d)
     U = _tangent_matrix(_vector_matrix(decomp), *_dense_rows(decomp.m, decomp.d))
     return SubspaceTuple(decomp.m ** decomp.d, tuple(np.hsplit(U, decomp.rank)))
 
@@ -220,15 +233,7 @@ def waring_condition_number(decomp: WaringDecomposition) -> ConditionReport:
     intermediates would exceed MAX_TANGENT_ENTRIES floats.
     """
     m, d = decomp.m, decomp.d
-    # Floats held at once: the index table, the gathered vectors, the d + 1
-    # prefix and suffix products and the output.  A document of under 100
-    # bytes can ask for more than the bound (m = 4, d = 170: 4.4e8).
-    entries = symmetric_dimension(m, d) * (3 * d + m) * decomp.rank
-    if entries > MAX_TANGENT_ENTRIES:
-        raise ValueError(
-            f"(m, d, r) = ({m}, {d}, {decomp.rank}) needs about {entries:.2g} "
-            f"floats, above MAX_TANGENT_ENTRIES = {MAX_TANGENT_ENTRIES:.0e}"
-        )
+    _check_rows(decomp, symmetric_dimension(m, d))
     M = _tangent_matrix(_vector_matrix(decomp), *_symmetric_rows(m, d))
     return condition_report(
         M, decomp.rank * m, m ** d, "symmetric", defective=is_defective(m, d, decomp.rank)

@@ -14,7 +14,7 @@ from joincond import (
     cpd_tangent_tuple,
     paatero_sequence,
 )
-from joincond.condition import least_singular_triplet
+from joincond.condition import least_singular_triplet, least_singular_values
 from conftest import count_svd_calls, random_cpd, random_orthonormal, rng_for
 
 # Frozen closed-form values for two lines at 45 degrees: sigma = sqrt(2)*sin(pi/8).
@@ -57,10 +57,25 @@ def test_kernel_wide_matrix_null_vector():
 
 
 def test_kernel_rejects_bad_input():
-    with pytest.raises(ValueError):
-        least_singular_triplet(np.zeros(3))
-    with pytest.raises(ValueError):
-        least_singular_triplet(np.array([[1.0, np.nan]]))
+    for kernel in (least_singular_triplet, least_singular_values):
+        with pytest.raises(ValueError):
+            kernel(np.zeros(3))
+        with pytest.raises(ValueError):
+            kernel(np.array([[1.0, np.nan]]))
+
+
+def test_values_kernel_matches_the_triplet():
+    rng = rng_for(37)
+    for shape in [(8, 5), (5, 5), (3, 5), (200, 64)]:
+        M = rng.standard_normal(shape)
+        sigma, _, sigma_1 = least_singular_triplet(M)
+        sigma2, sigma2_1 = least_singular_values(M)
+        assert math.isclose(sigma2, sigma, rel_tol=1e-12, abs_tol=1e-14)
+        assert math.isclose(sigma2_1, sigma_1, rel_tol=1e-14)
+    # an exactly rank-deficient input: sigma_n is +0.0, never -0.0
+    for M in ([[1.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], np.zeros((3, 2))):
+        sigma, _ = least_singular_values(np.array(M))
+        assert sigma == 0.0 and math.copysign(1.0, sigma) == 1.0
 
 
 def test_orthonormal_blocks_give_kappa_one():
@@ -166,7 +181,7 @@ def test_tangent_tuple_validation():
         SubspaceTuple(2, ())
 
 
-def test_svd_nonconvergence_retries_on_transpose():
+def test_svd_nonconvergence_retries_on_transpose(monkeypatch):
     # OpenBLAS's gesdd fails to converge on this benign 60 x 30 stacked basis.
     d = paatero_sequence(4913539079944952781, 10)
     U = cpd_tangent_tuple(d).stacked()
@@ -176,6 +191,13 @@ def test_svd_nonconvergence_retries_on_transpose():
     assert math.isclose(
         np.linalg.norm(U @ report.least_vector), expected, rel_tol=1e-10
     )
+    # the values-only kernel, on the same matrix and through its own retry
+    assert math.isclose(least_singular_values(U)[0], expected, rel_tol=1e-12)
+    calls = count_svd_calls(monkeypatch, fail_first=True)
+    sigma, sigma_1 = least_singular_values(U)
+    assert calls == [False, False]
+    assert math.isclose(sigma, expected, rel_tol=1e-12)
+    assert math.isclose(sigma_1, report.sigma_1, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(7, 3), (3, 5), (200, 64)])

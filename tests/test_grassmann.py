@@ -240,12 +240,13 @@ def test_witnesses_match_the_svd_of_y():
 
 
 def test_certificate_takes_r_plus_2_svds(monkeypatch):
-    # one for sigma_n(U), one per block for the distance, one for sigma_n of
-    # the nearest tuple; the rank-(r-1) step takes none
+    # one for sigma_n(U) and its vector, then values only: one per block for
+    # the distance, one for sigma_n of the nearest tuple; the rank-(r-1)
+    # step takes none
     t = random_subspace_tuple(rng_for(52), 9, (2, 1, 3))
     calls = count_svd_calls(monkeypatch)
     nearest_intersecting_tuple(t)
-    assert len(calls) == len(t.subspaces) + 2
+    assert calls == [True] + [False] * (len(t.subspaces) + 1)
 
 
 def test_certificate_refuses_degenerate_inputs():
@@ -391,6 +392,9 @@ def test_certificate_is_met_or_raises_with_residuals(t):
         return
     assert cert.diagnostics["distance_residual"] <= CERTIFICATE_TOL
     assert cert.diagnostics["intersect_residual"] <= CERTIFICATE_TOL
+    # the values-only check agrees with the triplet's sigma_n to rounding
+    sigma, _, sigma_1 = least_singular_triplet(cert.nearest.stacked())
+    assert abs(cert.diagnostics["intersect_residual"] - sigma) <= 1e-15 * max(1.0, sigma_1)
     assert abs(cert.distance - distance_to_illposed(t)) <= CERTIFICATE_TOL
     assert _is_intersecting(cert.nearest)
 

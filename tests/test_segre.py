@@ -260,6 +260,15 @@ def test_entry_bound_counts_the_qr_copies():
         norm_balanced_condition_number(d)
 
 
+def test_dense_tuple_refuses_above_the_entry_bound():
+    # 1e12 rows and 1e6 x 1e6 complements: refused before any of it is built
+    e = np.zeros(10**6)
+    e[0] = 1.0
+    d = CPDecomposition((RankOneTerm(1.0, (e, e)),))
+    with pytest.raises(ValueError, match="MAX_TANGENT_ENTRIES"):
+        cpd_tangent_tuple(d)
+
+
 def test_weak_3_orthogonality_detection():
     rng = rng_for(78)
     e = np.eye(4)

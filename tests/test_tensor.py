@@ -6,7 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from joincond.tensor import khatri_rao, orthonormal_complements
+from joincond.tensor import khatri_rao, orthonormal_complements, tangent_matrix
 from joincond import (
     CPDecomposition,
     RankOneTerm,
@@ -39,6 +39,25 @@ def test_khatri_rao_columns_are_chained_kron(dims):
     assert out.shape == (math.prod(dims), 3)
     for j in range(3):
         assert np.array_equal(out[:, j], reduce(np.kron, [M[:, j] for M in mats]))
+
+
+@pytest.mark.parametrize("dims", [(5,), (3, 1, 4, 1), (6, 5, 4, 4)])
+def test_tangent_matrix_columns_are_chained_kron(dims):
+    # bitwise: every column is the left-to-right product np.kron forms,
+    # term i's rank-one column first, then group k's with a_i^k replaced
+    rng = rng_for(33)
+    r = 3
+    mats = [rng.standard_normal((m, r)) for m in dims]
+    complements = [orthonormal_complements(A / np.linalg.norm(A, axis=0)) for A in mats]
+    out = tangent_matrix(mats, complements)
+    cols = []
+    for i in range(r):
+        vectors = [A[:, i] for A in mats]
+        cols.append(reduce(np.kron, vectors))
+        for k, Q in enumerate(complements):
+            for q in Q[i].T:
+                cols.append(reduce(np.kron, vectors[:k] + [q] + vectors[k + 1:]))
+    assert np.array_equal(out, np.column_stack(cols))
 
 
 def test_khatri_rao_rejects_bad_factors():

@@ -189,3 +189,10 @@ def test_kappa_one_norm_check():
     assert math.isclose(
         np.linalg.norm(term.mu * kron([term.vector] * 3)), abs(term.mu), rel_tol=1e-12
     )
+
+
+def test_dense_tuple_refuses_above_the_entry_bound():
+    # 2^40 rows: refused before the index table is built
+    d = WaringDecomposition((SymmetricRankOneTerm(1.0, np.array([1.0, 0.0]), 40),))
+    with pytest.raises(ValueError, match="MAX_TANGENT_ENTRIES"):
+        waring_tangent_tuple(d)
