@@ -84,10 +84,11 @@ def projection_distance(W: SubspaceTuple, W2: SubspaceTuple) -> float:
 
 
 def distance_to_illposed(W: SubspaceTuple) -> float:
-    """Distance from the tuple to the dependent locus: sigma_n([W_1 ... W_r])."""
+    """Distance from the tuple to the dependent locus: sigma_n([W_1 ... W_r]),
+    from one values-only SVD."""
     if W.n > W.ambient_dim:
         return 0.0
-    sigma, _, _ = least_singular_triplet(W.stacked())
+    sigma, _ = least_singular_values(W.stacked())
     return sigma
 
 

@@ -217,11 +217,13 @@ def test_grassmann_illposed_orthogonal_lines(tmp_path, capsys):
 def test_grassmann_illposed_runs_one_svd(tmp_path, capsys, monkeypatch, tol):
     t = random_subspace_tuple(rng_for(127), 40, (3, 4, 5))
     path = _write_json(tmp_path / "t.json", t.to_json_dict())
-    calls = count_svd_calls(monkeypatch)
+    qr_shapes = []
+    calls = count_svd_calls(monkeypatch, qr_shapes=qr_shapes)
     argv = ["grassmann", "--input", path, "--mode", "illposed", "--tol", str(tol)]
     code, out, _ = _run(capsys, argv)
     assert code == 0
-    assert len(calls) == 1
+    # values only: one SVD without singular vectors, and no QR before it
+    assert (calls, qr_shapes) == ([False], [])
     payload = json.loads(out)
     assert payload["distance"] == distance_to_illposed(t)
     assert payload["intersecting"] is (payload["distance"] <= tol)

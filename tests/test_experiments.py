@@ -29,6 +29,7 @@ from joincond import (
 )
 from joincond.blas import openblas_controls
 from joincond.condition import RANK_TOL_FACTOR
+from joincond.tensor import khatri_rao
 import joincond.experiments as experiments
 from joincond.experiments import (
     MODEL_CORE_RANKS,
@@ -557,6 +558,97 @@ def test_gram_normal_equations_match_dense_jacobian(dims, r, seed):
     assert np.array_equal(hessian, hessian.T)
     assert np.abs(hessian - J.T @ J).max() <= 1e-13 * (absJ.T @ absJ).max()
     assert np.abs(gradient - J.T @ residual).max() <= 1e-13 * (absJ.T @ np.abs(residual)).max()
+
+
+def _blockwise_normal_equations(mats, residual):
+    """The normal equations block by block, one numpy expression per block:
+    the reference whose bytes the gather-plan build must reproduce."""
+    d = len(mats)
+    r = mats[0].shape[1]
+    dims = [M.shape[0] for M in mats]
+    offsets = np.cumsum([0] + [m * r for m in dims])
+    grams = [M.T @ M for M in mats]
+
+    def hadamard(skip):
+        W = np.ones_like(grams[0])
+        for p, G in enumerate(grams):
+            if p not in skip:
+                W = W * G
+        return W
+
+    hessian = np.empty((offsets[-1], offsets[-1]))
+    gradient = np.empty(offsets[-1])
+    R = residual.reshape(dims)
+    for k, (A, m) in enumerate(zip(mats, dims)):
+        rows = slice(offsets[k], offsets[k + 1])
+        block = hadamard((k,))[:, None, :, None] * np.eye(m)[None, :, None, :]
+        hessian[rows, rows] = block.reshape(r * m, r * m)
+        for l in range(k + 1, d):
+            cols = slice(offsets[l], offsets[l + 1])
+            W = hadamard((k, l))
+            block = W[:, None, :, None] * A[None, :, :, None] * mats[l].T[:, None, None, :]
+            hessian[rows, cols] = block.reshape(r * m, r * dims[l])
+            hessian[cols, rows] = hessian[rows, cols].T
+        others = [mats[p] for p in range(d) if p != k] or [np.ones((1, r))]
+        mttkrp = np.moveaxis(R, k, 0).reshape(m, -1) @ khatri_rao(others)
+        gradient[rows] = mttkrp.T.ravel()
+    return hessian, gradient
+
+
+def _assert_same_bytes(mats, residual):
+    hessian, gradient = experiments._normal_equations(mats, residual)
+    ref_hessian, ref_gradient = _blockwise_normal_equations(mats, residual)
+    assert hessian.shape == ref_hessian.shape
+    assert hessian.tobytes() == ref_hessian.tobytes()
+    assert gradient.tobytes() == ref_gradient.tobytes()
+
+
+@given(
+    dims=st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.integers(1, 7), min_size=d, max_size=d)
+    ),
+    r=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-3, 3),
+    signed_zero=st.booleans(),
+)
+def test_normal_equations_are_the_blockwise_bytes(dims, r, seed, exponent, signed_zero):
+    rng = np.random.default_rng(seed)
+    mats = [10.0**exponent * rng.standard_normal((m, r)) for m in dims]
+    if signed_zero:
+        # a -0.0 factor entry gives -0.0 and +0.0 products, which the
+        # gathers must keep apart
+        mats[0][0, 0] = -0.0
+    residual = rng.standard_normal(int(np.prod(dims)))
+    _assert_same_bytes(mats, residual)
+
+
+def test_normal_equations_bytes_at_the_model_shape_on_cache_miss_and_hit():
+    rng = rng_for(130)
+    mats = [rng.standard_normal((m, MODEL_RANK)) for m in MODEL_DIMS]
+    residual = rng.standard_normal(int(np.prod(MODEL_DIMS)))
+    experiments._gather_plan.cache_clear()
+    miss = experiments._normal_equations(mats, residual)
+    hit = experiments._normal_equations(mats, residual)
+    info = experiments._gather_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert [a.tobytes() for a in miss] == [a.tobytes() for a in hit]
+    _assert_same_bytes(mats, residual)
+
+
+def test_gather_plan_cache_is_bounded():
+    bound = experiments._gather_plan.cache_info().maxsize
+    assert bound is not None
+    rng = rng_for(131)
+    experiments._gather_plan.cache_clear()
+    shapes = [((m, 2, 3), 2) for m in range(1, bound + 6)]
+    for dims, r in shapes + shapes[:3]:
+        mats = [rng.standard_normal((m, r)) for m in dims]
+        _assert_same_bytes(mats, rng.standard_normal(int(np.prod(dims))))
+    info = experiments._gather_plan.cache_info()
+    assert info.currsize == bound
+    # the first three shapes were evicted, so they miss again
+    assert (info.misses, info.hits) == (len(shapes) + 3, 0)
 
 
 def _model_refine_problem(params, s, sample):
