@@ -442,7 +442,6 @@ def cpd_refine(
             hessian, gradient = _normal_equations(mats, residual)
             if not (np.isfinite(hessian).all() and np.isfinite(gradient).all()):
                 raise ValueError(overflow)
-            accepted = False
             rejected = 0
             while lam < 1e14:
                 damped = hessian.copy()
@@ -450,21 +449,19 @@ def cpd_refine(
                 try:
                     delta = np.linalg.solve(damped, -gradient)
                 except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    rejected += 1
-                    continue
-                new_mats = _apply_step(mats, delta)
-                new_residual = khatri_rao(new_mats).sum(axis=1) - target_vec
-                new_objective = 0.5 * float(new_residual @ new_residual)
+                    new_objective = math.nan
+                else:
+                    new_mats = _apply_step(mats, delta)
+                    new_residual = khatri_rao(new_mats).sum(axis=1) - target_vec
+                    new_objective = 0.5 * float(new_residual @ new_residual)
                 if new_objective < objective:  # False for inf and nan
                     mats, residual, objective = new_mats, new_residual, new_objective
                     trace.append((objective, lam, rejected))
                     lam = max(lam / 10.0, 1e-16)
-                    accepted = True
                     break
                 lam *= 10.0
                 rejected += 1
-            if not accepted:
+            else:  # no damping gave a smaller objective
                 trace.append((objective, lam, rejected))
                 break
             converged = objective <= OBJECTIVE_TOL

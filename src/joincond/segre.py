@@ -93,17 +93,24 @@ def _tangent_dim(decomp: CPDecomposition) -> int:
     return decomp.rank * (1 - decomp.order + sum(decomp.dims))
 
 
+def _core_shape(decomp: CPDecomposition) -> tuple[int, int]:
+    """The compressed core's rows and columns per term (module docstring)."""
+    r, dims = decomp.rank, decomp.dims
+    return math.prod(min(m, r) for m in dims), 1 - len(dims) + sum(min(m, r) for m in dims)
+
+
 def is_defective(decomp: CPDecomposition) -> bool:
-    """True when the tangent spaces of the terms intersect at every input,
-    by dimension alone, so that kappa is infinite and cond-cpd exits 3.
-    That is the case
-      - when n > N;
-      - for r >= 2 when at most two modes have m_k >= 2, a matrix
-        decomposition: a_1 x b_2 lies in the tangent spaces of the terms
-        a_1 x b_1 and a_2 x b_2 (the CP twin of Waring's d = 2).
+    """True when the compressed core is wide, prod_k min(m_k, r) <
+    r * (1 - d + sum_k min(m_k, r)), so that kappa is inf at every input and
+    cond-cpd exits 3: the core is a diagonal block of the stacked tangent
+    bases (module docstring), so the kernel its shape alone gives it is
+    theirs too, and the terms' tangent spaces meet.  This covers n > N and
+    every matrix decomposition of rank r >= 2, but not every defective
+    shape: (2,2,2,2) r=3 has a 16 x 15 core, and its kappa is inf only
+    through the rank tolerance.
     """
-    matrix_like = sum(m >= 2 for m in decomp.dims) <= 2
-    return _tangent_dim(decomp) > decomp.ambient_dim or (decomp.rank >= 2 and matrix_like)
+    rows, width = _core_shape(decomp)
+    return rows < decomp.rank * width
 
 
 class _Compression:
@@ -112,17 +119,14 @@ class _Compression:
     mats are the A_k, bases the P_k of the QR of A_k for each mode with
     m_k > r (None for the others), core the B_k = P_k^T A_k (A_k itself
     when uncompressed), and complements those of the B_k.  The core matrix
-    has prod_k min(m_k, r) rows (self.rows) and self.width columns per
-    term.  Raises ValueError, before any of it is built, when the floats
-    held at once exceed MAX_TANGENT_ENTRIES.
+    is self.rows x (r * self.width).  Raises ValueError, before any of it is
+    built, when the floats held at once exceed MAX_TANGENT_ENTRIES.
     """
 
     def __init__(self, decomp: CPDecomposition):
-        r = decomp.rank
-        self.rank = r
+        self.rank = r = decomp.rank
         dims = decomp.dims
-        self.rows = math.prod(min(m, r) for m in dims)
-        self.width = 1 - len(dims) + sum(min(m, r) for m in dims)
+        self.rows, self.width = _core_shape(decomp)
         self.modes = [k for k, m in enumerate(dims) if m > r]
         # Floats held at once: up to three core matrices (the core and the
         # two copies np.linalg.qr makes of it in least_singular_triplet; the
@@ -173,8 +177,6 @@ class _Compression:
         parts = [core[:, :1]]
         at = 1
         for A, P, Q_c in zip(self.mats, self.bases, self.complements):
-            if A.shape[0] == 1:
-                continue
             width = Q_c.shape[2]
             y = core[:, at:at + width]
             at += width
@@ -219,18 +221,17 @@ def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
     compressed, one batched SVD of the K_k.  Raises ValueError above
     MAX_TANGENT_ENTRIES.
     """
-    n, N = _tangent_dim(decomp), decomp.ambient_dim
-    scales = np.array([t.mu ** (1.0 - 1.0 / t.order) for t in decomp.terms])
-    # A wide stacked matrix, or a wide core, has a kernel: sigma_n is zero
-    # and no SVD is needed.
-    if n > N or (tucker := _Compression(decomp)).rows < decomp.rank * tucker.width:
+    # A wide core has a kernel: sigma_n is zero and no SVD is needed.
+    if is_defective(decomp):
         return math.inf
+    tucker = _Compression(decomp)
+    scales = np.array([t.mu ** (1.0 - 1.0 / t.order) for t in decomp.terms])
     # Values only: right vectors would double the cost at larger shapes.
     sigma_n, sigma_1 = least_singular_values(tucker.core_matrix(scales))
     if tucker.modes:
         K = tucker.out_stack(scales)
         sigma_n = min(sigma_n, float(np.linalg.svd(K, compute_uv=False)[:, -1].min()))
-    return kappa_from_singular_values(sigma_n, sigma_1, n, N)
+    return kappa_from_singular_values(sigma_n, sigma_1, _tangent_dim(decomp), decomp.ambient_dim)
 
 
 def is_weak_3_orthogonal(decomp: CPDecomposition) -> bool:

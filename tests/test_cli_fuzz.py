@@ -390,6 +390,15 @@ LIBRARY = {
         ("cond-cpd", '{"dims": [5, 1, 5], "terms": ['
          '{"mu": 1.0, "vectors": [[1, 0, 0, 0, 0], [1], [1, 0, 0, 0, 0]]}, '
          '{"mu": 2.0, "vectors": [[0, 1, 0, 0, 0], [1], [0.6, 0.8, 0, 0, 0]]}]}'),
+        # unbalanced shapes with n <= N whose compressed cores are 12 x 15
+        ("cond-cpd", '{"dims": [6, 2, 2], "terms": ['
+         '{"mu": 1.0, "vectors": [[1, 0, 0, 0, 0, 0], [1, 0], [1, 0]]}, '
+         '{"mu": 2.0, "vectors": [[0, 1, 0, 0, 0, 0], [0, 1], [0, 1]]}, '
+         '{"mu": 1.0, "vectors": [[0, 0, 0.6, 0.8, 0, 0], [0.6, 0.8], [0.6, 0.8]]}]}'),
+        ("cond-cpd", '{"dims": [10, 2, 2], "terms": ['
+         '{"mu": 1.0, "vectors": [[1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [1, 0], [1, 0]]}, '
+         '{"mu": 2.0, "vectors": [[0, 0, 0, 0, 0, 0, 0, 0, 0.6, 0.8], [0, 1], [0.6, 0.8]]}, '
+         '{"mu": 1.0, "vectors": [[0, 0.6, 0.8, 0, 0, 0, 0, 0, 0, 0], [0.6, 0.8], [0, 1]]}]}'),
         # n = r * m = 12 > dim S^3(R^3) = 10
         ("cond-waring", '{"m": 3, "d": 3, "terms": ['
          '{"mu": 1.0, "vector": [1, 0, 0]}, {"mu": 1.0, "vector": [0, 1, 0]}, '

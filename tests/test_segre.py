@@ -2,6 +2,7 @@
 and weak 3-orthogonality."""
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -311,19 +312,75 @@ def test_weak_3_orthogonality_detection():
         ((5, 1, 5), 2, True),
         ((1, 6, 1, 4), 3, True),
         ((2, 2, 2), 3, True),  # n = 12 > N = 8
+        # n <= N, but the cores are 12 x 15
+        ((6, 2, 2), 3, True),
+        ((10, 2, 2), 3, True),
         ((5, 5), 1, False),
         ((5, 5, 5), 2, False),
         ((3, 2, 2), 2, False),
     ],
 )
 def test_is_defective_matrix_shapes_and_overfull(dims, r, defective):
-    # a defective input has kappa inf at every draw: the compressed matrix of
-    # a matrix decomposition is wide, so sigma_min is exactly 0
+    # a defective input has kappa inf at every draw: its compressed core is
+    # wide, so sigma_min is exactly 0
     rng = rng_for(151)
     for _ in range(5):
         d = random_cpd(rng, dims, r)
         assert is_defective(d) == defective
         assert (cpd_condition_number(d).kappa == math.inf) == defective
+
+
+def _sweep_shapes():
+    """Every shape with d 1-4, m_k 1-8 and r 1-8, modes unordered (both
+    rules below are symmetric in them)."""
+    for d in range(1, 5):
+        for dims in combinations_with_replacement(range(8, 0, -1), d):
+            for r in range(1, 9):
+                yield dims, r
+
+
+def _matrix_or_overfull(dims, r):
+    """The rule is_defective had before it became the core's shape: n > N,
+    or a matrix decomposition of rank r >= 2."""
+    overfull = r * _tangent_dim(dims) > math.prod(dims)
+    return overfull or (r >= 2 and sum(m >= 2 for m in dims) <= 2)
+
+
+def test_core_rule_flags_every_matrix_or_overfull_shape():
+    rng = rng_for(152)
+    added = []
+    for dims, r in _sweep_shapes():
+        defective = is_defective(random_cpd(rng, dims, r))
+        if _matrix_or_overfull(dims, r):
+            assert defective, (dims, r)
+        elif defective:
+            added.append((dims, r))
+    # unbalanced third-order shapes, and the same with a mode of size 1
+    triples = [
+        ((8, 5, 2), 6), ((8, 4, 2), 5), ((8, 3, 3), 6), ((8, 3, 2), 4), ((8, 2, 2), 3),
+        ((7, 4, 2), 5), ((7, 3, 2), 4), ((7, 2, 2), 3), ((6, 3, 2), 4), ((6, 2, 2), 3),
+    ]
+    assert added == triples + [(dims + (1,), r) for dims, r in triples]
+
+
+def test_defective_shapes_have_sigma_min_exactly_zero(monkeypatch):
+    # one random input per flagged shape of the sweep: the wide core gives
+    # sigma_min = +0.0, and the norm-balanced number is inf without an SVD
+    rng = rng_for(153)
+    calls = count_svd_calls(monkeypatch)
+    flagged = 0
+    for dims, r in _sweep_shapes():
+        d = random_cpd(rng, dims, r)
+        if not is_defective(d):
+            continue
+        flagged += 1
+        calls.clear()
+        assert norm_balanced_condition_number(d) == math.inf
+        assert calls == []
+        report = cpd_condition_number(d)
+        assert report.sigma_min == 0.0 and math.copysign(1.0, report.sigma_min) == 1.0
+        assert report.kappa == math.inf
+    assert flagged == 1145
 
 
 def test_norm_balanced_is_inf_once_the_weight_spread_passes_the_rank_tolerance():
