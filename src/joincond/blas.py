@@ -4,10 +4,12 @@ On small matrices OpenBLAS's extra threads cost more than they save, and
 the split of the work depends on the thread count, so the last bits do too.
 Two scopes use one thread:
 
-- svd_threads(shape) wraps the engine SVDs: condition.least_singular_triplet
-  and its values-only twin least_singular_values, which takes the
-  norm-balanced engine's core in segre and the certificate's check.  It
-  runs single_threaded() for a matrix with ONE_THREAD_MIN_ENTRIES to
+- svd_threads(shape) wraps every SVD in the package:
+  condition.least_singular_triplet and its values-only twin
+  least_singular_values, which takes segre's norm-balanced core and K_k
+  stack, grassmann's per-block distances and the certificate's check (a
+  stack passes the shape of one of its matrices).  It runs
+  single_threaded() for a matrix with ONE_THREAD_MIN_ENTRIES to
   ONE_THREAD_MAX_ENTRIES entries and at most ONE_THREAD_MAX_COLUMNS
   columns, and leaves the thread count alone otherwise.  The window is
   where one thread measured faster (least_singular_triplet, 1 thread vs 2

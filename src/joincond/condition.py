@@ -154,9 +154,9 @@ class ConditionReport:
         }
 
 
-def _finite_matrix(M) -> np.ndarray:
+def _finite_matrix(M, ndims=(2,)) -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
+    if M.ndim not in ndims:
         raise ValueError("expected a matrix")
     if not np.all(np.isfinite(M)):
         raise ValueError("non-finite entries")
@@ -202,16 +202,19 @@ def least_singular_values(M) -> tuple[float, float]:
     """(sigma_n, sigma_1) of an N x n matrix, as least_singular_triplet
     gives them, from one values-only SVD: sigma_n is 0 for n > N.  For
     callers that read no singular vector; checks, threads and the retry on
-    the transpose are least_singular_triplet's."""
-    M = _finite_matrix(M)
-    N, n = M.shape
-    with svd_threads(M.shape):
+    the transpose are least_singular_triplet's.  M may also be a stack of
+    N x n matrices, decomposed in one batched call under the thread scope
+    of one: then sigma_n is their least sigma_n, sigma_1 their largest.
+    """
+    M = _finite_matrix(M, ndims=(2, 3))
+    N, n = M.shape[-2:]
+    with svd_threads((N, n)):
         try:
             s = np.linalg.svd(M, compute_uv=False)
         except np.linalg.LinAlgError:
-            s = np.linalg.svd(M.T, compute_uv=False)
-    # abs: LAPACK can return a zero singular value as -0.0
-    return (0.0 if n > N else abs(float(s[n - 1]))), abs(float(s[0]))
+            s = np.linalg.svd(M.swapaxes(-1, -2), compute_uv=False)
+    # abs: LAPACK can return 0 as -0.0; .flat: builtins beat numpy's reductions
+    return (0.0 if n > N else abs(float(min(s[..., n - 1].flat)))), abs(float(max(s[..., 0].flat)))
 
 
 def kappa_from_singular_values(sigma_n: float, sigma_1: float, n: int, N: int) -> float:

@@ -509,13 +509,11 @@ def _match_columns(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     Qn = Q / np.linalg.norm(Q, axis=0, keepdims=True)
     similarity = Pn.T @ Qn
     perm = np.full(r, -1, dtype=int)
-    blocked = np.zeros_like(similarity, dtype=bool)
     for _ in range(r):
-        masked = np.where(blocked, -np.inf, similarity)
-        i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
+        i, j = np.unravel_index(int(np.argmax(similarity)), similarity.shape)
         perm[i] = j
-        blocked[i, :] = True
-        blocked[:, j] = True
+        similarity[i, :] = -np.inf
+        similarity[:, j] = -np.inf
     return perm
 
 

@@ -77,9 +77,7 @@ def projection_distance(W: SubspaceTuple, W2: SubspaceTuple) -> float:
     _check_compatible(W, W2)
     total = 0.0
     for A, B in zip(W.subspaces, W2.subspaces):
-        residual = B - A @ (A.T @ B)
-        sines = np.clip(np.linalg.svd(residual, compute_uv=False), 0.0, 1.0)
-        total += float(sines[0]) ** 2
+        total += min(least_singular_values(B - A @ (A.T @ B))[1], 1.0) ** 2
     return float(np.sqrt(total))
 
 

@@ -47,8 +47,8 @@ U D as it splits U, scaling term i's columns of the core by D_i and its
 column of every K_k by s_i.  The same w, now with ||w|| <= ||c|| as D_i
 weights the rank-one column by sqrt(d), keeps sigma_1 in the core but no
 longer bounds sigma_n: here the K_k, which all have the shape
-(prod_j min(m_j, r) / r) x r, get one batched SVD, and sigma_n is the least
-over the core and the K_k.
+(prod_j min(m_j, r) / r) x r, go as one stack to the values-only SVD, and
+sigma_n is the least over the core and the K_k.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
     norm-balanced representative of term i, whose factors all have norm
     mu_i^(1/d); computed from values-only SVDs of the compressed blocks
     times D (see the module docstring): one of the core and, when a mode is
-    compressed, one batched SVD of the K_k.  Raises ValueError above
+    compressed, one of the stacked K_k.  Raises ValueError above
     MAX_TANGENT_ENTRIES.
     """
     # A wide core has a kernel: sigma_n is zero and no SVD is needed.
@@ -229,8 +229,7 @@ def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
     # Values only: right vectors would double the cost at larger shapes.
     sigma_n, sigma_1 = least_singular_values(tucker.core_matrix(scales))
     if tucker.modes:
-        K = tucker.out_stack(scales)
-        sigma_n = min(sigma_n, float(np.linalg.svd(K, compute_uv=False)[:, -1].min()))
+        sigma_n = min(sigma_n, least_singular_values(tucker.out_stack(scales))[0])
     return kappa_from_singular_values(sigma_n, sigma_1, _tangent_dim(decomp), decomp.ambient_dim)
 
 

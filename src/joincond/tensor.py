@@ -7,11 +7,11 @@ Under this convention the flattening of a rank-one tensor a^1 x ... x a^d
 equals the chained Kronecker product kron(a^1, ..., a^d), which is what
 every tangent-basis formula in this package relies on.
 
-khatri_rao builds the column-wise Kronecker products of assembled terms,
-the refiner's MTTKRPs and segre's out-of-core blocks.  tangent_matrix
-assembles every stacked tangent basis, CP and Waring, and alone knows a
-term's column layout; it does not call khatri_rao but forms the same
-left-to-right products in one broadcast chain over all blocks at once.
+khatri_rao forms every chained column-wise Kronecker product in the
+package: assembled terms, the refiner's MTTKRPs, segre's out-of-core
+blocks and every stacked tangent basis, CP and Waring.  tangent_matrix
+alone knows a term's column layout: it fills one factor per group for all
+blocks at once and hands the factors to khatri_rao.
 """
 
 from __future__ import annotations
@@ -173,23 +173,20 @@ def tangent_matrix(mats, complements) -> np.ndarray:
     r x m_k x c_k stack).  A CP term has one group per mode, a Waring term
     one group of symmetric-coordinate rows (see waring).
 
-    Built in one pass: group k's factor is an m_k x r x w array, w the
+    Built in one pass: group k's factor is an m_k x (r * w) matrix, w the
     column count of a term, holding a_i^k in every column of term i but
-    group k's own, which hold complements[k][i].  Their chained broadcast
-    product is the m_1 x ... x m_d x r x w stack, whose entries are the
-    left-to-right products khatri_rao forms, and its C-order reshape is
-    the matrix.
+    group k's own, which hold complements[k][i]; khatri_rao multiplies them.
     """
     r = mats[0].shape[1]
     w = 1 + sum(Q.shape[2] for Q in complements)
-    out, at = None, 1
+    factors, at = [], 1
     for A, Q in zip(mats, complements):
         F = np.empty((A.shape[0], r, w))
         F[...] = A[:, :, None]
         F[:, :, at:at + Q.shape[2]] = Q.transpose(1, 0, 2)
         at += Q.shape[2]
-        out = F if out is None else (out[:, None] * F[None]).reshape(-1, r, w)
-    return out.reshape(-1, r * w)
+        factors.append(F.reshape(A.shape[0], r * w))
+    return khatri_rao(factors)
 
 
 def assemble_cpd(decomp: CPDecomposition) -> np.ndarray:

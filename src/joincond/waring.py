@@ -22,8 +22,9 @@ the square root of that count, is therefore an isometry on S^d(R^m): the
 weighted matrix has the Gram matrix of the stacked basis, hence its singular
 values and right singular vectors.  waring_condition_number decomposes that
 C(m+d-1, d)-row matrix (715 rows instead of 10,000 at m=10, d=4).
-n = r * m above C(m+d-1, d), d = 2 with r >= 2, and the Alexander-Hirschowitz
-exceptions are ill posed by dimension alone (is_defective).
+Shapes ill posed by dimension alone (is_defective) have a wide core on the
+span of the vectors, as in segre, which covers n = r * m > C(m+d-1, d) and
+every quadric of rank r >= 2, or are Alexander-Hirschowitz exceptions.
 
 One builder, _tangent_matrix, produces every Waring tangent matrix for all
 terms at once from a table of weighted multi-indices: the sorted rows for
@@ -134,15 +135,16 @@ def is_defective(m: int, d: int, r: int) -> bool:
     """True when the tangent spaces of r terms in S^d(R^m) intersect at every
     input, by dimension alone, so that kappa is infinite and cond-waring
     exits 3.  That is the case
-      - when r * m > C(m+d-1, d), the space they all lie in;
-      - for d = 2 and r >= 2: the tangent space at a_i a_i^T holds
-        a_i x^T + x a_i^T, so a_i a_j^T + a_j a_i^T lies in those of both
-        terms;
+      - when r * k > C(k+d-1, d) for k = min(m, r), the wide core of
+        segre.is_defective: the r * k tangent directions a_i^(d-1) x with x
+        in a k-dimensional P holding the vectors lie in S^d(P).  This covers
+        n > C(m+d-1, d), and every quadric of rank r >= 2 (r^2 > r(r+1)/2);
       - for the Alexander-Hirschowitz exceptions, where by Terracini's lemma
         the span of r generic tangent spaces, and by semicontinuity that of
         any r, has dimension below r * m.
     """
-    return r * m > symmetric_dimension(m, d) or (d == 2 and r >= 2) or (m, d, r) in _AH_EXCEPTIONS
+    k = min(m, r)
+    return r * k > symmetric_dimension(k, d) or (m, d, r) in _AH_EXCEPTIONS
 
 
 def _dense_rows(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:

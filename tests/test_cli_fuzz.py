@@ -403,7 +403,8 @@ LIBRARY = {
         ("cond-waring", '{"m": 3, "d": 3, "terms": ['
          '{"mu": 1.0, "vector": [1, 0, 0]}, {"mu": 1.0, "vector": [0, 1, 0]}, '
          '{"mu": -1.0, "vector": [0, 0, 1]}, {"mu": 1.0, "vector": [0.6, 0.8, 0]}]}'),
-        # d = 2 with r >= 2, and the Alexander-Hirschowitz shape (m, d, r) = (3, 4, 5)
+        # a quadric of rank 3 (its core is wide: 3 * 3 > C(4, 2)), and the
+        # Alexander-Hirschowitz shape (m, d, r) = (3, 4, 5)
         ("cond-waring", '{"m": 5, "d": 2, "terms": ['
          '{"mu": 1.0, "vector": [1, 0, 0, 0, 0]}, {"mu": -1.0, "vector": [0, 1, 0, 0, 0]}, '
          '{"mu": 1.0, "vector": [0, 0, 0.6, 0.8, 0]}]}'),

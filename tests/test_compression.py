@@ -173,6 +173,27 @@ def test_norm_balanced_sigma_n_in_out_block():
     assert abs(1.0 / kappa - sigma_n) <= SIGMA_TOL * max(1.0, sigma_1)
 
 
+def test_out_stack_svd_nonconvergence_retries_on_transpose(monkeypatch):
+    # test_norm_balanced_sigma_n_in_out_block's input, whose sigma_n comes
+    # from the (3, 1, 1) stack of K_k:
+    # when the batched SVD fails to converge, the transposed stack is tried
+    # instead of the LinAlgError escaping
+    d = random_cpd(rng_for(165), (4, 3, 2), 1)
+    expected = norm_balanced_condition_number(d)
+    real_svd = np.linalg.svd
+    shapes = []
+
+    def svd(M, *args, **kwargs):
+        shapes.append(np.shape(M))
+        if len(shapes) == 2:  # the core's SVD comes first
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert norm_balanced_condition_number(d) == expected
+    assert shapes == [(1, 1), (3, 1, 1), (3, 1, 1)]
+
+
 def test_wide_out_blocks_give_infinite_kappa(monkeypatch):
     # (20,2,2) r=5: each K_k is 4 x 5 (prod_j min(m_j, r) = 20 < r^2), so U
     # has a kernel; a wide K_k comes with a wide core (20 x 35)

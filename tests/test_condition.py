@@ -78,6 +78,25 @@ def test_values_kernel_matches_the_triplet():
         assert sigma == 0.0 and math.copysign(1.0, sigma) == 1.0
 
 
+def test_values_kernel_takes_a_stack():
+    # an equal-shape stack gives the least sigma_n and the largest sigma_1
+    # of its matrices, from one batched call
+    rng = rng_for(40)
+    for shape in [(4, 6, 3), (3, 5, 5), (2, 200, 64)]:
+        S = rng.standard_normal(shape)
+        each = [least_singular_values(M) for M in S]
+        assert least_singular_values(S) == (min(s for s, _ in each), max(s1 for _, s1 in each))
+    # a stack of wide matrices has a kernel: sigma_n is +0.0
+    sigma, sigma_1 = least_singular_values(rng.standard_normal((3, 2, 5)))
+    assert sigma == 0.0 and math.copysign(1.0, sigma) == 1.0 and sigma_1 > 0.0
+    for bad in (np.zeros(3), np.zeros((2, 2, 2, 2)), np.array([[[1.0, np.inf]], [[1.0, 0.0]]])):
+        with pytest.raises(ValueError):
+            least_singular_values(bad)
+    # the triplet takes one matrix only
+    with pytest.raises(ValueError):
+        least_singular_triplet(np.zeros((2, 3, 3)))
+
+
 def test_orthonormal_blocks_give_kappa_one():
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])

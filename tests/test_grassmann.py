@@ -249,6 +249,17 @@ def test_certificate_takes_r_plus_2_svds(monkeypatch):
     assert calls == [True] + [False] * (len(t.subspaces) + 1)
 
 
+def test_projection_distance_retries_a_failed_block_svd(monkeypatch):
+    # a block SVD that fails to converge is retried on the transpose, so
+    # grassmann --mode dist and certify exit normally
+    rng = rng_for(53)
+    t, t2 = random_subspace_tuple(rng, 9, (2, 1, 3)), random_subspace_tuple(rng, 9, (2, 1, 3))
+    expected = projection_distance(t, t2)
+    calls = count_svd_calls(monkeypatch, fail_first=True)
+    assert math.isclose(projection_distance(t, t2), expected, rel_tol=1e-12)
+    assert calls == [False] * 4
+
+
 def test_certificate_refuses_degenerate_inputs():
     rng = rng_for(48)
     with pytest.raises(ValueError):

@@ -204,6 +204,20 @@ def test_defective_shapes_are_inf_by_dimension_not_by_rounding(monkeypatch):
         assert math.isfinite(report.kappa) and report.well_posed
 
 
+def _three_clauses(m, d, r):
+    """The rule is_defective had before the wide core: n > C(m+d-1, d), a
+    quadric of rank r >= 2, or an Alexander-Hirschowitz exception."""
+    exceptions = {(3, 4, 5), (4, 4, 9), (5, 4, 14), (5, 3, 7)}
+    return r * m > symmetric_dimension(m, d) or (d == 2 and r >= 2) or (m, d, r) in exceptions
+
+
+def test_wide_core_rule_equals_the_three_clauses():
+    for m in range(1, 13):
+        for d in range(1, 9):
+            for r in range(1, symmetric_dimension(m, d) // m + 3):
+                assert is_defective(m, d, r) == _three_clauses(m, d, r), (m, d, r)
+
+
 def test_defective_rule_matches_the_generic_rank():
     # every shape with r * m up to one term past C(m+d-1, d): the defective
     # ones have sigma_min at rounding level on random inputs, the others
