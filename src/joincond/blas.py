@@ -12,19 +12,15 @@ Two scopes use one thread:
   single_threaded() for a matrix with ONE_THREAD_MIN_ENTRIES to
   ONE_THREAD_MAX_ENTRIES entries and at most ONE_THREAD_MAX_COLUMNS
   columns, and leaves the thread count alone otherwise.  The window is
-  where one thread measured faster (least_singular_triplet, 1 thread vs 2
-  on 2 vCPUs: 0.65x the time at 480 x 96, 0.77x at 1000 x 280, 0.84x at
-  1600 x 320, 0.91x at 4096 x 128; README, "Per-block SVDs and BLAS
-  threads").  Two threads win or tie beyond it: on 400 or more columns
-  (1.0x at 400 x 400, 1.04x at 1024 x 512) and on tall matrices, whose QR
-  splits well (1.25x at 10000 x 100, 1.14x at 10000 x 370, 1.44x at
-  100000 x 460).  The entry floor leaves the tiny matrices of the
-  paatero/dsl steps (at most 60 x 30) alone: there one thread saves
-  nothing, and without the floor the two thread-count calls per SVD made a
-  whole step 2.9% slower.
-- The model experiment runs whole under single_threaded(): its refiner's
-  114 x 114 damped solves and 480 x 96 QRs were steady (24.4-24.7 ms per
-  sample) on one thread, against two speeds about 30% apart on two.
+  where one thread measured faster than two on 2 vCPUs: the README's
+  crossover table, under "Per-block SVDs and BLAS threads", gives the
+  shapes, the times and the command that measures them.  Two threads tend
+  to win beyond it on tall matrices, whose QR splits well.  The entry
+  floor leaves the tiny matrices of the paatero/dsl steps (at most
+  60 x 30) alone: there one thread saves nothing, and each SVD would pay
+  for two thread-count calls.
+- The model experiment runs whole under single_threaded(), as all its
+  matrices are small (the refiner's 114 x 114 damped solves, 480 x 96 QRs).
 
 Inside either scope results do not depend on the BLAS thread count.
 

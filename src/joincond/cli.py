@@ -127,24 +127,16 @@ def _load_cpd(args) -> CPDecomposition:
     return _read(args.input, CPDecomposition.from_json_dict, "decomposition")
 
 
-def cmd_cond_cpd(args) -> int:
-    decomp = _load_cpd(args)
+def cmd_cond(args) -> int:
+    """cond-cpd and cond-waring: each subparser supplies load, engine and
+    defective, the shape rule behind exit 3."""
+    decomp = args.load(args)
     try:
-        report = cpd_condition_number(decomp)
+        report = args.engine(decomp)
     except ValueError as exc:  # above condition.MAX_TANGENT_ENTRIES
         raise InputError(str(exc)) from exc
     _emit(report.to_json_dict(), args.out)
-    return EXIT_DIMENSION if cpd_is_defective(decomp) else EXIT_OK
-
-
-def cmd_cond_waring(args) -> int:
-    decomp = _read(args.input, WaringDecomposition.from_json_dict, "decomposition")
-    try:
-        report = waring_condition_number(decomp)
-    except ValueError as exc:  # above condition.MAX_TANGENT_ENTRIES
-        raise InputError(str(exc)) from exc
-    _emit(report.to_json_dict(), args.out)
-    return EXIT_DIMENSION if is_defective(decomp.m, decomp.d, decomp.rank) else EXIT_OK
+    return EXIT_DIMENSION if args.defective(decomp) else EXIT_OK
 
 
 def _tuple_pair(data) -> tuple[SubspaceTuple, SubspaceTuple]:
@@ -234,12 +226,17 @@ def _build_parser() -> argparse.ArgumentParser:
     cond_cpd.add_argument("--input", required=True, help="decomposition JSON, or comma-separated per-mode factor CSVs with --format csv")
     cond_cpd.add_argument("--format", choices=("json", "csv"), default="json")
     cond_cpd.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    cond_cpd.set_defaults(func=cmd_cond_cpd)
+    cond_cpd.set_defaults(func=cmd_cond, load=_load_cpd, engine=cpd_condition_number, defective=cpd_is_defective)
 
     cond_waring = sub.add_parser("cond-waring", help="condition number of a symmetric decomposition")
     cond_waring.add_argument("--input", required=True, help="decomposition JSON")
     cond_waring.add_argument("--out", default=None)
-    cond_waring.set_defaults(func=cmd_cond_waring)
+    cond_waring.set_defaults(
+        func=cmd_cond,
+        load=lambda args: _read(args.input, WaringDecomposition.from_json_dict, "decomposition"),
+        engine=waring_condition_number,
+        defective=lambda decomp: is_defective(decomp.m, decomp.d, decomp.rank),
+    )
 
     grassmann = sub.add_parser("grassmann", help="subspace-tuple distances and certificates")
     grassmann.add_argument("--input", required=True, help="subspace tuple JSON (an array of two tuples for --mode dist)")

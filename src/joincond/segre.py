@@ -37,18 +37,24 @@ mode gives the core at least r^2 columns, and K_k has prod_j min(m_j, r) / r
 rows).  No mode with m_k > r means no compression, and then the core is U
 itself.
 
-The norm-balanced condition number decomposes the same blocks with their
-columns scaled.  With s_i = mu_i^(1-1/d) and t_i = a^1 x ... x a^d, term
-i's norm-balanced block for mode k is s_i * (t_i a^kT + U_i^k Q^kT), U_i^k
-being U_i's mode-k block.  So B_i = U_i C_i with C_i C_i^T = D_i^2 =
-s_i^2 * diag(d, 1, ..., 1), as Q^kT a^k = 0, and the nonzero singular values
-of [B_1 ... B_r] are those of U D, D = diag(D_i); the compression splits
-U D as it splits U, scaling term i's columns of the core by D_i and its
-column of every K_k by s_i.  The same w, now with ||w|| <= ||c|| as D_i
-weights the rank-one column by sqrt(d), keeps sigma_1 in the core but no
-longer bounds sigma_n: here the K_k, which all have the shape
-(prod_j min(m_j, r) / r) x r, go as one stack to the values-only SVD, and
-sigma_n is the least over the core and the K_k.
+The norm-balanced condition number (Breiding & Vannieuwenhoven, arXiv
+1611.08117) decomposes the same blocks with their columns scaled.  With
+s_i = mu_i^(1-1/d) and t_i = a^1 x ... x a^d, term i's norm-balanced block
+for mode k, s_i * (a^1 x ... x I x ... x a^d), is s_i * (t_i a^kT +
+U_i^k Q^kT), U_i^k being U_i's mode-k block, as I = a^k a^kT + Q^k Q^kT.
+So B_i = U_i C_i, where C_i stacks the row s_i [a^1T ... a^dT] on
+s_i blkdiag(Q^kT); its rows are orthogonal as Q^kT a^k = 0, so C_i C_i^T =
+D_i^2 = s_i^2 * diag(d, 1, ..., 1) (a mode with m_k = 1 has no Q^k and only
+adds its entry +-1 to the first row).  The nonzero singular values of
+[B_1 ... B_r], r * sum_k m_k columns, are thus those of the n columns of
+U D, D = diag(D_i); the compression splits U D as it splits U, scaling term
+i's columns of the core by D_i and its column of every K_k by s_i.  The
+same w, now with ||w|| <= ||c|| as D_i weights the rank-one column by
+sqrt(d), keeps sigma_1 in the core but no longer bounds sigma_n: at r = 1
+the core is the 1 x 1 column s * sqrt(d) and sigma_n = s sits in the K_k.
+So the K_k, which all have the shape (prod_j min(m_j, r) / r) x r, go as
+one stack to the values-only SVD, and sigma_n is the least over the core
+and the K_k.
 """
 
 from __future__ import annotations

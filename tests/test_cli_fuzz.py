@@ -374,49 +374,54 @@ LIBRARY = {
 
 # Each row: a document that is ill posed by its dimensions alone.  Its
 # vectors are basis vectors and (0.6, 0.8) pairs, so no verdict rests on
-# rounding.
-@pytest.mark.parametrize(
-    "command, text",
-    [
-        # n = 12 > N = 8
-        ("cond-cpd", '{"dims": [2, 2, 2], "terms": ['
-         '{"mu": 1.0, "vectors": [[1, 0], [1, 0], [1, 0]]}, '
-         '{"mu": 1.0, "vectors": [[0, 1], [0, 1], [0, 1]]}, '
-         '{"mu": 1.0, "vectors": [[0.6, 0.8], [0.6, 0.8], [0.6, 0.8]]}]}'),
-        # matrix decompositions with n <= N: a_1 x b_2 lies in both tangent spaces
-        ("cond-cpd", '{"dims": [5, 5], "terms": ['
-         '{"mu": 1.0, "vectors": [[1, 0, 0, 0, 0], [1, 0, 0, 0, 0]]}, '
-         '{"mu": 2.0, "vectors": [[0, 1, 0, 0, 0], [0, 1, 0, 0, 0]]}]}'),
-        ("cond-cpd", '{"dims": [5, 1, 5], "terms": ['
-         '{"mu": 1.0, "vectors": [[1, 0, 0, 0, 0], [1], [1, 0, 0, 0, 0]]}, '
-         '{"mu": 2.0, "vectors": [[0, 1, 0, 0, 0], [1], [0.6, 0.8, 0, 0, 0]]}]}'),
-        # unbalanced shapes with n <= N whose compressed cores are 12 x 15
-        ("cond-cpd", '{"dims": [6, 2, 2], "terms": ['
-         '{"mu": 1.0, "vectors": [[1, 0, 0, 0, 0, 0], [1, 0], [1, 0]]}, '
-         '{"mu": 2.0, "vectors": [[0, 1, 0, 0, 0, 0], [0, 1], [0, 1]]}, '
-         '{"mu": 1.0, "vectors": [[0, 0, 0.6, 0.8, 0, 0], [0.6, 0.8], [0.6, 0.8]]}]}'),
-        ("cond-cpd", '{"dims": [10, 2, 2], "terms": ['
-         '{"mu": 1.0, "vectors": [[1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [1, 0], [1, 0]]}, '
-         '{"mu": 2.0, "vectors": [[0, 0, 0, 0, 0, 0, 0, 0, 0.6, 0.8], [0, 1], [0.6, 0.8]]}, '
-         '{"mu": 1.0, "vectors": [[0, 0.6, 0.8, 0, 0, 0, 0, 0, 0, 0], [0.6, 0.8], [0, 1]]}]}'),
-        # n = r * m = 12 > dim S^3(R^3) = 10
-        ("cond-waring", '{"m": 3, "d": 3, "terms": ['
-         '{"mu": 1.0, "vector": [1, 0, 0]}, {"mu": 1.0, "vector": [0, 1, 0]}, '
-         '{"mu": -1.0, "vector": [0, 0, 1]}, {"mu": 1.0, "vector": [0.6, 0.8, 0]}]}'),
-        # a quadric of rank 3 (its core is wide: 3 * 3 > C(4, 2)), and the
-        # Alexander-Hirschowitz shape (m, d, r) = (3, 4, 5)
-        ("cond-waring", '{"m": 5, "d": 2, "terms": ['
-         '{"mu": 1.0, "vector": [1, 0, 0, 0, 0]}, {"mu": -1.0, "vector": [0, 1, 0, 0, 0]}, '
-         '{"mu": 1.0, "vector": [0, 0, 0.6, 0.8, 0]}]}'),
-        ("cond-waring", '{"m": 3, "d": 4, "terms": ['
-         '{"mu": 1.0, "vector": [1, 0, 0]}, {"mu": 1.0, "vector": [0, 1, 0]}, '
-         '{"mu": 1.0, "vector": [0, 0, 1]}, {"mu": -1.0, "vector": [0.6, 0.8, 0]}, '
-         '{"mu": 1.0, "vector": [0, 0.6, 0.8]}]}'),
-        # n = 4 > N = 3: no certificate
-        ("grassmann --mode certify",
-         '{"N": 3, "blocks": [[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]]}'),
-    ],
-)
+# rounding.  CI runs the installed console script on every row as well.
+EXIT_3_DOCUMENTS = [
+    # n = 12 > N = 8
+    ("cond-cpd", '{"dims": [2, 2, 2], "terms": ['
+     '{"mu": 1.0, "vectors": [[1, 0], [1, 0], [1, 0]]}, '
+     '{"mu": 1.0, "vectors": [[0, 1], [0, 1], [0, 1]]}, '
+     '{"mu": 1.0, "vectors": [[0.6, 0.8], [0.6, 0.8], [0.6, 0.8]]}]}'),
+    # matrix decompositions with n <= N: a_1 x b_2 lies in both tangent spaces
+    ("cond-cpd", '{"dims": [5, 5], "terms": ['
+     '{"mu": 1.0, "vectors": [[1, 0, 0, 0, 0], [1, 0, 0, 0, 0]]}, '
+     '{"mu": 2.0, "vectors": [[0, 1, 0, 0, 0], [0, 1, 0, 0, 0]]}]}'),
+    ("cond-cpd", '{"dims": [5, 1, 5], "terms": ['
+     '{"mu": 1.0, "vectors": [[1, 0, 0, 0, 0], [1], [1, 0, 0, 0, 0]]}, '
+     '{"mu": 2.0, "vectors": [[0, 1, 0, 0, 0], [1], [0.6, 0.8, 0, 0, 0]]}]}'),
+    # unbalanced shapes with n <= N whose compressed cores are 12 x 15
+    ("cond-cpd", '{"dims": [6, 2, 2], "terms": ['
+     '{"mu": 1.0, "vectors": [[1, 0, 0, 0, 0, 0], [1, 0], [1, 0]]}, '
+     '{"mu": 2.0, "vectors": [[0, 1, 0, 0, 0, 0], [0, 1], [0, 1]]}, '
+     '{"mu": 1.0, "vectors": [[0, 0, 0.6, 0.8, 0, 0], [0.6, 0.8], [0.6, 0.8]]}]}'),
+    ("cond-cpd", '{"dims": [10, 2, 2], "terms": ['
+     '{"mu": 1.0, "vectors": [[1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [1, 0], [1, 0]]}, '
+     '{"mu": 2.0, "vectors": [[0, 0, 0, 0, 0, 0, 0, 0, 0.6, 0.8], [0, 1], [0.6, 0.8]]}, '
+     '{"mu": 1.0, "vectors": [[0, 0.6, 0.8, 0, 0, 0, 0, 0, 0, 0], [0.6, 0.8], [0, 1]]}]}'),
+    # n = r * m = 12 > dim S^3(R^3) = 10
+    ("cond-waring", '{"m": 3, "d": 3, "terms": ['
+     '{"mu": 1.0, "vector": [1, 0, 0]}, {"mu": 1.0, "vector": [0, 1, 0]}, '
+     '{"mu": -1.0, "vector": [0, 0, 1]}, {"mu": 1.0, "vector": [0.6, 0.8, 0]}]}'),
+    # a quadric of rank 3 (its core is wide: 3 * 3 > C(4, 2)), and the
+    # Alexander-Hirschowitz shape (m, d, r) = (3, 4, 5)
+    ("cond-waring", '{"m": 5, "d": 2, "terms": ['
+     '{"mu": 1.0, "vector": [1, 0, 0, 0, 0]}, {"mu": -1.0, "vector": [0, 1, 0, 0, 0]}, '
+     '{"mu": 1.0, "vector": [0, 0, 0.6, 0.8, 0]}]}'),
+    ("cond-waring", '{"m": 3, "d": 4, "terms": ['
+     '{"mu": 1.0, "vector": [1, 0, 0]}, {"mu": 1.0, "vector": [0, 1, 0]}, '
+     '{"mu": 1.0, "vector": [0, 0, 1]}, {"mu": -1.0, "vector": [0.6, 0.8, 0]}, '
+     '{"mu": 1.0, "vector": [0, 0.6, 0.8]}]}'),
+    # a tall symmetric matrix, 21 x 18 rows at (m, d, r) = (6, 2, 3): the
+    # verdict is the wide core 3 * 3 > C(4, 2), not the matrix
+    ("cond-waring", '{"m": 6, "d": 2, "terms": ['
+     '{"mu": 1.0, "vector": [1, 0, 0, 0, 0, 0]}, {"mu": -1.0, "vector": [0, 1, 0, 0, 0, 0]}, '
+     '{"mu": 2.0, "vector": [0, 0, 0.6, 0.8, 0, 0]}]}'),
+    # n = 4 > N = 3: no certificate
+    ("grassmann --mode certify",
+     '{"N": 3, "blocks": [[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]]}'),
+]
+
+
+@pytest.mark.parametrize("command, text", EXIT_3_DOCUMENTS)
 def test_documents_that_exit_3(tmp_path, capsys, command, text):
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")

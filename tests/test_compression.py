@@ -133,7 +133,7 @@ def test_compressed_svd_runs_on_reduced_rows(monkeypatch):
 
 
 def test_norm_balanced_wide_compressed_matrix_runs_no_svd(monkeypatch):
-    # (9,9) r=4: n = 68 <= N = 81, but the compressed matrix is 24 x 36, so
+    # (9,9) r=4: n = 68 <= N = 81, but the compressed core is 16 x 28, so
     # it has a kernel and kappa is infinite from the shape alone
     wide = random_cpd(rng_for(153), (9, 9), 4)
     sigma_n, sigma_1, n, N = dense_norm_balanced_sigma(wide)
