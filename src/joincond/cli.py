@@ -166,13 +166,14 @@ def cmd_grassmann(args) -> int:
         print("error: total block dimension exceeds the ambient dimension", file=sys.stderr)
         return EXIT_DIMENSION
     try:
-        certificate = nearest_intersecting_tuple(tup)
+        # the payload builds the nearest tuple, whose validation may raise
+        payload = nearest_intersecting_tuple(tup).to_json_dict()
     except CertificateError as exc:
         print(f"error: certificate tolerance not met: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _emit(certificate.to_json_dict(original=tup), args.out)
+    _emit(payload, args.out)
     return EXIT_OK
 
 

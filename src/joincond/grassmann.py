@@ -5,21 +5,23 @@ ill posed for joint recovery when dim(W_1 + ... + W_r) < n_1 + ... + n_r,
 i.e. the subspaces share a linear dependence.  The distance from a tuple to
 that locus (in the Euclidean combination of per-block projector distances)
 equals sigma_n([W_1 ... W_r]), the quantity whose inverse is the condition
-number.  nearest_intersecting_tuple makes that distance constructive by
-exhibiting a closest dependent tuple, built from the least singular triplet
-of the stacked bases with a closed-form rank-(r-1) step and no further SVD.
+number.  nearest_intersecting_tuple makes that distance constructive: from
+the least singular triplet of the stacked bases, a closed-form rank-(r-1)
+step gives one witness direction per block, and the witnesses alone fix a
+closest dependent tuple and check it, with one more values-only N x r SVD.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .condition import SubspaceTuple, least_singular_triplet, least_singular_values
 from .tensor import orthonormal_complements
 
-# Tolerance for the two SVD-compounded certificate checks.
+# Tolerance for the two certificate checks.
 CERTIFICATE_TOL = 1e-8
 # Below this, norms are treated as zero when picking fallback directions.
 DEGENERATE_TOL = 1e-12
@@ -36,25 +38,39 @@ class CertificateError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class IllposedCertificate:
-    """A nearest dependent tuple, its distance, and the shared directions.
+    """A closest dependent tuple to original, its distance, and the shared
+    directions.
 
-    witness_directions[i] is a unit vector in the i-th nearest subspace; the
-    witnesses span fewer than r dimensions, which is what makes the nearest
-    tuple dependent.  diagnostics records the achieved residuals.
+    witness_directions[i] is a unit vector x_i in the i-th nearest subspace;
+    the witnesses span fewer than r dimensions, which is what makes the
+    nearest tuple dependent.  diagnostics records the achieved residuals.
+    nearest is built from original and the witnesses on its first read (the
+    input itself when sigma_min is within DEGENERATE_TOL of 0), so a caller
+    that reads only the distance never builds it.
     """
 
-    nearest: SubspaceTuple
+    original: SubspaceTuple
     distance: float
     witness_directions: tuple[np.ndarray, ...]
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
-    def to_json_dict(self, original: SubspaceTuple) -> dict:
+    @cached_property
+    def nearest(self) -> SubspaceTuple:
+        if self.diagnostics["sigma_min"] <= DEGENERATE_TOL:
+            return self.original
+        return SubspaceTuple(
+            self.original.ambient_dim,
+            tuple(_rotate_to_contain(W, x)
+                  for W, x in zip(self.original.subspaces, self.witness_directions)),
+        )
+
+    def to_json_dict(self) -> dict:
         return {
             "distance": self.distance,
             "witness_directions": [x.tolist() for x in self.witness_directions],
             "nearest": self.nearest.to_json_dict(),
             "diagnostics": dict(self.diagnostics),
-            "input_sha256": original.sha256(),
+            "input_sha256": self.original.sha256(),
         }
 
 
@@ -123,8 +139,15 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
     at distance exactly sigma.  A zero column of X needs sigma = 1 with v in
     one block W_i; the blocks are then mutually orthogonal, and any nonzero
     column of X, orthogonal to W_i, serves as x_i at the same distance 1.
-    The check reads sigma_n of the nearest tuple from a values-only SVD
-    (least_singular_values) and records it as intersect_residual.
+
+    Both checks read the input and the witnesses alone.  Block i rotates
+    only its direction closest to x_i, so its projector distance is the
+    sine ||x_i - W_i W_i^T x_i|| and the tuple's is the root sum of their
+    squares, compared with sigma as distance_residual.  Each x_i is column
+    0 of nearest block i, so sigma_min([x_1 ... x_r]), from one values-only
+    N x r SVD, bounds sigma_n of the nearest tuple from above; it is
+    recorded as intersect_residual.  Two SVDs in all, for any r; the nearest
+    tuple itself is built only when IllposedCertificate.nearest is read.
     """
     if W.n > W.ambient_dim:
         raise ValueError("tuple is dependent outright: n exceeds the ambient dimension")
@@ -147,7 +170,7 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
     if sigma <= DEGENERATE_TOL:
         # Already dependent: the tuple is its own nearest dependent tuple.
         return IllposedCertificate(
-            nearest=W,
+            original=W,
             distance=0.0,
             witness_directions=tuple(ys),
             diagnostics={"sigma_min": sigma, "distance_residual": 0.0,
@@ -159,24 +182,23 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
     fallback = X[:, int(np.argmax(norms))] / max(norms)
     xs = [X[:, i] / nc if nc > DEGENERATE_TOL else fallback for i, nc in enumerate(norms)]
 
-    nearest = SubspaceTuple(
-        W.ambient_dim,
-        tuple(_rotate_to_contain(Wi, x) for Wi, x in zip(W.subspaces, xs)),
-    )
-
-    distance = projection_distance(W, nearest)
+    # block i turns by the angle whose sine is ||x_i - W_i W_i^T x_i||
+    total = 0.0
+    for Wi, x in zip(W.subspaces, xs):
+        total += min(float(np.linalg.norm(x - Wi @ (Wi.T @ x))), 1.0) ** 2
+    distance = float(np.sqrt(total))
     distance_residual = abs(distance - sigma)
-    intersect_residual, _ = least_singular_values(nearest.stacked())
+    intersect_residual, _ = least_singular_values(np.column_stack(xs))
     if distance_residual > CERTIFICATE_TOL or intersect_residual > CERTIFICATE_TOL:
         raise CertificateError(
             "certificate tolerances not met: "
             f"|distance - sigma_n| = {distance_residual:.3e}, "
-            f"sigma_n(nearest) = {intersect_residual:.3e}",
+            f"sigma_min(witnesses) = {intersect_residual:.3e}",
             distance_residual=distance_residual,
             intersect_residual=intersect_residual,
         )
     return IllposedCertificate(
-        nearest=nearest,
+        original=W,
         distance=distance,
         witness_directions=tuple(xs),
         diagnostics={

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import joincond.cli as cli
+import joincond.grassmann as grassmann
 from joincond import (
     CertificateError,
     ModelParams,
@@ -265,6 +266,18 @@ def test_grassmann_certify_tolerance_failure_exits_4(tmp_path, capsys, monkeypat
     code, _, err = _run(capsys, ["grassmann", "--input", path, "--mode", "certify"])
     assert code == 4
     assert "certificate" in err
+
+
+def test_grassmann_certify_invalid_nearest_exits_2(tmp_path, capsys, monkeypatch):
+    # the nearest tuple is built and validated while the payload is, inside
+    # the try that maps a ValueError to an input error
+    t = random_subspace_tuple(rng_for(132), 6, (2, 1))
+    path = _write_json(tmp_path / "t.json", t.to_json_dict())
+    monkeypatch.setattr(grassmann, "_rotate_to_contain", lambda W, x: 2.0 * W)
+    code, out, err = _run(capsys, ["grassmann", "--input", path, "--mode", "certify"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid tangent basis") and "Traceback" not in err
 
 
 def test_experiment_paatero_matches_library_and_reruns_identically(tmp_path, capsys):

@@ -18,8 +18,9 @@ from joincond import (
     projection_distance,
     waring_tangent_tuple,
 )
-from joincond.condition import least_singular_triplet
-from joincond.grassmann import CERTIFICATE_TOL
+import joincond.grassmann as grassmann
+from joincond.condition import least_singular_triplet, least_singular_values
+from joincond.grassmann import CERTIFICATE_TOL, _rotate_to_contain
 from conftest import (
     count_svd_calls,
     random_cpd,
@@ -200,7 +201,7 @@ def test_certificate_intersecting_input_returns_input():
               SubspaceTuple(4, (e[:, [0, 1]], e[:, [2, 0]]))):
         cert = nearest_intersecting_tuple(t)
         assert cert.distance == 0.0
-        assert projection_distance(t, cert.nearest) <= 1e-12
+        assert cert.nearest is t
         for x in cert.witness_directions:
             assert np.abs(np.abs(x) - e[: t.ambient_dim, 0]).max() <= 1e-12
 
@@ -239,14 +240,49 @@ def test_witnesses_match_the_svd_of_y():
     assert checked >= 30
 
 
-def test_certificate_takes_r_plus_2_svds(monkeypatch):
-    # one for sigma_n(U) and its vector, then values only: one per block for
-    # the distance, one for sigma_n of the nearest tuple; the rank-(r-1)
-    # step takes none
-    t = random_subspace_tuple(rng_for(52), 9, (2, 1, 3))
-    calls = count_svd_calls(monkeypatch)
-    nearest_intersecting_tuple(t)
-    assert calls == [True] + [False] * (len(t.subspaces) + 1)
+def test_certificate_takes_2_svds_for_any_r(monkeypatch):
+    # one for sigma_n(U) and its vector, then one values-only SVD of the
+    # N x r witnesses; the rank-(r-1) step and the distance take none
+    rng = rng_for(52)
+    shapes = []
+    calls = count_svd_calls(monkeypatch, shapes=shapes)
+    for dims in ((2, 1), (2, 1, 3), (1,) * 6, (3, 2, 2, 1, 1)):
+        t = random_subspace_tuple(rng, 12, dims)
+        calls.clear()
+        shapes.clear()
+        nearest_intersecting_tuple(t)
+        assert calls == [True, False]
+        assert shapes[1] == (12, len(dims))
+
+
+def test_nearest_is_the_eager_construction_bit_for_bit():
+    rng = rng_for(54)
+    for dims in ((2, 1), (2, 1, 3), (1, 1, 1)):
+        t = random_subspace_tuple(rng, 9, dims)
+        cert = nearest_intersecting_tuple(t)
+        eager = SubspaceTuple(9, tuple(
+            _rotate_to_contain(W, x) for W, x in zip(t.subspaces, cert.witness_directions)
+        ))
+        assert [W.tobytes() for W in cert.nearest.subspaces] == [
+            W.tobytes() for W in eager.subspaces
+        ]
+
+
+def test_nearest_is_built_on_its_first_read_only(monkeypatch):
+    t = random_subspace_tuple(rng_for(55), 9, (2, 1, 3))
+    calls = []
+
+    def counted(W, x):
+        calls.append(1)
+        return _rotate_to_contain(W, x)
+
+    monkeypatch.setattr(grassmann, "_rotate_to_contain", counted)
+    cert = nearest_intersecting_tuple(t)
+    assert len(calls) == 0
+    first = cert.nearest
+    assert len(calls) == len(t.subspaces)
+    assert cert.nearest is first
+    assert len(calls) == len(t.subspaces)
 
 
 def test_projection_distance_retries_a_failed_block_svd(monkeypatch):
@@ -329,7 +365,7 @@ def test_tuple_json_roundtrip_and_hash_echo():
     for a, b in zip(t.subspaces, t2.subspaces):
         assert np.array_equal(a, b)
     cert = nearest_intersecting_tuple(t)
-    payload = cert.to_json_dict(original=t)
+    payload = cert.to_json_dict()
     assert payload["input_sha256"] == t.sha256()
     assert "distance" in payload and "nearest" in payload
     assert set(payload["diagnostics"]) == {
@@ -403,9 +439,12 @@ def test_certificate_is_met_or_raises_with_residuals(t):
         return
     assert cert.diagnostics["distance_residual"] <= CERTIFICATE_TOL
     assert cert.diagnostics["intersect_residual"] <= CERTIFICATE_TOL
-    # the values-only check agrees with the triplet's sigma_n to rounding
-    sigma, _, sigma_1 = least_singular_triplet(cert.nearest.stacked())
-    assert abs(cert.diagnostics["intersect_residual"] - sigma) <= 1e-15 * max(1.0, sigma_1)
+    # the witnesses are columns of the nearest blocks, so their sigma_min
+    # bounds the nearest tuple's sigma_n, up to rounding
+    sigma, sigma_1 = least_singular_values(cert.nearest.stacked())
+    assert sigma <= cert.diagnostics["intersect_residual"] + 1e-15 * max(1.0, sigma_1)
+    # the closed-form distance is the projector distance to the nearest tuple
+    assert abs(projection_distance(t, cert.nearest) - cert.distance) <= 1e-12
     assert abs(cert.distance - distance_to_illposed(t)) <= CERTIFICATE_TOL
     assert _is_intersecting(cert.nearest)
 

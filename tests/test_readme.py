@@ -3,9 +3,14 @@ it says, and its JSON documents go through the command line."""
 
 import json
 import re
+import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import joincond.cli as cli
+from conftest import random_subspace_tuple, rng_for
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,7 +21,7 @@ def _blocks(language):
 
 def test_readme_python_quick_start(capsys):
     blocks = _blocks("python")
-    assert len(blocks) == 1
+    assert len(blocks) == 2
     exec(compile(blocks[0], str(README), "exec"), {})
     assert capsys.readouterr().out == "1.0\n" * 3
 
@@ -42,3 +47,38 @@ def test_readme_tuple_certificate_at_distance_1(tmp_path, capsys):
     code, out = _run(tmp_path, capsys, ["grassmann", "--mode", "certify"], document)
     assert code == 0
     assert json.loads(out)["distance"] == 1.0
+
+
+def _check(monkeypatch, tuple_path, cert_path):
+    """Run the README's certificate checker on two files, as its command
+    line would."""
+    checker = _blocks("python")[1]
+    assert len(checker.splitlines()) <= 6
+    monkeypatch.setattr(sys, "argv", ["check.py", str(tuple_path), str(cert_path)])
+    exec(compile(checker, str(README), "exec"), {})
+
+
+def test_readme_checker_accepts_certificates_and_rejects_a_moved_witness(tmp_path, monkeypatch):
+    (readme_tuple,) = re.findall(r'`(\{"N": 3, .*?\})`', README.read_text())
+    rng = rng_for(150)
+    documents = [json.loads(readme_tuple)] + [
+        random_subspace_tuple(rng, N, dims).to_json_dict()
+        for N, dims in ((12, (2, 2, 2)), (9, (2, 1, 3)), (6, (1,) * 6))
+    ]
+    for document in documents:
+        tuple_path = tmp_path / "tuple.json"
+        tuple_path.write_text(json.dumps(document), encoding="utf-8")
+        assert cli.main(["grassmann", "--mode", "certify", "--input", str(tuple_path),
+                         "--out", str(tmp_path / "cert.json")]) == 0
+        _check(monkeypatch, tuple_path, tmp_path / "cert.json")
+    # witness 0 of the last certificate, turned 1e-3 toward a unit vector
+    # orthogonal to it, is still a unit vector but breaks the dependence
+    cert = json.loads((tmp_path / "cert.json").read_text())
+    x = np.array(cert["witness_directions"][0])
+    z = rng.standard_normal(x.size)
+    z -= (z @ x) * x
+    moved = x + 1e-3 * z / np.linalg.norm(z)
+    cert["witness_directions"][0] = (moved / np.linalg.norm(moved)).tolist()
+    (tmp_path / "moved.json").write_text(json.dumps(cert), encoding="utf-8")
+    with pytest.raises(AssertionError):
+        _check(monkeypatch, tuple_path, tmp_path / "moved.json")
