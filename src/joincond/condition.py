@@ -6,10 +6,12 @@ is any orthonormal basis of the tangent space at p_i and n is the total
 column count: kappa = 1 / sigma_n(U).  When n exceeds the ambient dimension
 the summation map cannot be locally inverted and kappa is infinite.
 
-Only sigma_n, sigma_1 and a right singular vector are needed.  For a tall
-matrix (N >= 2n) the one SVD runs on the n x n triangular factor of its QR
-decomposition, so U's N x n left singular vectors are never formed; LAPACK's
-gesdd takes the same QR itself at that shape, so the results are unchanged.
+Only sigma_n, sigma_1 and a right singular vector are needed, and a caller
+that reads kappa alone can skip the vector (vector=False), which leaves one
+values-only SVD.  For a tall matrix (N >= 2n) the one SVD with vectors runs
+on the n x n triangular factor of its QR decomposition, so U's N x n left
+singular vectors are never formed; LAPACK's gesdd takes the same QR itself
+at that shape, so the results are unchanged.
 """
 
 from __future__ import annotations
@@ -122,16 +124,18 @@ class ConditionReport:
     or sigma_min below the rank tolerance); well_posed is whether kappa is
     finite.  least_vector is a unit right singular vector of the stacked
     basis attaining sigma_min; its blocks give the most weakly determined
-    joint tangent direction.  sigma_1 is the largest singular value, and
-    path names the matrix that was decomposed: "dense" for the stacked
-    basis itself, "compressed" for its Tucker-compressed form (see segre),
-    "symmetric" for its weighted symmetric-coordinate rows (see waring).
+    joint tangent direction.  It is None in a report made without it
+    (condition_report's vector=False), and its JSON is then null.  sigma_1
+    is the largest singular value, and path names the matrix that was
+    decomposed: "dense" for the stacked basis itself, "compressed" for its
+    Tucker-compressed form (see segre), "symmetric" for its weighted
+    symmetric-coordinate rows (see waring).
     Every engine builds its reports with condition_report.
     """
 
     sigma_min: float
     kappa: float
-    least_vector: np.ndarray
+    least_vector: np.ndarray | None
     n: int
     N: int
     sigma_1: float
@@ -148,7 +152,7 @@ class ConditionReport:
             "n": self.n,
             "N": self.N,
             "well_posed": self.well_posed,
-            "least_vector": self.least_vector.tolist(),
+            "least_vector": None if self.least_vector is None else self.least_vector.tolist(),
             "sigma_1": self.sigma_1,
             "path": self.path,
         }
@@ -226,18 +230,36 @@ def kappa_from_singular_values(sigma_n: float, sigma_1: float, n: int, N: int) -
 
 
 def condition_report(
-    M, n: int, N: int, path: str = "dense", lift=None, defective: bool = False
+    M,
+    n: int,
+    N: int,
+    path: str = "dense",
+    lift=None,
+    defective: bool = False,
+    *,
+    vector: bool = True,
 ) -> ConditionReport:
     """Every engine's report, from one SVD of M: a matrix with the Gram
     matrix of n stacked tangent columns in R^N, or the part of it that holds
     sigma_n and sigma_1.  kappa is inf when defective (ill posed by dimension
     alone), else kappa_from_singular_values; lift maps M's least right
-    singular vector to the stacked columns' coordinates."""
-    sigma, v, sigma_1 = least_singular_triplet(M)
+    singular vector to the stacked columns' coordinates.
+
+    With vector=False the SVD is values-only (least_singular_values), lift
+    is not called and least_vector is None; sigma_n and sigma_1 may then
+    differ from the default's in their last bits (about eps * sigma_1), as
+    another LAPACK path computes them, and kappa with them.
+    """
+    if vector:
+        sigma, v, sigma_1 = least_singular_triplet(M)
+        if lift is not None:
+            v = lift(v)
+    else:
+        (sigma, sigma_1), v = least_singular_values(M), None
     return ConditionReport(
         sigma_min=sigma,
         kappa=math.inf if defective else kappa_from_singular_values(sigma, sigma_1, n, N),
-        least_vector=v if lift is None else lift(v),
+        least_vector=v,
         n=n,
         N=N,
         sigma_1=sigma_1,

@@ -490,12 +490,35 @@ class ExperimentRecord:
     iterations: int
 
 
+# Why a sample is left out of the aggregates, in order of precedence.
+DISCARD_REASONS = ("not converged", "kappa inf", "zero backward")
+
+
+def _discard_reason(rec: ExperimentRecord) -> str | None:
+    """The first of DISCARD_REASONS that holds for rec, or None when rec is
+    usable: converged with a finite scaling factor.  _run_sample leaves the
+    scaling factor finite on a converged sample unless kappa is inf or the
+    backward error is zero."""
+    if rec.converged and math.isfinite(rec.scaling):
+        return None
+    if not rec.converged:
+        return "not converged"
+    if not math.isfinite(rec.kappa):
+        return "kappa inf"
+    return "zero backward"
+
+
 @dataclass(frozen=True, eq=False)
 class ForwardErrorTables:
+    """records, the CSV rows, and the dropped samples: discarded in all,
+    discard_reasons per reason (every key of DISCARD_REASONS, summing to
+    discarded)."""
+
     records: list[ExperimentRecord]
     deciles: list[tuple]
     kappa_quartiles: list[tuple]
     discarded: int
+    discard_reasons: dict[str, int]
 
 
 def _match_columns(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -531,7 +554,8 @@ def _run_sample(params: ModelParams, s: int, sample: int) -> ExperimentRecord:
     backward = float(np.linalg.norm(computed_terms.sum(axis=1) - target))
     perm = _match_columns(original_terms, computed_terms)
     forward = float(np.linalg.norm(original_terms - computed_terms[:, perm]))
-    kappa = cpd_condition_number(result.decomposition).kappa
+    # the record needs kappa alone, so the SVD skips the least vector
+    kappa = cpd_condition_number(result.decomposition, vector=False).kappa
     if result.converged and math.isfinite(kappa) and backward > 0:
         scaling = forward / (kappa * backward)
     else:
@@ -559,21 +583,28 @@ def run_forward_error_experiment(
     forward / (kappa * backward).
 
     Aggregates per s: deciles 1..9 of the scaling factor and quartiles of
-    kappa over the converged samples.  Non-converged samples are excluded
-    from the aggregates and counted in `discarded`.  With out_dir set, the
+    kappa over the usable samples: converged, with a finite scaling factor.
+    The others are excluded from the aggregates, counted in `discarded` and,
+    by their first reason, in `discard_reasons`.  With out_dir set, the
     tables land in scaling_factor_deciles.csv and kappa_quartiles.csv.
     """
     svals = list(s_values)
     with single_threaded():
         records = [_run_sample(params, s, j) for s in svals for j in range(params.samples)]
 
+    reasons = dict.fromkeys(DISCARD_REASONS, 0)
+    kept = []
+    for rec in records:
+        reason = _discard_reason(rec)
+        if reason is None:
+            kept.append(rec)
+        else:
+            reasons[reason] += 1
+
     deciles = []
     quartiles = []
-    discarded = 0
     for s in svals:
-        per_s = [rec for rec in records if rec.s == s]
-        usable = [rec for rec in per_s if rec.converged and math.isfinite(rec.scaling)]
-        discarded += len(per_s) - len(usable)
+        usable = [rec for rec in kept if rec.s == s]
         if usable:
             scalings = np.array([rec.scaling for rec in usable])
             kappas = np.array([rec.kappa for rec in usable])
@@ -583,7 +614,7 @@ def run_forward_error_experiment(
             deciles.append((s,) + (math.nan,) * 9)
             quartiles.append((s,) + (math.nan,) * 3)
 
-    tables = ForwardErrorTables(records, deciles, quartiles, discarded)
+    tables = ForwardErrorTables(records, deciles, quartiles, sum(reasons.values()), reasons)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -197,17 +197,25 @@ class _Compression:
         return np.hstack(parts).ravel()
 
 
-def cpd_condition_number(decomp: CPDecomposition) -> ConditionReport:
+def cpd_condition_number(decomp: CPDecomposition, *, vector: bool = True) -> ConditionReport:
     """Condition number of recovering the rank-one terms from their sum.
 
     Equal to condition_number(cpd_tangent_tuple(decomp)) in exact
     arithmetic, computed from one SVD of the compressed core (see the module
     docstring); least_vector is in the coordinates of cpd_tangent_tuple.
+    With vector=False that SVD is values-only, lift is not called and
+    least_vector is None (see condition_report); the model experiment,
+    which reads kappa alone, takes it so.
     Raises ValueError above MAX_TANGENT_ENTRIES.
     """
     tucker = _Compression(decomp)
     return condition_report(
-        tucker.core_matrix(), _tangent_dim(decomp), decomp.ambient_dim, tucker.path, tucker.lift
+        tucker.core_matrix(),
+        _tangent_dim(decomp),
+        decomp.ambient_dim,
+        tucker.path,
+        tucker.lift,
+        vector=vector,
     )
 
 

@@ -61,6 +61,21 @@ def test_cond_cpd_json_matches_library(tmp_path, capsys):
     assert payload == report.to_json_dict()
 
 
+def test_cond_cpd_keeps_the_least_vector(tmp_path, capsys, monkeypatch):
+    # the model experiment's shape: cond-cpd takes the SVD with vectors, of
+    # the R factor of the 480 x 96 stacked basis, and prints the vector
+    d = random_cpd(rng_for(129), (6, 5, 4, 4), 6)
+    path = _write_json(tmp_path / "d.json", d.to_json_dict())
+    qr_shapes = []
+    calls = count_svd_calls(monkeypatch, qr_shapes=qr_shapes)
+    code, out, _ = _run(capsys, ["cond-cpd", "--input", path])
+    assert code == 0
+    assert (calls, qr_shapes) == ([True], [(480, 96)])
+    payload = json.loads(out)
+    assert payload["path"] == "dense"
+    assert abs(np.linalg.norm(payload["least_vector"]) - 1.0) <= 1e-12
+
+
 def test_cond_cpd_rank_one_kappa_one(tmp_path, capsys):
     rng = rng_for(121)
     d = random_cpd(rng, (3, 3, 3), 1)

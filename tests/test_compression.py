@@ -26,7 +26,11 @@ from joincond import (
     norm_balanced_condition_number,
     paatero_sequence,
 )
-from joincond.condition import RANK_TOL_FACTOR
+from joincond.condition import (
+    RANK_TOL_FACTOR,
+    kappa_from_singular_values,
+    least_singular_values,
+)
 from joincond.segre import _Compression, is_defective
 from conftest import (
     SIGMA_TOL,
@@ -65,6 +69,26 @@ def _check_against_dense(decomp):
 @example(random_cpd(rng_for(77), (2, 2, 2), 3))  # n = 12 > N = 8
 def test_compressed_matches_dense_on_random_decompositions(decomp):
     _check_against_dense(decomp)
+
+
+@given(cp_decompositions())
+@example(random_cpd(rng_for(77), (2, 2, 2), 3))  # n = 12 > N = 8
+def test_values_only_report_matches_default(decomp):
+    # vector=False, the model experiment's call: one values-only SVD of the
+    # same core, the same rank rule, and no least vector
+    report = cpd_condition_number(decomp)
+    values = cpd_condition_number(decomp, vector=False)
+    assert values.least_vector is None
+    assert (values.path, values.n, values.N) == (report.path, report.n, report.N)
+    scale = max(1.0, report.sigma_1)
+    assert abs(values.sigma_min - report.sigma_min) <= SIGMA_TOL * scale
+    assert abs(values.sigma_1 - report.sigma_1) <= SIGMA_TOL * scale
+    if report.n > report.N or not near_threshold(report.sigma_min, report.sigma_1):
+        assert math.isinf(values.kappa) == math.isinf(report.kappa)
+    core = _Compression(decomp).core_matrix()
+    assert values.kappa == kappa_from_singular_values(
+        *least_singular_values(core), report.n, report.N
+    )
 
 
 @given(

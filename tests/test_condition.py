@@ -275,6 +275,11 @@ def test_report_json_serialization():
         sigma_min=0.0, kappa=math.inf, least_vector=np.array([1.0]), n=3, N=2, sigma_1=1.0
     )
     assert infinite.to_json_dict()["kappa"] == "inf"
+    # a values-only report has no least vector, written as null
+    values_only = ConditionReport(
+        sigma_min=0.5, kappa=2.0, least_vector=None, n=2, N=4, sigma_1=1.5
+    )
+    assert values_only.to_json_dict() == {**j, "least_vector": None}
     # well_posed is derived from kappa, not stored
     assert infinite.to_json_dict()["well_posed"] is infinite.well_posed is False
 

@@ -37,12 +37,13 @@ from joincond.experiments import (
     MODEL_RANK,
     MODEL_RATE,
     MODEL_TAU,
+    ExperimentRecord,
     _match_columns,
     _run_sample,
     make_rng,
     splitmix64,
 )
-from conftest import kron, orthogonal_cpd, random_cpd, rng_for, run_cli
+from conftest import count_svd_calls, kron, orthogonal_cpd, random_cpd, rng_for, run_cli
 
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -376,6 +377,38 @@ def test_run_sample_record_fields():
         )
 
 
+def test_run_sample_takes_kappa_from_one_values_only_svd(monkeypatch):
+    # the (6,5,4,4) r=6 core is 480 x 96; values only, LAPACK's gesdd takes
+    # its QR itself and np.linalg.qr is never called
+    qr_shapes = []
+    calls = count_svd_calls(monkeypatch, qr_shapes=qr_shapes)
+    rec = _run_sample(ModelParams(samples=1, base_seed=3), 1, 0)
+    assert (calls, qr_shapes) == ([False], [])
+    assert math.isfinite(rec.kappa)
+
+
+def test_values_only_kappa_moves_model_records_at_rounding_level_only(monkeypatch):
+    # the model cell of the CSV tests, once as is and once with the least
+    # vector computed: the refinement is untouched, and kappa, and the
+    # scaling factor through it, move by rounding alone
+    params = ModelParams(samples=2, base_seed=0)
+    values_only = run_forward_error_experiment(params, range(1, 7)).records
+    real = experiments.cpd_condition_number
+    monkeypatch.setattr(
+        experiments, "cpd_condition_number", lambda d, **kw: real(d, **{**kw, "vector": True})
+    )
+    with_vector = run_forward_error_experiment(params, range(1, 7)).records
+    assert len(values_only) == len(with_vector) == 12
+    fields = ("s", "sample", "backward", "forward", "converged", "iterations")
+    for a, b in zip(values_only, with_vector):
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields], (a, b)
+        for f in ("kappa", "scaling"):
+            x, y = getattr(a, f), getattr(b, f)
+            assert math.isnan(x) == math.isnan(y), (f, a, b)
+            if not math.isnan(x):
+                assert x == y or abs(x - y) <= 1e-13 * abs(y), (f, a, b)
+
+
 def _degenerate_draws(monkeypatch, count):
     """Make the first `count` model draws degenerate (a zero column) after
     they consume their share of the stream; returns the list of draws made."""
@@ -462,11 +495,38 @@ def test_forward_error_s_without_usable_samples_writes_nan_rows(tmp_path, monkey
     params = ModelParams(samples=2, base_seed=5)
     tables = run_forward_error_experiment(params, s_values=(3,), out_dir=tmp_path)
     assert tables.discarded == 2
+    assert tables.discard_reasons == {"not converged": 2, "kappa inf": 0, "zero backward": 0}
     assert all(not rec.converged and math.isnan(rec.scaling) for rec in tables.records)
     deciles = (tmp_path / "scaling_factor_deciles.csv").read_text().splitlines()
     quartiles = (tmp_path / "kappa_quartiles.csv").read_text().splitlines()
     assert deciles[1:] == ["3," + ",".join(["nan"] * 9)]
     assert quartiles[1:] == ["3,nan,nan,nan"]
+
+
+def test_discard_reasons_follow_the_usable_rule_in_order(tmp_path, monkeypatch):
+    # hand-made records in place of the model's samples: each dropped one is
+    # counted once, under its first reason, and the CSVs aggregate the rest
+    nan, inf = math.nan, math.inf
+    made = {
+        (1, 0): (1e-9, 1e-8, 5.0, 0.2, True),  # usable
+        (1, 1): (1e-9, 1e-8, inf, nan, False),  # not converged, kappa inf too
+        (1, 2): (1e-9, 1e-8, 5.0, nan, False),  # not converged
+        (2, 0): (1e-9, 1e-8, inf, nan, True),  # kappa inf
+        (2, 1): (0.0, 0.0, inf, nan, True),  # kappa inf, zero backward too
+        (2, 2): (0.0, 0.0, 5.0, nan, True),  # zero backward
+    }
+
+    def sample(params, s, j):
+        backward, forward, kappa, scaling, converged = made[(s, j)]
+        return ExperimentRecord(s, j, backward, forward, kappa, scaling, converged, 3)
+
+    monkeypatch.setattr(experiments, "_run_sample", sample)
+    tables = run_forward_error_experiment(ModelParams(samples=3), (1, 2), out_dir=tmp_path)
+    assert tables.discard_reasons == {"not converged": 2, "kappa inf": 2, "zero backward": 1}
+    assert list(tables.discard_reasons) == list(experiments.DISCARD_REASONS)
+    assert tables.discarded == 5
+    quartiles = (tmp_path / "kappa_quartiles.csv").read_text().splitlines()
+    assert quartiles[1:] == ["1,5.0,5.0,5.0", "2,nan,nan,nan"]
 
 
 def test_forward_error_experiment_deterministic(tmp_path):
