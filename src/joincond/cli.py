@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .condition import SubspaceTuple
+from .condition import SubspaceTuple, is_defective
 from .experiments import (
     S_LIMIT,
     ModelParams,
@@ -39,9 +39,9 @@ from .grassmann import (
     nearest_intersecting_tuple,
     projection_distance,
 )
-from .segre import cpd_condition_number, is_defective as cpd_is_defective
+from .segre import cpd_condition_number
 from .tensor import CPDecomposition, normalize_decomposition
-from .waring import WaringDecomposition, is_defective, waring_condition_number
+from .waring import WaringDecomposition, waring_condition_number
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -128,15 +128,14 @@ def _load_cpd(args) -> CPDecomposition:
 
 
 def cmd_cond(args) -> int:
-    """cond-cpd and cond-waring: each subparser supplies load, engine and
-    defective, the shape rule behind exit 3."""
+    """cond-cpd and cond-waring; exit 3 is condition.is_defective's verdict."""
     decomp = args.load(args)
     try:
         report = args.engine(decomp)
     except ValueError as exc:  # above condition.MAX_TANGENT_ENTRIES
         raise InputError(str(exc)) from exc
     _emit(report.to_json_dict(), args.out)
-    return EXIT_DIMENSION if args.defective(decomp) else EXIT_OK
+    return EXIT_DIMENSION if is_defective(decomp.groups, decomp.rank) else EXIT_OK
 
 
 def _tuple_pair(data) -> tuple[SubspaceTuple, SubspaceTuple]:
@@ -227,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cond_cpd.add_argument("--input", required=True, help="decomposition JSON, or comma-separated per-mode factor CSVs with --format csv")
     cond_cpd.add_argument("--format", choices=("json", "csv"), default="json")
     cond_cpd.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    cond_cpd.set_defaults(func=cmd_cond, load=_load_cpd, engine=cpd_condition_number, defective=cpd_is_defective)
+    cond_cpd.set_defaults(func=cmd_cond, load=_load_cpd, engine=cpd_condition_number)
 
     cond_waring = sub.add_parser("cond-waring", help="condition number of a symmetric decomposition")
     cond_waring.add_argument("--input", required=True, help="decomposition JSON")
@@ -236,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
         func=cmd_cond,
         load=lambda args: _read(args.input, WaringDecomposition.from_json_dict, "decomposition"),
         engine=waring_condition_number,
-        defective=lambda decomp: is_defective(decomp.m, decomp.d, decomp.rank),
     )
 
     grassmann = sub.add_parser("grassmann", help="subspace-tuple distances and certificates")

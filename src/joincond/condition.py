@@ -42,6 +42,39 @@ RANK_TOL_FACTOR = 1e-14
 MAX_TANGENT_ENTRIES = 10**8
 
 
+# The Alexander-Hirschowitz exceptions (m, d, r), all with d >= 3.
+_AH_EXCEPTIONS = frozenset({(3, 4, 5), (4, 4, 9), (5, 4, 14), (5, 3, 7)})
+
+
+def core_shape(groups, r: int) -> tuple[int, int]:
+    """(rows, columns per term) of the core of r terms, each a product of
+    unit vectors of R^(m_g) to the powers d_g, groups = ((m_g, d_g), ...):
+    prod_g C(k_g+d_g-1, d_g) and 1 - G + sum_g k_g, k_g = min(m_g, r)."""
+    spans = [min(m, r) for m, _ in groups]
+    rows = math.prod(math.comb(k + d - 1, d) for k, (_, d) in zip(spans, groups))
+    return rows, 1 - len(spans) + sum(spans)
+
+
+def is_defective(groups, r: int) -> bool:
+    """True when r terms of the shape groups (see core_shape) have tangent
+    spaces that meet at every input: kappa is inf, and cond-cpd and
+    cond-waring exit 3.  Either
+      - the core is wide, rows < r * columns: with P_g a k_g-dimensional
+        space holding group g's vectors, term i's own direction and the
+        k_g - 1 turns of each a_i^g within P_g are 1 - G + sum_g k_g
+        orthonormal tangent directions in S^(d_1)(P_1) x ... x S^(d_G)(P_G),
+        of prod_g C(k_g+d_g-1, d_g) dimensions (for CP, segre's Tucker
+        core).  This covers n > N, every matrix decomposition and quadric of
+        rank r >= 2, and shapes like (10,2,2) r=3 (n = 36 <= N = 40); or
+      - one group (m, d) at rank r is an Alexander-Hirschowitz exception:
+        by Terracini's lemma r generic tangent spaces, and by semicontinuity
+        any r, span fewer than r * m dimensions.
+    It misses (2,2,2,2) r=3, defective with a 16 x 15 core: kappa is inf
+    there only through the rank tolerance."""
+    rows, width = core_shape(groups, r)
+    return rows < r * width or (len(groups) == 1 and (*groups[0], r) in _AH_EXCEPTIONS)
+
+
 def check_entries(entries: int, what: str) -> None:
     """Raise ValueError when a build would hold more than
     MAX_TANGENT_ENTRIES floats at once; what names the input and its verb."""

@@ -32,10 +32,10 @@ tangent space, so for every c there is a w with ||w|| = ||c|| and
 core w = e x (K_k c).  Hence sigma_n(core) <= sigma_r(K_k) and
 sigma_1(core) >= sigma_1(K_k), and cpd_condition_number takes sigma_n,
 sigma_1 and the least vector from one SVD of the core alone (sigma_n is
-zero when the core is wide, which it is whenever a K_k is: a compressed
-mode gives the core at least r^2 columns, and K_k has prod_j min(m_j, r) / r
-rows).  No mode with m_k > r means no compression, and then the core is U
-itself.
+zero when the core is wide, as condition.is_defective flags, which it is
+whenever a K_k is: a compressed mode gives the core at least r^2 columns,
+and K_k has prod_j min(m_j, r) / r rows).  No mode with m_k > r means no
+compression, and then the core is U itself.
 
 The norm-balanced condition number (Breiding & Vannieuwenhoven, arXiv
 1611.08117) decomposes the same blocks with their columns scaled.  With
@@ -68,6 +68,8 @@ from .condition import (
     SubspaceTuple,
     check_entries,
     condition_report,
+    core_shape,
+    is_defective,
     kappa_from_singular_values,
     least_singular_values,
 )
@@ -99,26 +101,6 @@ def _tangent_dim(decomp: CPDecomposition) -> int:
     return decomp.rank * (1 - decomp.order + sum(decomp.dims))
 
 
-def _core_shape(decomp: CPDecomposition) -> tuple[int, int]:
-    """The compressed core's rows and columns per term (module docstring)."""
-    r, dims = decomp.rank, decomp.dims
-    return math.prod(min(m, r) for m in dims), 1 - len(dims) + sum(min(m, r) for m in dims)
-
-
-def is_defective(decomp: CPDecomposition) -> bool:
-    """True when the compressed core is wide, prod_k min(m_k, r) <
-    r * (1 - d + sum_k min(m_k, r)), so that kappa is inf at every input and
-    cond-cpd exits 3: the core is a diagonal block of the stacked tangent
-    bases (module docstring), so the kernel its shape alone gives it is
-    theirs too, and the terms' tangent spaces meet.  This covers n > N and
-    every matrix decomposition of rank r >= 2, but not every defective
-    shape: (2,2,2,2) r=3 has a 16 x 15 core, and its kappa is inf only
-    through the rank tolerance.
-    """
-    rows, width = _core_shape(decomp)
-    return rows < decomp.rank * width
-
-
 class _Compression:
     """The Tucker compression of a decomposition's factor matrices.
 
@@ -132,7 +114,7 @@ class _Compression:
     def __init__(self, decomp: CPDecomposition):
         self.rank = r = decomp.rank
         dims = decomp.dims
-        self.rows, self.width = _core_shape(decomp)
+        self.rows, self.width = core_shape(decomp.groups, r)
         self.modes = [k for k, m in enumerate(dims) if m > r]
         # Floats held at once: up to three core matrices (the core and the
         # two copies np.linalg.qr makes of it in least_singular_triplet; the
@@ -236,7 +218,7 @@ def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
     MAX_TANGENT_ENTRIES.
     """
     # A wide core has a kernel: sigma_n is zero and no SVD is needed.
-    if is_defective(decomp):
+    if is_defective(decomp.groups, decomp.rank):
         return math.inf
     tucker = _Compression(decomp)
     scales = np.array([t.mu ** (1.0 - 1.0 / t.order) for t in decomp.terms])

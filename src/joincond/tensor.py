@@ -120,6 +120,11 @@ class CPDecomposition:
     def rank(self) -> int:
         return len(self.terms)
 
+    @property
+    def groups(self) -> tuple[tuple[int, int], ...]:
+        """((m_1, 1), ..., (m_d, 1)), the shape condition.is_defective takes."""
+        return tuple((m, 1) for m in self.dims)
+
     def factor_matrices(self) -> list[np.ndarray]:
         """One m_k x r matrix per mode whose column i is term i's mode-k vector."""
         return [np.column_stack(vs) for vs in zip(*(t.vectors for t in self.terms))]

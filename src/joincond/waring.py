@@ -22,9 +22,7 @@ the square root of that count, is therefore an isometry on S^d(R^m): the
 weighted matrix has the Gram matrix of the stacked basis, hence its singular
 values and right singular vectors.  waring_condition_number decomposes that
 C(m+d-1, d)-row matrix (715 rows instead of 10,000 at m=10, d=4).
-Shapes ill posed by dimension alone (is_defective) have a wide core on the
-span of the vectors, as in segre, which covers n = r * m > C(m+d-1, d) and
-every quadric of rank r >= 2, or are Alexander-Hirschowitz exceptions.
+condition.is_defective decides which shapes are ill posed by dimension.
 
 One builder, _tangent_matrix, produces every Waring tangent matrix for all
 terms at once from a table of weighted multi-indices: the sorted rows for
@@ -42,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condition import ConditionReport, SubspaceTuple, check_entries, condition_report
+from .condition import is_defective
 from .tensor import _unit_vector, as_float, as_int, as_vector
 from .tensor import orthonormal_complements, tangent_matrix
 
@@ -95,6 +94,11 @@ class WaringDecomposition:
     def rank(self) -> int:
         return len(self.terms)
 
+    @property
+    def groups(self) -> tuple[tuple[int, int], ...]:
+        """((m, d),), the shape condition.is_defective takes."""
+        return ((self.m, self.d),)
+
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,
@@ -123,28 +127,6 @@ def symmetric_dimension(m: int, d: int) -> int:
     """dim S^d(R^m) = C(m+d-1, d), the space holding every Waring tangent
     vector."""
     return math.comb(m + d - 1, d)
-
-
-# The Alexander-Hirschowitz exceptions (m, d, r) with d >= 3: there r
-# generic terms span a secant variety of dimension below min(r * m,
-# C(m+d-1, d)).
-_AH_EXCEPTIONS = frozenset({(3, 4, 5), (4, 4, 9), (5, 4, 14), (5, 3, 7)})
-
-
-def is_defective(m: int, d: int, r: int) -> bool:
-    """True when the tangent spaces of r terms in S^d(R^m) intersect at every
-    input, by dimension alone, so that kappa is infinite and cond-waring
-    exits 3.  That is the case
-      - when r * k > C(k+d-1, d) for k = min(m, r), the wide core of
-        segre.is_defective: the r * k tangent directions a_i^(d-1) x with x
-        in a k-dimensional P holding the vectors lie in S^d(P).  This covers
-        n > C(m+d-1, d), and every quadric of rank r >= 2 (r^2 > r(r+1)/2);
-      - for the Alexander-Hirschowitz exceptions, where by Terracini's lemma
-        the span of r generic tangent spaces, and by semicontinuity that of
-        any r, has dimension below r * m.
-    """
-    k = min(m, r)
-    return r * k > symmetric_dimension(k, d) or (m, d, r) in _AH_EXCEPTIONS
 
 
 def _dense_rows(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -230,13 +212,12 @@ def waring_condition_number(decomp: WaringDecomposition) -> ConditionReport:
     arithmetic, computed on the C(m+d-1, d) weighted symmetric rows (see the
     module docstring); least_vector is in the coordinates of
     waring_tangent_tuple.  N stays m^d, and kappa is infinite whenever
-    is_defective(m, d, r) (which covers n > C(m+d-1, d)), whatever sigma_min
-    rounds to.  Raises ValueError, before allocating, when the matrix and its
+    condition.is_defective flags the shape, whatever sigma_min rounds to.
+    Raises ValueError, before allocating, when the matrix and its
     intermediates would exceed MAX_TANGENT_ENTRIES floats.
     """
-    m, d = decomp.m, decomp.d
+    m, d, r = decomp.m, decomp.d, decomp.rank
     _check_rows(decomp, symmetric_dimension(m, d))
     M = _tangent_matrix(_vector_matrix(decomp), *_symmetric_rows(m, d))
-    return condition_report(
-        M, decomp.rank * m, m ** d, "symmetric", defective=is_defective(m, d, decomp.rank)
-    )
+    defective = is_defective(decomp.groups, r)
+    return condition_report(M, r * m, m**d, "symmetric", defective=defective)

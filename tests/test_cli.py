@@ -73,6 +73,7 @@ def test_cond_cpd_keeps_the_least_vector(tmp_path, capsys, monkeypatch):
     assert (calls, qr_shapes) == ([True], [(480, 96)])
     payload = json.loads(out)
     assert payload["path"] == "dense"
+    assert len(payload["least_vector"]) == 96
     assert abs(np.linalg.norm(payload["least_vector"]) - 1.0) <= 1e-12
 
 
@@ -263,6 +264,7 @@ def test_grassmann_certify_matches_illposed(tmp_path, capsys):
     code, out, _ = _run(capsys, ["grassmann", "--input", path, "--mode", "certify"])
     assert code == 0
     payload = json.loads(out)
+    assert payload["diagnostics"]["intersect_residual"] <= 1e-8
     assert abs(payload["distance"] - distance_to_illposed(t)) <= 1e-8
     assert payload["input_sha256"] == t.sha256()
     library = nearest_intersecting_tuple(t)

@@ -372,9 +372,11 @@ LIBRARY = {
 }
 
 
-# Each row: a document that is ill posed by its dimensions alone.  Its
-# vectors are basis vectors and (0.6, 0.8) pairs, so no verdict rests on
-# rounding.  CI runs the installed console script on every row as well.
+# Each row: a document that is ill posed by its dimensions alone, as
+# condition.is_defective decides for cond-cpd and cond-waring (n > N for
+# grassmann --mode certify).  Its vectors are basis vectors and (0.6, 0.8)
+# pairs, so no verdict rests on rounding.  CI runs the installed console
+# script on every row as well.
 EXIT_3_DOCUMENTS = [
     # n = 12 > N = 8
     ("cond-cpd", '{"dims": [2, 2, 2], "terms": ['

@@ -28,10 +28,12 @@ from joincond import (
 )
 from joincond.condition import (
     RANK_TOL_FACTOR,
+    core_shape,
+    is_defective,
     kappa_from_singular_values,
     least_singular_values,
 )
-from joincond.segre import _Compression, is_defective
+from joincond.segre import _Compression
 from conftest import (
     SIGMA_TOL,
     count_svd_calls,
@@ -176,13 +178,21 @@ def test_out_blocks_never_attain_cp_sigma(decomp):
     # why cpd_condition_number decomposes the core alone: every singular
     # value of every K_k lies between the core's sigma_n and sigma_1
     tucker = _Compression(decomp)
-    if not tucker.modes or is_defective(decomp):
+    if not tucker.modes or is_defective(decomp.groups, decomp.rank):
         return
     report = cpd_condition_number(decomp)
     s = np.linalg.svd(tucker.out_stack(np.ones(decomp.rank)), compute_uv=False)
     scale = max(1.0, report.sigma_1)
     assert report.sigma_min <= s[:, -1].min() + SIGMA_TOL * scale
     assert s[:, 0].max() <= report.sigma_1 + SIGMA_TOL * scale
+
+
+@given(cp_decompositions())
+def test_core_shape_is_the_shape_of_the_decomposed_core(decomp):
+    # the shape condition.is_defective judges is the matrix that
+    # cpd_condition_number decomposes, compressed or not
+    rows, width = core_shape(decomp.groups, decomp.rank)
+    assert _Compression(decomp).core_matrix().shape == (rows, decomp.rank * width)
 
 
 def test_norm_balanced_sigma_n_in_out_block():

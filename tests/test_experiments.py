@@ -571,6 +571,9 @@ def test_model_csvs_identical_per_thread_count_and_close_across(tmp_path):
         first = _model_cli_csvs(tmp_path / f"{threads}a", threads)
         assert _model_cli_csvs(tmp_path / f"{threads}b", threads) == first
         runs[threads] = first
+    for name, data in runs[1].items():
+        lines = data.decode("ascii").splitlines()
+        assert lines[0].startswith("s,") and len(lines) == 7, name  # s = 1..6
     for name, rtol in CROSS_THREAD_RTOL.items():
         one, two = (
             np.loadtxt(io.BytesIO(runs[t][name]), delimiter=",", skiprows=1) for t in (1, 2)

@@ -11,6 +11,7 @@ import pytest
 
 import joincond.cli as cli
 from conftest import random_subspace_tuple, rng_for
+from test_grassmann import _recipe_sha256
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,7 +47,13 @@ def test_readme_tuple_certificate_at_distance_1(tmp_path, capsys):
     (document,) = re.findall(r'`(\{"N": 3, .*?\})`', README.read_text())
     code, out = _run(tmp_path, capsys, ["grassmann", "--mode", "certify"], document)
     assert code == 0
-    assert json.loads(out)["distance"] == 1.0
+    cert = json.loads(out)
+    # block 1 turns onto block 0's line: two equal witnesses, dependent
+    # exactly
+    x, y = cert["witness_directions"]
+    assert cert["distance"] == 1.0 and x == y
+    assert cert["diagnostics"]["intersect_residual"] == 0.0
+    assert cert["input_sha256"] == _recipe_sha256(json.loads(document))
 
 
 def _check(monkeypatch, tuple_path, cert_path):

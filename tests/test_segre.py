@@ -2,7 +2,7 @@
 and weak 3-orthogonality."""
 
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from joincond import (
     is_weak_3_orthogonal,
     norm_balanced_condition_number,
 )
-from joincond.segre import is_defective
+from joincond.condition import core_shape, is_defective
 from conftest import (
     count_svd_calls,
     kron,
@@ -326,7 +326,7 @@ def test_is_defective_matrix_shapes_and_overfull(dims, r, defective):
     rng = rng_for(151)
     for _ in range(5):
         d = random_cpd(rng, dims, r)
-        assert is_defective(d) == defective
+        assert is_defective(d.groups, d.rank) == defective
         assert (cpd_condition_number(d).kappa == math.inf) == defective
 
 
@@ -339,18 +339,41 @@ def _sweep_shapes():
                 yield dims, r
 
 
+def _groups(dims):
+    return tuple((m, 1) for m in dims)
+
+
 def _matrix_or_overfull(dims, r):
-    """The rule is_defective had before it became the core's shape: n > N,
+    """The rule the CP engine had before it took the core's shape: n > N,
     or a matrix decomposition of rank r >= 2."""
     overfull = r * _tangent_dim(dims) > math.prod(dims)
     return overfull or (r >= 2 and sum(m >= 2 for m in dims) <= 2)
 
 
+def _tucker_core(dims, r):
+    """The CP rule before it took factor groups: the Tucker core's rows and
+    columns per term, and whether it is wide."""
+    rows = math.prod(min(m, r) for m in dims)
+    width = 1 - len(dims) + sum(min(m, r) for m in dims)
+    return (rows, width), rows < r * width
+
+
+def test_group_rule_equals_the_tucker_core_rule():
+    # every d <= 3 shape with m_k <= 8 in every mode order, and the d = 4
+    # shapes with 8 >= m_1 >= ... >= m_4, each at r <= 8: 7,312 pairs
+    shapes = [dims for d in range(1, 4) for dims in product(range(1, 9), repeat=d)]
+    shapes += list(combinations_with_replacement(range(8, 0, -1), 4))
+    pairs = [(dims, r) for dims in shapes for r in range(1, 9)]
+    assert len(pairs) == 7312
+    for dims, r in pairs:
+        shape, wide = _tucker_core(dims, r)
+        assert (core_shape(_groups(dims), r), is_defective(_groups(dims), r)) == (shape, wide)
+
+
 def test_core_rule_flags_every_matrix_or_overfull_shape():
-    rng = rng_for(152)
     added = []
     for dims, r in _sweep_shapes():
-        defective = is_defective(random_cpd(rng, dims, r))
+        defective = is_defective(_groups(dims), r)
         if _matrix_or_overfull(dims, r):
             assert defective, (dims, r)
         elif defective:
@@ -371,7 +394,7 @@ def test_defective_shapes_have_sigma_min_exactly_zero(monkeypatch):
     flagged = 0
     for dims, r in _sweep_shapes():
         d = random_cpd(rng, dims, r)
-        if not is_defective(d):
+        if not is_defective(d.groups, d.rank):
             continue
         flagged += 1
         calls.clear()

@@ -23,8 +23,8 @@ from joincond import (
     waring_tangent_tuple,
 )
 import joincond.condition
-from joincond.condition import RANK_TOL_FACTOR
-from joincond.waring import _symmetric_rows, is_defective, symmetric_dimension
+from joincond.condition import RANK_TOL_FACTOR, is_defective
+from joincond.waring import _symmetric_rows, symmetric_dimension
 from conftest import (
     SIGMA_TOL,
     count_svd_calls,
@@ -199,23 +199,46 @@ def test_defective_shapes_are_inf_by_dimension_not_by_rounding(monkeypatch):
     assert report.sigma_min > 0.0
     assert math.isinf(report.kappa) and not report.well_posed
     for m, deg, r in ((3, 4, 4), (5, 3, 6), (4, 4, 8)):
-        assert not is_defective(m, deg, r)
+        assert not is_defective(((m, deg),), r)
         report = waring_condition_number(random_waring(rng_for(163), m, deg, r, signed=True))
         assert math.isfinite(report.kappa) and report.well_posed
 
 
+AH_EXCEPTIONS = {(3, 4, 5), (4, 4, 9), (5, 4, 14), (5, 3, 7)}
+
+
 def _three_clauses(m, d, r):
-    """The rule is_defective had before the wide core: n > C(m+d-1, d), a
-    quadric of rank r >= 2, or an Alexander-Hirschowitz exception."""
-    exceptions = {(3, 4, 5), (4, 4, 9), (5, 4, 14), (5, 3, 7)}
-    return r * m > symmetric_dimension(m, d) or (d == 2 and r >= 2) or (m, d, r) in exceptions
+    """The Waring rule before the wide core: n > C(m+d-1, d), a quadric of
+    rank r >= 2, or an Alexander-Hirschowitz exception."""
+    return r * m > symmetric_dimension(m, d) or (d == 2 and r >= 2) or (m, d, r) in AH_EXCEPTIONS
+
+
+def _span_rule(m, d, r):
+    """The Waring rule before factor groups: a wide core on the span of the
+    vectors, r * k > C(k+d-1, d) with k = min(m, r), or an
+    Alexander-Hirschowitz exception."""
+    k = min(m, r)
+    return r * k > symmetric_dimension(k, d) or (m, d, r) in AH_EXCEPTIONS
 
 
 def test_wide_core_rule_equals_the_three_clauses():
     for m in range(1, 13):
         for d in range(1, 9):
             for r in range(1, symmetric_dimension(m, d) // m + 3):
-                assert is_defective(m, d, r) == _three_clauses(m, d, r), (m, d, r)
+                assert is_defective(((m, d),), r) == _three_clauses(m, d, r), (m, d, r)
+
+
+def test_group_rule_equals_the_span_rule():
+    # m <= 40, d <= 12, r up to one term past C(m+d-1, d) / m, at most 199
+    shapes = [
+        (m, d, r)
+        for m in range(1, 41)
+        for d in range(1, 13)
+        for r in range(1, min(199, symmetric_dimension(m, d) // m + 2) + 1)
+    ]
+    assert len(shapes) == 67115
+    for m, d, r in shapes:
+        assert is_defective(((m, d),), r) == _span_rule(m, d, r), (m, d, r)
 
 
 def test_defective_rule_matches_the_generic_rank():
@@ -228,7 +251,7 @@ def test_defective_rule_matches_the_generic_rank():
             for r in range(1, symmetric_dimension(m, d) // m + 2):
                 reports = [waring_condition_number(random_waring(rng, m, d, r)) for _ in range(2)]
                 largest = max(rep.sigma_min / max(1.0, rep.sigma_1) for rep in reports)
-                if is_defective(m, d, r):
+                if is_defective(((m, d),), r):
                     assert largest <= 1e-12, (m, d, r)
                 else:
                     assert largest >= 1e-8, (m, d, r)
