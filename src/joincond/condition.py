@@ -157,7 +157,9 @@ class ConditionReport:
     or sigma_min below the rank tolerance); well_posed is whether kappa is
     finite.  least_vector is a unit right singular vector of the stacked
     basis attaining sigma_min; its blocks give the most weakly determined
-    joint tangent direction.  It is None in a report made without it
+    joint tangent direction.  A report of condition_report with a lift
+    computes it on its first read and keeps it, so a caller that reads kappa
+    alone never lifts it.  It is None in a report made without it
     (condition_report's vector=False), and its JSON is then null.  sigma_1
     is the largest singular value, and path names the matrix that was
     decomposed: "dense" for the stacked basis itself, "compressed" for its
@@ -173,6 +175,24 @@ class ConditionReport:
     N: int
     sigma_1: float
     path: str = "dense"
+
+    def __getattr__(self, name):
+        # Reached only when normal lookup fails: a least_vector that
+        # condition_report left to its lift is lifted on this first read, kept,
+        # and the lift dropped.  That is functools.cached_property, which
+        # cannot share its name with the dataclass field.  The order of the
+        # dict operations lets two threads read it at once.
+        pending = self.__dict__.get("_lift") if name == "least_vector" else None
+        if pending is not None:
+            lift, v = pending
+            self.__dict__[name] = lift(v)
+            self.__dict__.pop("_lift", None)
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            ) from None
 
     @property
     def well_posed(self) -> bool:
@@ -276,20 +296,21 @@ def condition_report(
     matrix of n stacked tangent columns in R^N, or the part of it that holds
     sigma_n and sigma_1.  kappa is inf when defective (ill posed by dimension
     alone), else kappa_from_singular_values; lift maps M's least right
-    singular vector to the stacked columns' coordinates.
+    singular vector to the stacked columns' coordinates.  lift is called on
+    the first read of least_vector, so a caller that reads kappa alone never
+    calls it.
 
     With vector=False the SVD is values-only (least_singular_values), lift
-    is not called and least_vector is None; sigma_n and sigma_1 may then
-    differ from the default's in their last bits (about eps * sigma_1), as
-    another LAPACK path computes them, and kappa with them.
+    is neither called nor kept, and least_vector is None; sigma_n and
+    sigma_1 may then differ from the default's in their last bits (about
+    eps * sigma_1), as another LAPACK path computes them, and kappa with
+    them.
     """
     if vector:
         sigma, v, sigma_1 = least_singular_triplet(M)
-        if lift is not None:
-            v = lift(v)
     else:
         (sigma, sigma_1), v = least_singular_values(M), None
-    return ConditionReport(
+    report = ConditionReport(
         sigma_min=sigma,
         kappa=math.inf if defective else kappa_from_singular_values(sigma, sigma_1, n, N),
         least_vector=v,
@@ -298,6 +319,10 @@ def condition_report(
         sigma_1=sigma_1,
         path=path,
     )
+    if lift is not None and v is not None:
+        # lifted by ConditionReport.__getattr__ on the first read
+        report.__dict__["_lift"] = (lift, report.__dict__.pop("least_vector"))
+    return report
 
 
 def condition_number(t: SubspaceTuple) -> ConditionReport:

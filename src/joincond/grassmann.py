@@ -13,6 +13,7 @@ closest dependent tuple and check it, with one more values-only N x r SVD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -156,11 +157,13 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
     U = W.stacked()
     sigma, v, _ = least_singular_triplet(U)
 
-    offsets = np.cumsum((0,) + W.block_dims)
-    ys, c = [], []
-    for i, Wi in enumerate(W.subspaces):
-        vi = v[offsets[i]:offsets[i + 1]]
-        nv = float(np.linalg.norm(vi))
+    # Every norm below is math.sqrt(x.dot(x)) of contiguous data, the one BLAS
+    # dot np.linalg.norm takes after its copy of a strided vector.
+    ys, c, at = [], [], 0
+    for Wi in W.subspaces:
+        vi = v[at:at + Wi.shape[1]]
+        at += Wi.shape[1]
+        nv = math.sqrt(vi.dot(vi))
         c.append(nv)
         if nv <= DEGENERATE_TOL:
             ys.append(Wi[:, 0].copy())
@@ -177,18 +180,20 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
                          "intersect_residual": sigma},
         )
 
-    X = np.column_stack(ys) - np.outer(U @ v, c)
-    norms = [float(np.linalg.norm(col)) for col in X.T]
-    fallback = X[:, int(np.argmax(norms))] / max(norms)
-    xs = [X[:, i] / nc if nc > DEGENERATE_TOL else fallback for i, nc in enumerate(norms)]
+    # X's columns, as contiguous rows
+    XT = np.array(ys) - np.outer(c, U @ v)
+    norms = [math.sqrt(x.dot(x)) for x in XT]
+    fallback = XT[int(np.argmax(norms))] / max(norms)
+    xs = [x / nc if nc > DEGENERATE_TOL else fallback for x, nc in zip(XT, norms)]
 
     # block i turns by the angle whose sine is ||x_i - W_i W_i^T x_i||
     total = 0.0
     for Wi, x in zip(W.subspaces, xs):
-        total += min(float(np.linalg.norm(x - Wi @ (Wi.T @ x))), 1.0) ** 2
-    distance = float(np.sqrt(total))
+        y = x - Wi @ (Wi.T @ x)
+        total += min(math.sqrt(y.dot(y)), 1.0) ** 2
+    distance = math.sqrt(total)
     distance_residual = abs(distance - sigma)
-    intersect_residual, _ = least_singular_values(np.column_stack(xs))
+    intersect_residual, _ = least_singular_values(np.array(xs).T)
     if distance_residual > CERTIFICATE_TOL or intersect_residual > CERTIFICATE_TOL:
         raise CertificateError(
             "certificate tolerances not met: "

@@ -75,6 +75,7 @@ from .condition import (
 )
 from .tensor import (
     CPDecomposition,
+    _term_blocks,
     householder_vectors,
     khatri_rao,
     orthonormal_complements,
@@ -94,7 +95,7 @@ def cpd_tangent_tuple(decomp: CPDecomposition) -> SubspaceTuple:
     check_entries(entries, f"dims {dims} at rank {r} need")
     mats = decomp.factor_matrices()
     U = tangent_matrix(mats, [orthonormal_complements(A) for A in mats])
-    return SubspaceTuple(decomp.ambient_dim, tuple(np.hsplit(U, decomp.rank)))
+    return SubspaceTuple(N, _term_blocks(U, r))
 
 
 def _tangent_dim(decomp: CPDecomposition) -> int:
@@ -184,10 +185,11 @@ def cpd_condition_number(decomp: CPDecomposition, *, vector: bool = True) -> Con
 
     Equal to condition_number(cpd_tangent_tuple(decomp)) in exact
     arithmetic, computed from one SVD of the compressed core (see the module
-    docstring); least_vector is in the coordinates of cpd_tangent_tuple.
-    With vector=False that SVD is values-only, lift is not called and
-    least_vector is None (see condition_report); the model experiment,
-    which reads kappa alone, takes it so.
+    docstring); least_vector is in the coordinates of cpd_tangent_tuple,
+    lifted from the core's on its first read (see condition_report), so
+    reading kappa alone costs no lift.  With vector=False that SVD is
+    values-only, lift is never called and least_vector is None; the model
+    experiment, which reads kappa alone, takes it so.
     Raises ValueError above MAX_TANGENT_ENTRIES.
     """
     tucker = _Compression(decomp)

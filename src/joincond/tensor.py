@@ -100,9 +100,10 @@ class CPDecomposition:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("decomposition needs at least one term")
+        dims = self.dims
         for t in self.terms:
-            if t.mode_dims() != self.dims:
-                raise ValueError(f"term dims {t.mode_dims()} do not match {self.dims}")
+            if t.mode_dims() != dims:
+                raise ValueError(f"term dims {t.mode_dims()} do not match {dims}")
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -127,7 +128,8 @@ class CPDecomposition:
 
     def factor_matrices(self) -> list[np.ndarray]:
         """One m_k x r matrix per mode whose column i is term i's mode-k vector."""
-        return [np.column_stack(vs) for vs in zip(*(t.vectors for t in self.terms))]
+        # C order: np.array(vs).T alone is a Fortran-ordered view
+        return [np.array(vs).T.copy() for vs in zip(*(t.vectors for t in self.terms))]
 
     def term_tensors(self) -> np.ndarray:
         """The assembled rank-one terms as columns of an N x r matrix."""
@@ -194,6 +196,13 @@ def tangent_matrix(mats, complements) -> np.ndarray:
     return khatri_rao(factors)
 
 
+def _term_blocks(U: np.ndarray, r: int) -> tuple[np.ndarray, ...]:
+    """tangent_matrix's output split into its r terms' column blocks, as
+    views: np.hsplit's blocks, without its per-call overhead."""
+    w = U.shape[1] // r
+    return tuple(U[:, i:i + w] for i in range(0, r * w, w))
+
+
 def assemble_cpd(decomp: CPDecomposition) -> np.ndarray:
     """Sum the rank-one terms of a decomposition into an array of shape dims."""
     return decomp.term_tensors().sum(axis=1).reshape(decomp.dims)
@@ -218,21 +227,24 @@ def normalize_decomposition(factor_matrices: Sequence[np.ndarray]) -> CPDecompos
         raise ValueError("all factor matrices must have the same column count")
     if r < 1:
         raise ValueError("need at least one column per factor matrix")
-    terms = []
+    # Per mode, the r columns as contiguous rows: each norm is one BLAS dot
+    # of a contiguous row, as np.linalg.norm takes it after copying a strided
+    # column, and the last bits of mu and the vectors reach the model CSVs.
+    rows = [np.ascontiguousarray(A.T) for A in mats]
     # A non-finite entry or an overflowing norm makes mu non-finite, and
-    # RankOneTerm rejects it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(r):
-            mu = 1.0
-            vectors = []
-            for A in mats:
-                col = A[:, i]
-                norm = float(np.linalg.norm(col))
-                if norm == 0.0:
-                    raise ValueError(f"degenerate rank-one term: zero column {i}")
-                mu *= norm
-                vectors.append(col / norm)
-            terms.append(RankOneTerm(mu, tuple(vectors)))
+    # RankOneTerm rejects it; a zero column is rejected before its division
+    # is read.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norms = [[math.sqrt(row.dot(row)) for row in R] for R in rows]
+        units = [R / np.array(nk)[:, None] for R, nk in zip(rows, norms)]
+    terms = []
+    for i in range(r):
+        mu = 1.0
+        for nk in norms:
+            if nk[i] == 0.0:
+                raise ValueError(f"degenerate rank-one term: zero column {i}")
+            mu *= nk[i]
+        terms.append(RankOneTerm(mu, tuple(U[i] for U in units)))
     return CPDecomposition(tuple(terms))
 
 
@@ -257,5 +269,5 @@ def orthonormal_complements(A: np.ndarray) -> np.ndarray:
     # One BLAS dot per row: a batched sum can round differently, and the
     # last bits of these entries reach kappa and the experiment CSVs.
     scale = 2.0 / np.array([w @ w for w in W])
-    H = np.eye(A.shape[0]) - scale[:, None, None] * (W[:, :, None] * W[:, None, :])
-    return H[:, :, 1:]
+    # The trailing m-1 columns of each reflector I - scale * w w^T.
+    return np.eye(A.shape[0])[:, 1:] - scale[:, None, None] * (W[:, :, None] * W[:, None, 1:])

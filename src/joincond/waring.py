@@ -41,7 +41,7 @@ import numpy as np
 
 from .condition import ConditionReport, SubspaceTuple, check_entries, condition_report
 from .condition import is_defective
-from .tensor import _unit_vector, as_float, as_int, as_vector
+from .tensor import _term_blocks, _unit_vector, as_float, as_int, as_vector
 from .tensor import orthonormal_complements, tangent_matrix
 
 # The symmetric-row weights need d! as a double, which is finite up to 170!.
@@ -202,7 +202,7 @@ def waring_tangent_tuple(decomp: WaringDecomposition) -> SubspaceTuple:
     MAX_TANGENT_ENTRIES."""
     _check_rows(decomp, decomp.m ** decomp.d)
     U = _tangent_matrix(_vector_matrix(decomp), *_dense_rows(decomp.m, decomp.d))
-    return SubspaceTuple(decomp.m ** decomp.d, tuple(np.hsplit(U, decomp.rank)))
+    return SubspaceTuple(decomp.m ** decomp.d, _term_blocks(U, decomp.rank))
 
 
 def waring_condition_number(decomp: WaringDecomposition) -> ConditionReport:
