@@ -12,13 +12,22 @@ values-only SVD.  For a tall matrix (N >= 2n) the one SVD with vectors runs
 on the n x n triangular factor of its QR decomposition, so U's N x n left
 singular vectors are never formed; LAPACK's gesdd takes the same QR itself
 at that shape, so the results are unchanged.
+
+For CP and Waring, kappa >= ||mu||_2 / ||T||_F for every input, with
+T = p_1 + ... + p_r the decomposed tensor and mu the term norms.  Proof:
+the Segre and Veronese varieties are cones, so p_i is mu_i times the first
+column of U_i, and the unit x of blocks mu_i e_1 / ||mu||_2 has
+U x = T / ||mu||_2, so sigma_n <= ||T||_F / ||mu||_2.  Along the paatero
+and de Silva-Lim sequences the term norms diverge while T converges, so
+kappa must diverge too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -93,10 +102,20 @@ class SubspaceTuple:
     and general subspace tuples alike.  Every operation but sha256()
     depends on the subspaces only, never on the chosen bases; sha256()
     identifies the input as given, basis and all.
+
+    _triplet, set only by an engine that builds the tuple, returns
+    (sigma_n, v, sigma_1) of stacked() as least_singular_triplet would: v a
+    unit vector in the stacked columns' coordinates with ||stacked() v|| =
+    sigma_n, up to rounding.  A certificate takes it in place of its own
+    SVD and checks v through its residuals; a tuple without one (every
+    tuple read from JSON) is decomposed.
     """
 
     ambient_dim: int
     subspaces: tuple[np.ndarray, ...]
+    _triplet: Callable[[], tuple[float, np.ndarray, float]] | None = field(
+        default=None, repr=False
+    )
 
     def __post_init__(self):
         N = as_int(self.ambient_dim, "ambient dimension")

@@ -278,7 +278,9 @@ class RefineResult:
     trace has one (objective, damping, rejected_solves) entry per iteration:
     the objective after it (unchanged when no damping was accepted), the
     damping of the accepted step (or, when none was, the value at which the
-    schedule gave up), and how many dampings were rejected in it.
+    schedule gave up), and how many dampings were rejected in it.  The
+    objectives are those of the problem cpd_refine solves, whose target is
+    rescaled when its scale is extreme (see cpd_refine).
     """
 
     decomposition: CPDecomposition
@@ -403,6 +405,10 @@ def _apply_step(mats: Sequence[np.ndarray], delta: np.ndarray) -> list[np.ndarra
 
 # cpd_refine stops once 0.5 * ||assembled - target||^2 is at or below this.
 OBJECTIVE_TOL = 1e-14
+# An input whose scale (largest term norm or target entry) lies outside
+# [1 / _SCALE_BAND, _SCALE_BAND] is refined at scale near 1.
+# The model's targets lie in [0.0103, 0.266], far inside.
+_SCALE_BAND = 2.0**30
 
 
 def cpd_refine(
@@ -419,6 +425,13 @@ def cpd_refine(
     A trial step that overflows is rejected; an overflow of the objective or
     the normal equations at the start or an accepted iterate, which no
     damping avoids, raises ValueError naming the input's scale.
+
+    The damping schedule and OBJECTIVE_TOL are absolute, so an input whose
+    scale lies outside [2^-30, 2^30] (_SCALE_BAND) is refined at the
+    target's scale instead: every factor is multiplied by 2^k and the
+    target by 2^(dk), with 2^(dk) * scale near 1, and the result is scaled
+    back.  Powers of two keep every bit (barring underflow), and the
+    objectives reported are those of the rescaled problem.
     """
     if np.shape(target) != init.dims:
         raise ValueError("init and target shapes differ")
@@ -428,6 +441,12 @@ def cpd_refine(
     target_vec = np.ravel(target)
     scale = max(max(t.mu for t in init.terms), float(np.abs(target_vec).max()))
     overflow = f"cpd_refine overflows at scale {scale:.3g} (largest term norm or target entry)"
+    k = 0
+    if not 1.0 / _SCALE_BAND <= scale <= _SCALE_BAND:
+        # frexp's exponent is 0 for inf and nan: those go on unscaled
+        k = -round(math.frexp(scale)[1] / init.order)
+        mats = [np.ldexp(A, k) for A in mats]
+        target_vec = np.ldexp(target_vec, init.order * k)
     n = sum(M.size for M in mats)
     lam = 1e-2
     trace = []
@@ -466,7 +485,7 @@ def cpd_refine(
                 break
             converged = objective <= OBJECTIVE_TOL
     try:
-        refined = normalize_decomposition(mats)
+        refined = normalize_decomposition([np.ldexp(A, -k) for A in mats] if k else mats)
     except ValueError:
         # A factor column collapsed to zero; report failure on the input.
         logger.warning("refinement produced a zero factor column")

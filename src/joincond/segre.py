@@ -60,6 +60,7 @@ and the K_k.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -84,18 +85,54 @@ from .tensor import (
 
 WEAK_ORTHOGONALITY_TOL = 1e-12
 
+# Weak references to (decomposition, report, _Compression) of the last
+# cpd_condition_number with vector=True, for cpd_tangent_tuple of the same
+# decomposition.  Weak, so it keeps nothing alive (the model experiment's
+# callers hold every decomposition for a whole run), and replaced whole, so
+# a reader in another thread sees one call's entry or another's; a miss
+# costs time, never bytes.
+_last_report = (lambda: None,) * 3
+
 
 def cpd_tangent_tuple(decomp: CPDecomposition) -> SubspaceTuple:
     """Tangent bases of all terms, ready for the condition-number engine.
-    Raises ValueError, before allocating, above MAX_TANGENT_ENTRIES."""
+
+    The tuple's least singular triplet (SubspaceTuple._triplet) is that of
+    cpd_condition_number(decomp): sigma_n and sigma_1 of the compressed
+    core, which are U's (see the module docstring), and the lifted
+    least_vector, which attains sigma_n on U.  When the last vector report
+    of cpd_condition_number is still alive for this decomposition, the
+    triplet is read from it, and the factor matrices and the complements
+    of the uncompressed modes are its compression's (the same bytes);
+    otherwise cpd_condition_number runs when a certificate first asks.
+    Either way the triplet's bytes depend on decomp alone.
+    Raises ValueError, before allocating, above MAX_TANGENT_ENTRIES.
+    """
     dims, r, n, N = decomp.dims, decomp.rank, _tangent_dim(decomp), decomp.ambient_dim
     # Floats held at once: the N x n output, the build's last intermediate
     # (N / m_d rows) and the r x m_k x m_k complement stacks.
     entries = (N + N // dims[-1]) * n + r * sum(m * m for m in dims)
     check_entries(entries, f"dims {dims} at rank {r} need")
-    mats = decomp.factor_matrices()
-    U = tangent_matrix(mats, [orthonormal_complements(A) for A in mats])
-    return SubspaceTuple(N, _term_blocks(U, r))
+    last_decomp, last_report, last_tucker = _last_report
+    report = tucker = None
+    if last_decomp() is decomp:
+        report, tucker = last_report(), last_tucker()
+    if tucker is None:
+        mats = decomp.factor_matrices()
+        complements = [orthonormal_complements(A) for A in mats]
+    else:
+        mats = tucker.mats
+        complements = [orthonormal_complements(A) if P is not None else Q
+                       for A, P, Q in zip(mats, tucker.bases, tucker.complements)]
+
+    def triplet():
+        nonlocal report
+        if report is None:
+            report = cpd_condition_number(decomp)
+        return report.sigma_min, report.least_vector, report.sigma_1
+
+    U = tangent_matrix(mats, complements)
+    return SubspaceTuple(N, _term_blocks(U, r), triplet)
 
 
 def _tangent_dim(decomp: CPDecomposition) -> int:
@@ -189,11 +226,13 @@ def cpd_condition_number(decomp: CPDecomposition, *, vector: bool = True) -> Con
     lifted from the core's on its first read (see condition_report), so
     reading kappa alone costs no lift.  With vector=False that SVD is
     values-only, lift is never called and least_vector is None; the model
-    experiment, which reads kappa alone, takes it so.
+    experiment, which reads kappa alone, takes it so.  A report with the
+    vector is also kept, weakly, for cpd_tangent_tuple of the same decomp.
     Raises ValueError above MAX_TANGENT_ENTRIES.
     """
+    global _last_report
     tucker = _Compression(decomp)
-    return condition_report(
+    report = condition_report(
         tucker.core_matrix(),
         _tangent_dim(decomp),
         decomp.ambient_dim,
@@ -201,6 +240,9 @@ def cpd_condition_number(decomp: CPDecomposition, *, vector: bool = True) -> Con
         tucker.lift,
         vector=vector,
     )
+    if vector:
+        _last_report = (weakref.ref(decomp), weakref.ref(report), weakref.ref(tucker))
+    return report
 
 
 def norm_balanced_condition_number(decomp: CPDecomposition) -> float:

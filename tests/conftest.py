@@ -5,6 +5,7 @@ reproducible on its own.  The property tests run under one derandomized
 hypothesis profile, registered and loaded here.
 """
 
+import math
 import os
 import resource
 import subprocess
@@ -36,6 +37,11 @@ settings.load_profile("joincond")
 # Errors of the compressed CP path and the symmetric Waring path stay near
 # eps * sigma_1; this is the bound the properties hold them to.
 SIGMA_TOL = 1e-12
+# kappa >= ||mu||_2 / ||T||_F (the condition module docstring) holds to this
+# relative slack, 16 eps, for the rounding of sigma_n and of the two norms;
+# the least kappa / bound over the generated CP and Waring inputs is
+# 1 - 3.2 eps, at r = 1, where the bound is attained.
+CONE_SLACK = 16 * np.finfo(float).eps
 
 
 def near_threshold(sigma, sigma_1):
@@ -43,6 +49,11 @@ def near_threshold(sigma, sigma_1):
     finite/infinite verdict may flip on rounding."""
     tol = RANK_TOL_FACTOR * max(1.0, sigma_1)
     return tol / 10 <= sigma <= 10 * tol
+
+
+def cone_bound(mus, T):
+    """||mu||_2 / ||T||_F, for term norms mus summing to the tensor T."""
+    return math.hypot(*mus) / float(np.linalg.norm(T))
 
 
 def rng_for(seed):

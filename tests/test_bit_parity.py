@@ -66,9 +66,10 @@ def reference_complements(A):
 
 def reference_certificate(W):
     """(witnesses, distance, intersect_residual) of nearest_intersecting_tuple
-    by its earlier norms: np.linalg.norm of slices and strided columns."""
+    by its earlier norms: np.linalg.norm of slices and strided columns, from
+    the triplet the certificate takes (the engine's, when W carries one)."""
     U = W.stacked()
-    sigma, v, _ = least_singular_triplet(U)
+    sigma, v, _ = least_singular_triplet(U) if W._triplet is None else W._triplet()
     offsets = np.cumsum((0,) + W.block_dims)
     ys, c = [], []
     for i, Wi in enumerate(W.subspaces):

@@ -10,23 +10,29 @@ threshold.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from joincond import (
     CPDecomposition,
     RankOneTerm,
+    assemble_cpd,
     cpd_condition_number,
     cpd_tangent_tuple,
+    desilva_lim_sequence,
     distance_to_illposed,
     is_weak_3_orthogonal,
     nearest_intersecting_tuple,
     norm_balanced_condition_number,
     normalize_decomposition,
+    paatero_sequence,
 )
 from joincond.grassmann import CERTIFICATE_TOL
 from conftest import (
+    CONE_SLACK,
     SIGMA_TOL,
+    cone_bound,
     cp_decompositions,
     dense_norm_balanced_sigma,
     near_threshold,
@@ -134,3 +140,23 @@ def test_kappa_is_one_on_weak_3_orthogonal_decompositions(d, r, free_dim, seed):
     decomp = normalize_decomposition(mats)
     assert is_weak_3_orthogonal(decomp)
     assert abs(cpd_condition_number(decomp).kappa - 1.0) <= SIGMA_TOL
+
+
+def _cp_cone_bound(decomp):
+    return cone_bound([t.mu for t in decomp.terms], assemble_cpd(decomp))
+
+
+@given(cp_decompositions())
+def test_kappa_is_at_least_the_cone_bound(decomp):
+    assert cpd_condition_number(decomp).kappa >= _cp_cone_bound(decomp) * (1 - CONE_SLACK)
+
+
+@pytest.mark.parametrize("sequence", [paatero_sequence, desilva_lim_sequence])
+def test_kappa_is_at_least_the_cone_bound_along_the_sequences(sequence):
+    # the bound is why kappa diverges along both: the term norms grow while
+    # the sum converges.  It is loose there: kappa / bound is at least 5.0.
+    for seed in range(5):
+        for s in range(1, 91):
+            decomp = sequence(seed, s)
+            bound = _cp_cone_bound(decomp)
+            assert cpd_condition_number(decomp).kappa >= bound * (1 - CONE_SLACK), (seed, s)

@@ -299,24 +299,62 @@ def test_refine_shape_mismatch_rejected():
 
 @pytest.mark.parametrize("big", [1e100, 1e150, 1e200])
 @pytest.mark.parametrize("perturbed", [False, True])
-def test_refine_overflow_is_a_finite_result_or_an_error_naming_the_scale(big, perturbed):
+def test_refine_at_extreme_scale_converges_at_the_targets_scale(big, perturbed):
     # A random (3,3,3) r=2 input with mu = (big, 1), against a zero target or
     # its own tensor times 1 + 1e-9.  Each used to overflow with a
     # RuntimeWarning (an error under this suite's filterwarnings): in the
     # first objective at 1e200, in a trial step's objective or assembly at
-    # 1e100 and 1e150.  A trial step that overflows is now rejected; an
-    # objective 0.5 * ||residual||^2 above the float range at the start
-    # cannot be refined, and the error names the scale.
+    # 1e100 and 1e150; then the absolute damping left 1e100 and 1e150
+    # unconverged and 1e200 raised ValueError.  The refiner now works at the
+    # target's scale, times 2^(dk), where each converges without a warning;
+    # the objectives are those of the rescaled problem.
     d = random_cpd(rng_for(108), (3, 3, 3), 2)
     d = CPDecomposition(tuple(RankOneTerm(mu, t.vectors) for mu, t in zip((big, 1.0), d.terms)))
     target = assemble_cpd(d) * (1 + 1e-9) if perturbed else np.zeros((3, 3, 3))
-    if big == 1e200:
-        with pytest.raises(ValueError, match="scale 1e\\+200"):
-            cpd_refine(d, target)
-        return
     res = cpd_refine(d, target)
     assert all(math.isfinite(objective) for objective, _, _ in res.trace)
-    assert math.isfinite(res.objective) and not res.converged
+    assert res.converged and res.objective <= experiments.OBJECTIVE_TOL
+    assert np.linalg.norm((assemble_cpd(res.decomposition) - target) / big) <= 1e-6
+
+
+def test_refine_recovers_a_term_of_norm_1e100():
+    # (3,3,3) r=2 with one factor column scaled by 1e100, from an init
+    # perturbed by 1e-4 relative: the absolute damping (1e-2 up to 1e14)
+    # against J^T J entries near 1e133 rejected all 16 dampings and stopped
+    # after one iteration.  At the target's scale two steps converge.
+    rng = rng_for(109)
+    mats = [rng.standard_normal((3, 2)) for _ in range(3)]
+    mats[0][:, 0] *= 1e100
+    target = assemble_cpd(normalize_decomposition(mats))
+    init = normalize_decomposition(
+        [A + 1e-4 * np.linalg.norm(A, axis=0) * rng.standard_normal(A.shape) for A in mats]
+    )
+    res = cpd_refine(init, target)
+    assert res.converged and res.iterations <= 5
+    assert all(rejected == 0 for _, _, rejected in res.trace)
+    error = np.linalg.norm(assemble_cpd(res.decomposition) - target)
+    assert error <= 1e-6 * np.linalg.norm(target)
+
+
+def test_refine_rescales_only_outside_the_band(monkeypatch):
+    # inside [2^-30, 2^30] nothing is rescaled, so the model's refinements,
+    # whose scales lie in [0.0103, 0.266], keep every bit; just outside,
+    # the factors and target are multiplied by powers of two
+    calls = []
+    real = np.ldexp
+
+    def counted(x, k):
+        calls.append(k)
+        return real(x, k)
+
+    monkeypatch.setattr(np, "ldexp", counted)
+    (term,) = random_cpd(rng_for(110), (3, 3, 3), 1).terms
+    for mu, rescaled in ((2.0**30, False), (2.0**31, True), (2.0**-30, False), (2.0**-31, True)):
+        # one unit rank-one term: the scale is mu, as no entry exceeds it
+        d = CPDecomposition((RankOneTerm(mu, term.vectors),))
+        calls.clear()
+        cpd_refine(d, assemble_cpd(d), max_iterations=2)
+        assert bool(calls) == rescaled, mu
 
 
 def _singular(*args, **kwargs):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import joincond.cli as cli
+from joincond import cpd_tangent_tuple, nearest_intersecting_tuple, paatero_sequence
 from conftest import random_subspace_tuple, rng_for
 from test_grassmann import _recipe_sha256
 
@@ -89,3 +90,14 @@ def test_readme_checker_accepts_certificates_and_rejects_a_moved_witness(tmp_pat
     (tmp_path / "moved.json").write_text(json.dumps(cert), encoding="utf-8")
     with pytest.raises(AssertionError):
         _check(monkeypatch, tuple_path, tmp_path / "moved.json")
+
+
+def test_readme_checker_accepts_an_engine_certificate(tmp_path, monkeypatch):
+    # a paatero tangent tuple's certificate starts from the CP engine's
+    # triplet, not the dense SVD; the checker sees only the two documents
+    t = cpd_tangent_tuple(paatero_sequence(0, 40))
+    cert = nearest_intersecting_tuple(t)
+    assert cert.distance > 0.0
+    for name, document in (("tuple.json", t), ("cert.json", cert)):
+        (tmp_path / name).write_text(json.dumps(document.to_json_dict()), encoding="utf-8")
+    _check(monkeypatch, tmp_path / "tuple.json", tmp_path / "cert.json")

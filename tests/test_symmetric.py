@@ -26,8 +26,11 @@ import joincond.condition
 from joincond.condition import RANK_TOL_FACTOR, is_defective
 from joincond.waring import _symmetric_rows, symmetric_dimension
 from conftest import (
+    CONE_SLACK,
     SIGMA_TOL,
+    cone_bound,
     count_svd_calls,
+    kron,
     near_threshold,
     random_orthonormal,
     random_waring,
@@ -255,3 +258,11 @@ def test_defective_rule_matches_the_generic_rank():
                     assert largest <= 1e-12, (m, d, r)
                 else:
                     assert largest >= 1e-8, (m, d, r)
+
+
+@given(waring_decompositions())
+def test_kappa_is_at_least_the_cone_bound(decomp):
+    # the condition module docstring's bound, with signed weights mu_i
+    T = sum(t.mu * kron([t.vector] * t.order) for t in decomp.terms)
+    bound = cone_bound([t.mu for t in decomp.terms], T)
+    assert waring_condition_number(decomp).kappa >= bound * (1 - CONE_SLACK)
