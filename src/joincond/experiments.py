@@ -130,6 +130,17 @@ def _draw_model(
 S_LIMIT = 1000
 
 
+@functools.lru_cache(maxsize=32)
+def _sequence_draws(seed: int, shapes: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
+    """Standard normal matrices of the given shapes, drawn in order from
+    make_rng(seed); read-only, as every step of a sequence shares them."""
+    rng = make_rng(seed)
+    draws = tuple(rng.standard_normal(shape) for shape in shapes)
+    for M in draws:
+        M.flags.writeable = False
+    return draws
+
+
 def paatero_sequence(seed: int, s: float) -> CPDecomposition:
     """Rank-3 decompositions in R^(5x4x3) approaching a border tensor.
 
@@ -143,10 +154,7 @@ def paatero_sequence(seed: int, s: float) -> CPDecomposition:
     normal matrices drawn once per seed.  The assembled tensor converges as
     s grows while the term norms blow up like lam.
     """
-    rng = make_rng(seed)
-    A1 = rng.standard_normal((5, 3))
-    A2 = rng.standard_normal((4, 3))
-    A3 = rng.standard_normal((3, 3))
+    A1, A2, A3 = _sequence_draws(seed, ((5, 3), (4, 3), (3, 3)))
     lam = 2.0 ** (3.0 * s / 16.0)
     eps = 2.0 ** (-3.0 * s / 16.0 - 1.0)
     F1 = np.column_stack([
@@ -178,10 +186,7 @@ def desilva_lim_sequence(seed: int, s: float) -> CPDecomposition:
     with per-mode vector pairs drawn once per seed.  The sum converges to
     a2 x b1 x c1 + a1 x b2 x c1 + a1 x b1 x c2 while both term norms diverge.
     """
-    rng = make_rng(seed)
-    B1 = rng.standard_normal((5, 2))
-    B2 = rng.standard_normal((3, 2))
-    B3 = rng.standard_normal((2, 2))
+    B1, B2, B3 = _sequence_draws(seed, ((5, 2), (3, 2), (2, 2)))
     lam = 2.0 ** (s / 5.0)
     eps = 2.0 ** (-s / 5.0)
     F1 = np.column_stack([lam * (B1[:, 0] + eps * B1[:, 1]), -lam * B1[:, 0]])
@@ -424,7 +429,8 @@ def cpd_refine(
     steps.  Never raises on non-convergence; the flag in the result decides.
     A trial step that overflows is rejected; an overflow of the objective or
     the normal equations at the start or an accepted iterate, which no
-    damping avoids, raises ValueError naming the input's scale.
+    damping avoids, raises ValueError naming the input's scale; a target
+    with a non-finite entry raises ValueError before any of it is scaled.
 
     The damping schedule and OBJECTIVE_TOL are absolute, so an input whose
     scale lies outside [2^-30, 2^30] (_SCALE_BAND) is refined at the
@@ -435,15 +441,16 @@ def cpd_refine(
     """
     if np.shape(target) != init.dims:
         raise ValueError("init and target shapes differ")
+    target_vec = np.ravel(target)
+    if not np.isfinite(target_vec).all():
+        raise ValueError("cpd_refine target has a non-finite entry")
     # the norm-balanced factors: every column of term i scaled by mu_i^(1/d)
     scales = np.array([t.mu ** (1.0 / init.order) for t in init.terms])
     mats = [A * scales for A in init.factor_matrices()]
-    target_vec = np.ravel(target)
     scale = max(max(t.mu for t in init.terms), float(np.abs(target_vec).max()))
     overflow = f"cpd_refine overflows at scale {scale:.3g} (largest term norm or target entry)"
     k = 0
     if not 1.0 / _SCALE_BAND <= scale <= _SCALE_BAND:
-        # frexp's exponent is 0 for inf and nan: those go on unscaled
         k = -round(math.frexp(scale)[1] / init.order)
         mats = [np.ldexp(A, k) for A in mats]
         target_vec = np.ldexp(target_vec, init.order * k)

@@ -13,7 +13,8 @@ The condition number is computed on a Tucker-compressed form (Dewaele,
 Breiding & Vannieuwenhoven, "The condition number of many tensor
 decompositions is invariant under Tucker compression").  For a mode with
 m_k > r let P_k (m_k x r) be an orthonormal basis containing the r mode-k
-vectors, from the QR of A_k = [a_1^k ... a_r^k], and B_k = P_k^T A_k.  A
+vectors, the first r columns of the complete QR of A_k = [a_1^k ... a_r^k]
+(the other m_k - r are P_k^perp), and B_k = P_k^T A_k.  A
 tangent direction whose mode-k factor x lies outside span(P_k) is
 orthogonal to every other direction of every term, so in the coordinates
 (P_k, P_k^perp) of each mode the stacked U = [U_1 ... U_r] is, up to row
@@ -37,6 +38,22 @@ whenever a K_k is: a compressed mode gives the core at least r^2 columns,
 and K_k has prod_j min(m_j, r) / r rows).  No mode with m_k > r means no
 compression, and then the core is U itself.
 
+cpd_tangent_tuple takes its bases from the same compression.  For a mode
+with m_k <= r, Q^k is the Householder complement of a_i^k
+(tensor.orthonormal_complements).  For a compressed mode
+the complete QR of A_k gives P_k (its first r columns) and P_k^perp (the
+other m_k - r), and term i's Q^k is
+
+    [ P_k Q_c,i | P_k^perp ],
+
+with Q_c,i the core's complement of b_i^k.  Its columns are orthonormal and
+orthogonal to a_i^k = P_k b_i^k, so they span the same space as any other
+choice: term i's basis now depends on the other terms' mode-k vectors
+through P_k, its subspace does not.  The core coordinates y of term i's
+mode-k block stand for the direction P_k Q_c,i y, the first r - 1 columns
+of that Q^k, so the core's least vector lifts to U's coordinates exactly,
+by m_k - r zeros for the P_k^perp columns.
+
 The norm-balanced condition number (Breiding & Vannieuwenhoven, arXiv
 1611.08117) decomposes the same blocks with their columns scaled.  With
 s_i = mu_i^(1-1/d) and t_i = a^1 x ... x a^d, term i's norm-balanced block
@@ -55,6 +72,22 @@ the core is the 1 x 1 column s * sqrt(d) and sigma_n = s sits in the K_k.
 So the K_k, which all have the shape (prod_j min(m_j, r) / r) x r, go as
 one stack to the values-only SVD, and sigma_n is the least over the core
 and the K_k.
+
+For T = p_1 + ... + p_r, kappa_nb >= sqrt(sum_i mu_i^(2/d) / d) / ||T||_F,
+the norm-balanced twin of the cone bound in the condition module.  Proof:
+with the balanced factors b_i^k = mu_i^(1/d) a_i^k, M = [B_1 ... B_r]
+has n + r(d - 1) columns.  Euler's identity for the degree-d map
+(b^1, ..., b^d) -> b^1 x ... x b^d gives B_i [b_i^1; ...; b_i^d] = d p_i,
+so x with blocks x_i = [b_i^1; ...; b_i^d] / d has M x = T and ||x||^2 =
+sum_i mu_i^(2/d) / d.  M's kernel holds each term's scaling directions
+[c_1 b_i^1; ...; c_d b_i^d] with c_1 + ... + c_d = 0, which keep the
+product fixed: a space K of dimension r(d - 1).  The test vector x is
+orthogonal to K because the factors are balanced, all of norm
+mu_i^(1/d): x_i . [c_k b_i^k]_k = mu_i^(2/d) (c_1 + ... + c_d) / d = 0.
+On the (r(d - 1) + 1)-dimensional space K + span(x), z = k + a x has
+||M z|| = |a| ||T|| and ||z|| >= |a| ||x||, so by Courant-Fischer
+sigma_n(M) <= ||T|| / ||x||, and kappa_nb = 1 / sigma_n is at least the
+bound.
 """
 
 from __future__ import annotations
@@ -77,7 +110,6 @@ from .condition import (
 from .tensor import (
     CPDecomposition,
     _term_blocks,
-    householder_vectors,
     khatri_rao,
     orthonormal_complements,
     tangent_matrix,
@@ -97,15 +129,15 @@ _last_report = (lambda: None,) * 3
 def cpd_tangent_tuple(decomp: CPDecomposition) -> SubspaceTuple:
     """Tangent bases of all terms, ready for the condition-number engine.
 
-    The tuple's least singular triplet (SubspaceTuple._triplet) is that of
+    Built from the decomposition's compression (see the module docstring
+    for the complements it takes): the last vector report's, when that is
+    still alive for this decomposition, else one made here.  The tuple's
+    least singular triplet (SubspaceTuple._triplet) is that of
     cpd_condition_number(decomp): sigma_n and sigma_1 of the compressed
-    core, which are U's (see the module docstring), and the lifted
-    least_vector, which attains sigma_n on U.  When the last vector report
-    of cpd_condition_number is still alive for this decomposition, the
-    triplet is read from it, and the factor matrices and the complements
-    of the uncompressed modes are its compression's (the same bytes);
-    otherwise cpd_condition_number runs when a certificate first asks.
-    Either way the triplet's bytes depend on decomp alone.
+    core, which are U's, and the lifted least_vector, which attains sigma_n
+    on U.  It is read from the live report, or computed from the same
+    compression when a certificate first asks; either way the tuple's and
+    the triplet's bytes depend on decomp alone.
     Raises ValueError, before allocating, above MAX_TANGENT_ENTRIES.
     """
     dims, r, n, N = decomp.dims, decomp.rank, _tangent_dim(decomp), decomp.ambient_dim
@@ -118,20 +150,15 @@ def cpd_tangent_tuple(decomp: CPDecomposition) -> SubspaceTuple:
     if last_decomp() is decomp:
         report, tucker = last_report(), last_tucker()
     if tucker is None:
-        mats = decomp.factor_matrices()
-        complements = [orthonormal_complements(A) for A in mats]
-    else:
-        mats = tucker.mats
-        complements = [orthonormal_complements(A) if P is not None else Q
-                       for A, P, Q in zip(mats, tucker.bases, tucker.complements)]
+        tucker = _Compression(decomp)
 
     def triplet():
         nonlocal report
         if report is None:
-            report = cpd_condition_number(decomp)
+            report = _report(decomp, tucker)
         return report.sigma_min, report.least_vector, report.sigma_1
 
-    U = tangent_matrix(mats, complements)
+    U = tangent_matrix(tucker.mats, tucker.dense_complements())
     return SubspaceTuple(N, _term_blocks(U, r), triplet)
 
 
@@ -142,28 +169,25 @@ def _tangent_dim(decomp: CPDecomposition) -> int:
 class _Compression:
     """The Tucker compression of a decomposition's factor matrices.
 
-    mats are the A_k, bases the P_k of the QR of A_k for each mode with
-    m_k > r (None for the others), core the B_k = P_k^T A_k (A_k itself
-    when uncompressed), and complements those of the B_k.  The core matrix
-    is self.rows x (r * self.width).  Raises ValueError, before any of it is
-    built, when the floats held at once exceed MAX_TANGENT_ENTRIES.
+    mats are the A_k; bases the complete Q of the QR of A_k for each mode
+    with m_k > r, whose first r columns are P_k and the others P_k^perp
+    (None for the other modes); core the B_k = P_k^T A_k (A_k itself when
+    uncompressed), and complements those of the B_k.  The core matrix is
+    self.rows x (r * self.width).  Raises ValueError, before building the
+    Q or the core, when the floats either holds at once exceed
+    MAX_TANGENT_ENTRIES.
     """
 
     def __init__(self, decomp: CPDecomposition):
         self.rank = r = decomp.rank
-        dims = decomp.dims
+        self.dims = dims = decomp.dims
         self.rows, self.width = core_shape(decomp.groups, r)
         self.modes = [k for k, m in enumerate(dims) if m > r]
-        # Floats held at once: up to three core matrices (the core and the
-        # two copies np.linalg.qr makes of it in least_singular_triplet; the
-        # build holds at most two, tangent_matrix's output and its last
-        # intermediate) and the K_k.  (10,)*5 r=10, a 4.6e7-entry core,
-        # peaked at 1.1 GB.
-        entries = self.rows * (3 * r * self.width + len(self.modes))
-        check_entries(entries, f"dims {dims} at rank {r} need")
+        check_entries(sum(dims[k] ** 2 for k in self.modes), f"dims {dims} at rank {r} need")
         self.mats = decomp.factor_matrices()
-        self.bases = [np.linalg.qr(A)[0] if A.shape[0] > r else None for A in self.mats]
-        self.core = [A if P is None else P.T @ A for A, P in zip(self.mats, self.bases)]
+        self.bases = [np.linalg.qr(A, mode="complete")[0] if A.shape[0] > r else None
+                      for A in self.mats]
+        self.core = [A if Q is None else Q[:, :r].T @ A for A, Q in zip(self.mats, self.bases)]
         self.complements = [orthonormal_complements(B) for B in self.core]
 
     @property
@@ -173,6 +197,13 @@ class _Compression:
     def core_matrix(self, scales=None) -> np.ndarray:
         """The core, times the D of the module docstring for per-term
         scales s_i."""
+        # Floats held at once: up to three core matrices (the core and the
+        # two copies np.linalg.qr makes of it in least_singular_triplet; the
+        # build holds at most two, tangent_matrix's output and its last
+        # intermediate) and the K_k.  (10,)*5 r=10, a 4.6e7-entry core,
+        # peaked at 1.1 GB.
+        entries = self.rows * (3 * self.rank * self.width + len(self.modes))
+        check_entries(entries, f"dims {self.dims} at rank {self.rank} need")
         C = tangent_matrix(self.core, self.complements)
         if scales is not None:
             D = np.repeat(scales, self.width)
@@ -188,33 +219,50 @@ class _Compression:
             [khatri_rao(self.core[:k] + [ones] + self.core[k + 1:]) for k in self.modes]
         ) * scales
 
-    def lift(self, v: np.ndarray) -> np.ndarray:
-        """v, in the column coordinates of the core, mapped isometrically to
-        the coordinates of cpd_tangent_tuple, so that ||U lift(v)|| =
-        ||core v||.
+    def dense_complements(self) -> list[np.ndarray]:
+        """The r x m_k x (m_k - 1) complement stacks of cpd_tangent_tuple:
+        [P_k Q_c,i | P_k^perp] for term i of a compressed mode, Q_c,i its
+        core complement, and the core complements of the other modes."""
+        r, stacks = self.rank, []
+        for Q, Q_c in zip(self.bases, self.complements):
+            if Q is not None:
+                dense = np.empty((r, Q.shape[0], Q.shape[0] - 1))
+                dense[:, :, :r - 1] = Q[:, :r] @ Q_c
+                dense[:, :, r - 1:] = Q[:, r:]
+                Q_c = dense
+            stacks.append(Q_c)
+        return stacks
 
-        Core coordinates y of term i's mode-k block are the direction
-        P_k Q_c y, written in the basis Q_o of the complement of a_i^k (Q_c,
-        Q_o from orthonormal_complements) by applying the reflector whose
-        trailing columns are Q_o, without forming it.
+    def lift(self, v: np.ndarray) -> np.ndarray:
+        """v, in the column coordinates of the core, in the coordinates of
+        cpd_tangent_tuple: term i's mode-k block of the dense basis starts
+        with the columns P_k Q_c,i y that core coordinates y stand for, so
+        the lift inserts m_k - r zeros after them, for the P_k^perp
+        columns, and ||U lift(v)|| = ||core v|| holds exactly.
         """
         r = self.rank
         core = v.reshape(r, -1)
-        parts = [core[:, :1]]
-        at = 1
-        for A, P, Q_c in zip(self.mats, self.bases, self.complements):
+        lifted = np.zeros((r, 1 - len(self.dims) + sum(self.dims)))
+        lifted[:, 0] = core[:, 0]
+        at = at_core = 1
+        for m, Q_c in zip(self.dims, self.complements):
             width = Q_c.shape[2]
-            y = core[:, at:at + width]
-            at += width
-            if P is None:
-                parts.append(y)
-                continue
-            z = (Q_c @ y[:, :, None])[:, :, 0] @ P.T
-            # z Q_o = (z H)[1:] for the reflector H = I - 2 w w^T / (w . w)
-            W = householder_vectors(A)
-            z -= (2.0 * np.einsum("ij,ij->i", z, W) / np.einsum("ij,ij->i", W, W))[:, None] * W
-            parts.append(z[:, 1:])
-        return np.hstack(parts).ravel()
+            lifted[:, at:at + width] = core[:, at_core:at_core + width]
+            at += m - 1
+            at_core += width
+        return lifted.ravel()
+
+
+def _report(decomp: CPDecomposition, tucker: _Compression, vector: bool = True) -> ConditionReport:
+    """cpd_condition_number's report, from the compression tucker of decomp."""
+    return condition_report(
+        tucker.core_matrix(),
+        _tangent_dim(decomp),
+        decomp.ambient_dim,
+        tucker.path,
+        tucker.lift,
+        vector=vector,
+    )
 
 
 def cpd_condition_number(decomp: CPDecomposition, *, vector: bool = True) -> ConditionReport:
@@ -232,14 +280,7 @@ def cpd_condition_number(decomp: CPDecomposition, *, vector: bool = True) -> Con
     """
     global _last_report
     tucker = _Compression(decomp)
-    report = condition_report(
-        tucker.core_matrix(),
-        _tangent_dim(decomp),
-        decomp.ambient_dim,
-        tucker.path,
-        tucker.lift,
-        vector=vector,
-    )
+    report = _report(decomp, tucker, vector)
     if vector:
         _last_report = (weakref.ref(decomp), weakref.ref(report), weakref.ref(tucker))
     return report

@@ -248,14 +248,6 @@ def normalize_decomposition(factor_matrices: Sequence[np.ndarray]) -> CPDecompos
     return CPDecomposition(tuple(terms))
 
 
-def householder_vectors(A: np.ndarray) -> np.ndarray:
-    """The r x m rows w = v + sign(v_0) e_1 (sign(0) = +1) for the columns v
-    of A: I - 2 w w^T / (w . w) is the reflector of orthonormal_complements."""
-    W = A.T.copy()
-    W[:, 0] += np.where(W[:, 0] >= 0, 1.0, -1.0)
-    return W
-
-
 def orthonormal_complements(A: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the complements of the r unit columns of an
     m x r matrix, as an r x m x (m-1) stack; the columns are not checked.
@@ -265,7 +257,9 @@ def orthonormal_complements(A: np.ndarray) -> np.ndarray:
     trailing m-1 columns are orthonormal and orthogonal to v.  For
     v = +-e_1 this yields (e_2, ..., e_m).
     """
-    W = householder_vectors(A)
+    # The rows w = v + sign(v_0) e_1 of the reflectors I - 2 w w^T / (w . w).
+    W = A.T.copy()
+    W[:, 0] += np.where(W[:, 0] >= 0, 1.0, -1.0)
     # One BLAS dot per row: a batched sum can round differently, and the
     # last bits of these entries reach kappa and the experiment CSVs.
     scale = 2.0 / np.array([w @ w for w in W])

@@ -33,7 +33,7 @@ from joincond import (
 )
 from joincond.condition import least_singular_triplet, least_singular_values
 from joincond.grassmann import DEGENERATE_TOL, CertificateError
-from joincond.tensor import householder_vectors, orthonormal_complements
+from joincond.tensor import orthonormal_complements
 from conftest import random_cpd, random_waring, rng_for
 
 
@@ -58,7 +58,8 @@ def reference_normalize(mats):
 
 def reference_complements(A):
     """orthonormal_complements' earlier form: whole reflectors, cut."""
-    W = householder_vectors(A)
+    W = A.T.copy()
+    W[:, 0] += np.where(W[:, 0] >= 0, 1.0, -1.0)
     scale = 2.0 / np.array([w @ w for w in W])
     H = np.eye(A.shape[0]) - scale[:, None, None] * (W[:, :, None] * W[:, None, :])
     return H[:, :, 1:]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import joincond.cli as cli
 import joincond.grassmann as grassmann
 from joincond import (
+    CPDecomposition,
     CertificateError,
     ModelParams,
     SubspaceTuple,
@@ -29,6 +30,7 @@ from joincond import (
 from joincond.experiments import S_LIMIT
 from joincond.grassmann import CERTIFICATE_TOL
 from conftest import (
+    SIGMA_TOL,
     count_svd_calls,
     random_cpd,
     random_orthonormal,
@@ -75,6 +77,22 @@ def test_cond_cpd_keeps_the_least_vector(tmp_path, capsys, monkeypatch):
     assert payload["path"] == "dense"
     assert len(payload["least_vector"]) == 96
     assert abs(np.linalg.norm(payload["least_vector"]) - 1.0) <= 1e-12
+
+
+def test_cond_cpd_least_vector_attains_sigma_min_on_the_tangent_tuple(tmp_path, capsys):
+    # a compressed document (10 > r = 4): the printed vector is in the
+    # coordinates of cpd_tangent_tuple of the same document, read back
+    d = random_cpd(rng_for(128), (10, 6, 3), 4)
+    path = _write_json(tmp_path / "d.json", d.to_json_dict())
+    code, out, _ = _run(capsys, ["cond-cpd", "--input", path])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["path"] == "compressed"
+    with open(path, encoding="utf-8") as f:
+        U = cpd_tangent_tuple(CPDecomposition.from_json_dict(json.load(f))).stacked()
+    v = np.array(payload["least_vector"])
+    residual = abs(np.linalg.norm(U @ v) - payload["sigma_min"])
+    assert residual <= SIGMA_TOL * max(1.0, payload["sigma_1"])
 
 
 def test_cond_cpd_rank_one_kappa_one(tmp_path, capsys):

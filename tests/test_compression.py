@@ -246,6 +246,27 @@ def test_wide_out_blocks_give_infinite_kappa(monkeypatch):
     assert calls == []
 
 
+@given(cp_decompositions().filter(lambda d: d.order >= 2 and max(d.dims) > d.rank))
+def test_lifted_vector_is_zero_on_every_complement_column(decomp):
+    # compressed inputs, d = 2..4: in each term's mode-k block the last
+    # m_k - r columns are P_k^perp, and the lift puts exact zeros there
+    r = decomp.rank
+    report = cpd_condition_number(decomp)
+    assert report.path == "compressed"
+    v = report.least_vector
+    outside = np.zeros((r, report.n // r), dtype=bool)
+    at = 1
+    for m in decomp.dims:
+        at += m - 1
+        if m > r:
+            outside[:, at - (m - r):at] = True
+    assert np.all(v[outside.ravel()] == 0.0)
+    assert abs(np.linalg.norm(v) - 1.0) <= SIGMA_TOL
+    U = cpd_tangent_tuple(decomp).stacked()
+    scale = max(1.0, report.sigma_1)
+    assert abs(np.linalg.norm(U @ v) - report.sigma_min) <= SIGMA_TOL * scale
+
+
 def _householder_complement(v):
     """The single-vector complement formula, kept as the stack's reference."""
     w = v.copy()
@@ -254,15 +275,33 @@ def _householder_complement(v):
     return H[:, 1:]
 
 
+def _dense_complements(decomp):
+    """Per mode, term i's complement basis of cpd_tangent_tuple: the
+    single-vector formula for m_k <= r, else [P_k Q_c,i | P_k^perp] from
+    the complete QR of A_k, Q_c,i the formula's for b_i = P_k^T a_i."""
+    r = decomp.rank
+    per_mode = []
+    for A in decomp.factor_matrices():
+        if A.shape[0] <= r:
+            per_mode.append([_householder_complement(a) for a in A.T])
+            continue
+        Q = np.linalg.qr(A, mode="complete")[0]
+        P = Q[:, :r]
+        B = P.T @ A
+        per_mode.append([np.hstack([P @ _householder_complement(b), Q[:, r:]]) for b in B.T])
+    return per_mode
+
+
 def test_tangent_tuple_is_bitwise_per_term_kron():
     rng = rng_for(152)
-    for dims, r in (((6, 5, 4, 4), 6), ((3, 1, 7), 2), ((1, 4), 3), ((5,), 2)):
+    for dims, r in (((6, 5, 4, 4), 6), ((3, 1, 7), 2), ((1, 4), 3), ((5,), 2), ((9, 7, 3), 4)):
         d = random_cpd(rng, dims, r)
-        for term, W in zip(d.terms, cpd_tangent_tuple(d).subspaces):
+        complements = _dense_complements(d)
+        for i, (term, W) in enumerate(zip(d.terms, cpd_tangent_tuple(d).subspaces)):
             cols = [v[:, None] for v in term.vectors]
             blocks = [reduce(np.kron, cols)]
             for k, v in enumerate(term.vectors):
                 if v.size > 1:
-                    factors = cols[:k] + [_householder_complement(v)] + cols[k + 1:]
+                    factors = cols[:k] + [complements[k][i]] + cols[k + 1:]
                     blocks.append(reduce(np.kron, factors))
             assert np.array_equal(W, np.hstack(blocks))

@@ -160,3 +160,25 @@ def test_kappa_is_at_least_the_cone_bound_along_the_sequences(sequence):
             decomp = sequence(seed, s)
             bound = _cp_cone_bound(decomp)
             assert cpd_condition_number(decomp).kappa >= bound * (1 - CONE_SLACK), (seed, s)
+
+
+def _norm_balanced_cone_bound(decomp):
+    """sqrt(sum_i mu_i^(2/d) / d) / ||T||_F, proved in the segre docstring."""
+    d = decomp.order
+    bound = cone_bound([t.mu ** (1.0 / d) for t in decomp.terms], assemble_cpd(decomp))
+    return bound / math.sqrt(d)
+
+
+@given(cp_decompositions())
+def test_norm_balanced_kappa_is_at_least_its_cone_bound(decomp):
+    bound = _norm_balanced_cone_bound(decomp)
+    assert norm_balanced_condition_number(decomp) >= bound * (1 - CONE_SLACK)
+
+
+@pytest.mark.parametrize("sequence", [paatero_sequence, desilva_lim_sequence])
+def test_norm_balanced_kappa_is_at_least_its_cone_bound_along_the_sequences(sequence):
+    for seed in range(5):
+        for s in range(1, 91):
+            decomp = sequence(seed, s)
+            bound = _norm_balanced_cone_bound(decomp)
+            assert norm_balanced_condition_number(decomp) >= bound * (1 - CONE_SLACK), (seed, s)

@@ -50,8 +50,9 @@ def _flow(decomp):
 @pytest.mark.parametrize("sequence", SEQUENCES)
 def test_flow_takes_one_svd_with_vectors_and_shares_complements(sequence, monkeypatch):
     # the core's SVD with vectors, then the witnesses' values-only SVD; the
-    # dense triplet is gone.  Of the complements, the compression takes one
-    # per mode and the tuple only those of the two compressed modes (m_k > r).
+    # dense triplet is gone.  The compression takes one complement per mode
+    # and the tuple none: its compressed modes' complements come from the
+    # compression's QR, and the lift pads with zeros.
     decomp = sequence(0, 40)
     calls = count_svd_calls(monkeypatch)
     complements = []
@@ -64,7 +65,7 @@ def test_flow_takes_one_svd_with_vectors_and_shares_complements(sequence, monkey
     monkeypatch.setattr(segre, "orthonormal_complements", counted)
     report, cert = _flow(decomp)
     assert calls == [True, False]
-    assert len(complements) == 5
+    assert len(complements) == 3
     assert cert.diagnostics["sigma_min"] == report.sigma_min
 
 

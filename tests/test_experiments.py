@@ -216,6 +216,72 @@ def test_desilva_lim_rank_tolerance_crossing():
     assert all(math.isfinite(kappa) for _, kappa, _ in paatero)
 
 
+def _reference_paatero(seed, s):
+    """paatero_sequence as written before its draws were cached: a fresh
+    generator per step."""
+    rng = make_rng(seed)
+    A1 = rng.standard_normal((5, 3))
+    A2 = rng.standard_normal((4, 3))
+    A3 = rng.standard_normal((3, 3))
+    lam = 2.0 ** (3.0 * s / 16.0)
+    eps = 2.0 ** (-3.0 * s / 16.0 - 1.0)
+    return normalize_decomposition([
+        np.column_stack([-lam * (A1[:, 0] + A1[:, 1]), lam * A1[:, 1],
+                         lam * (A1[:, 0] + eps * A1[:, 2])]),
+        np.column_stack([A2[:, 0], A2[:, 0] + eps * A2[:, 2], A2[:, 0] + eps * A2[:, 1]]),
+        np.column_stack([A3[:, 0], A3[:, 0] + eps * A3[:, 2], A3[:, 0] + eps * A3[:, 1]]),
+    ])
+
+
+def _reference_desilva_lim(seed, s):
+    """desilva_lim_sequence with a fresh generator per step."""
+    rng = make_rng(seed)
+    B1 = rng.standard_normal((5, 2))
+    B2 = rng.standard_normal((3, 2))
+    B3 = rng.standard_normal((2, 2))
+    lam = 2.0 ** (s / 5.0)
+    eps = 2.0 ** (-s / 5.0)
+    return normalize_decomposition([
+        np.column_stack([lam * (B1[:, 0] + eps * B1[:, 1]), -lam * B1[:, 0]]),
+        np.column_stack([B2[:, 0] + eps * B2[:, 1], B2[:, 0]]),
+        np.column_stack([B3[:, 0] + eps * B3[:, 1], B3[:, 0]]),
+    ])
+
+
+def _decomp_bytes(decomp):
+    return [(np.float64(t.mu).tobytes(), [v.tobytes() for v in t.vectors]) for t in decomp.terms]
+
+
+@pytest.mark.parametrize("sequence, reference", [(paatero_sequence, _reference_paatero),
+                                                 (desilva_lim_sequence, _reference_desilva_lim)])
+def test_sequences_draw_once_per_seed_and_keep_every_byte(sequence, reference, monkeypatch):
+    for seed in range(5):
+        for s in range(1, 91):
+            assert _decomp_bytes(sequence(seed, s)) == _decomp_bytes(reference(seed, s)), (seed, s)
+    # a 90-step pass draws once: make_rng runs for its first step only
+    made = []
+    real = experiments.make_rng
+
+    def counted(seed):
+        made.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(experiments, "make_rng", counted)
+    experiments._sequence_draws.cache_clear()
+    for s in range(1, 91):
+        sequence(7, s)
+    assert made == [7]
+
+
+def test_cached_sequence_draws_are_read_only():
+    paatero_sequence(3, 1)
+    draws = experiments._sequence_draws(3, ((5, 3), (4, 3), (3, 3)))
+    for M in draws:
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 0.0
+    assert _decomp_bytes(paatero_sequence(3, 40)) == _decomp_bytes(_reference_paatero(3, 40))
+
+
 def test_example_41_constant_kappa():
     for t in np.arange(0.1, 3.05, 0.1):
         engine, analytic = example_41_kappa(float(t))
@@ -294,6 +360,17 @@ def test_refine_shape_mismatch_rejected():
     d = random_cpd(rng, (3, 3), 1)
     target = np.zeros((3, 4))
     with pytest.raises(ValueError):
+        cpd_refine(d, target)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_refine_rejects_a_non_finite_target(bad):
+    # (3,3,3) r=2: a nan entry used to raise "overflows at scale 1.76" and an
+    # inf one "overflows at scale inf"; the target is now checked first
+    d = random_cpd(rng_for(104), (3, 3, 3), 2)
+    target = assemble_cpd(d)
+    target[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="target has a non-finite entry"):
         cpd_refine(d, target)
 
 

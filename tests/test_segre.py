@@ -261,6 +261,18 @@ def test_entry_bound_counts_the_qr_copies():
         norm_balanced_condition_number(d)
 
 
+def test_entry_bound_counts_the_complete_qr():
+    # the compressed mode's complete Q is 10001 x 10001, 1.0e8 floats, while
+    # the core is 1 x 1
+    e = np.zeros(10001)
+    e[0] = 1.0
+    d = CPDecomposition((RankOneTerm(1.0, (e, np.array([1.0, 0.0]))),))
+    with pytest.raises(ValueError, match="MAX_TANGENT_ENTRIES"):
+        cpd_condition_number(d)
+    with pytest.raises(ValueError, match="MAX_TANGENT_ENTRIES"):
+        norm_balanced_condition_number(d)
+
+
 def test_dense_tuple_refuses_above_the_entry_bound():
     # 1e12 rows and 1e6 x 1e6 complements: refused before any of it is built
     e = np.zeros(10**6)
