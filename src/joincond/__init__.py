@@ -14,7 +14,6 @@ from .condition import (
     condition_number,
 )
 from .experiments import (
-    ForwardErrorTables,
     ModelParams,
     RefineResult,
     cpd_refine,
@@ -30,7 +29,6 @@ from .experiments import (
 )
 from .grassmann import (
     CertificateError,
-    IllposedCertificate,
     distance_to_illposed,
     nearest_intersecting_tuple,
     projection_distance,
@@ -57,7 +55,6 @@ from .waring import (
 __all__ = [
     "ConditionReport",
     "condition_number",
-    "ForwardErrorTables",
     "ModelParams",
     "RefineResult",
     "cpd_refine",
@@ -71,7 +68,6 @@ __all__ = [
     "sequence_table",
     "write_csv",
     "CertificateError",
-    "IllposedCertificate",
     "SubspaceTuple",
     "distance_to_illposed",
     "nearest_intersecting_tuple",

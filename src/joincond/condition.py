@@ -11,7 +11,10 @@ that reads kappa alone can skip the vector (vector=False), which leaves one
 values-only SVD.  For a tall matrix (N >= 2n) the one SVD with vectors runs
 on the n x n triangular factor of its QR decomposition, so U's N x n left
 singular vectors are never formed; LAPACK's gesdd takes the same QR itself
-at that shape, so the results are unchanged.
+at that shape, so the results are unchanged.  A report is a plain value,
+complete when returned: an engine whose matrix has other columns than U
+(segre's compressed core) hands condition_report the map that lifts its
+least vector to U's coordinates, and the report holds the lifted vector.
 
 For CP and Waring, kappa >= ||mu||_2 / ||T||_F for every input, with
 T = p_1 + ... + p_r the decomposed tensor and mu the term norms.  Proof:
@@ -27,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -103,19 +105,17 @@ class SubspaceTuple:
     depends on the subspaces only, never on the chosen bases; sha256()
     identifies the input as given, basis and all.
 
-    _triplet, set only by an engine that builds the tuple, returns
-    (sigma_n, v, sigma_1) of stacked() as least_singular_triplet would: v a
-    unit vector in the stacked columns' coordinates with ||stacked() v|| =
-    sigma_n, up to rounding.  A certificate takes it in place of its own
-    SVD and checks v through its residuals; a tuple without one (every
-    tuple read from JSON) is decomposed.
+    _triplet, set only by an engine that builds the tuple, is
+    (sigma_n, v, sigma_1) of stacked() as least_singular_triplet gives it:
+    v a unit vector in the stacked columns' coordinates with
+    ||stacked() v|| = sigma_n, up to rounding.  A certificate takes it in
+    place of its own SVD and checks v through its residuals; a tuple
+    without one (every tuple read from JSON) is decomposed.
     """
 
     ambient_dim: int
     subspaces: tuple[np.ndarray, ...]
-    _triplet: Callable[[], tuple[float, np.ndarray, float]] | None = field(
-        default=None, repr=False
-    )
+    _triplet: tuple[float, np.ndarray, float] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         N = as_int(self.ambient_dim, "ambient dimension")
@@ -176,9 +176,7 @@ class ConditionReport:
     or sigma_min below the rank tolerance); well_posed is whether kappa is
     finite.  least_vector is a unit right singular vector of the stacked
     basis attaining sigma_min; its blocks give the most weakly determined
-    joint tangent direction.  A report of condition_report with a lift
-    computes it on its first read and keeps it, so a caller that reads kappa
-    alone never lifts it.  It is None in a report made without it
+    joint tangent direction.  It is None in a report made without it
     (condition_report's vector=False), and its JSON is then null.  sigma_1
     is the largest singular value, and path names the matrix that was
     decomposed: "dense" for the stacked basis itself, "compressed" for its
@@ -194,24 +192,6 @@ class ConditionReport:
     N: int
     sigma_1: float
     path: str = "dense"
-
-    def __getattr__(self, name):
-        # Reached only when normal lookup fails: a least_vector that
-        # condition_report left to its lift is lifted on this first read, kept,
-        # and the lift dropped.  That is functools.cached_property, which
-        # cannot share its name with the dataclass field.  The order of the
-        # dict operations lets two threads read it at once.
-        pending = self.__dict__.get("_lift") if name == "least_vector" else None
-        if pending is not None:
-            lift, v = pending
-            self.__dict__[name] = lift(v)
-            self.__dict__.pop("_lift", None)
-        try:
-            return self.__dict__[name]
-        except KeyError:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            ) from None
 
     @property
     def well_posed(self) -> bool:
@@ -315,21 +295,21 @@ def condition_report(
     matrix of n stacked tangent columns in R^N, or the part of it that holds
     sigma_n and sigma_1.  kappa is inf when defective (ill posed by dimension
     alone), else kappa_from_singular_values; lift maps M's least right
-    singular vector to the stacked columns' coordinates.  lift is called on
-    the first read of least_vector, so a caller that reads kappa alone never
-    calls it.
+    singular vector to the stacked columns' coordinates, and the report
+    holds the lifted vector.
 
     With vector=False the SVD is values-only (least_singular_values), lift
-    is neither called nor kept, and least_vector is None; sigma_n and
-    sigma_1 may then differ from the default's in their last bits (about
-    eps * sigma_1), as another LAPACK path computes them, and kappa with
-    them.
+    is not called, and least_vector is None; sigma_n and sigma_1 may then
+    differ from the default's in their last bits (about eps * sigma_1), as
+    another LAPACK path computes them, and kappa with them.
     """
     if vector:
         sigma, v, sigma_1 = least_singular_triplet(M)
     else:
         (sigma, sigma_1), v = least_singular_values(M), None
-    report = ConditionReport(
+    if lift is not None and v is not None:
+        v = lift(v)
+    return ConditionReport(
         sigma_min=sigma,
         kappa=math.inf if defective else kappa_from_singular_values(sigma, sigma_1, n, N),
         least_vector=v,
@@ -338,10 +318,6 @@ def condition_report(
         sigma_1=sigma_1,
         path=path,
     )
-    if lift is not None and v is not None:
-        # lifted by ConditionReport.__getattr__ on the first read
-        report.__dict__["_lift"] = (lift, report.__dict__.pop("least_vector"))
-    return report
 
 
 def condition_number(t: SubspaceTuple) -> ConditionReport:

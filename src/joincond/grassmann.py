@@ -6,10 +6,11 @@ i.e. the subspaces share a linear dependence.  The distance from a tuple to
 that locus (in the Euclidean combination of per-block projector distances)
 equals sigma_n([W_1 ... W_r]), the quantity whose inverse is the condition
 number.  nearest_intersecting_tuple makes that distance constructive: from
-the least singular triplet of the stacked bases (the engine's own, for a
-tuple that cpd_tangent_tuple built), a closed-form rank-(r-1) step gives
-one witness direction per block, and the witnesses alone fix a closest
-dependent tuple and check it, with one values-only N x r SVD.
+the least singular triplet of the stacked bases (for a tuple that
+cpd_tangent_tuple built, the CP engine's, which the tuple carries as data),
+a closed-form rank-(r-1) step gives one witness direction per block, and
+the witnesses alone fix a closest dependent tuple and check it, with one
+values-only N x r SVD.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ class IllposedCertificate:
     witness_directions[i] is a unit vector x_i in the i-th nearest subspace;
     the witnesses span fewer than r dimensions, which is what makes the
     nearest tuple dependent.  diagnostics records the achieved residuals.
-    nearest is built from original and the witnesses on its first read (the
-    input itself when sigma_min is within DEGENERATE_TOL of 0), so a caller
-    that reads only the distance never builds it.
+    nearest, a cached property, is built from original and the witnesses
+    when it is read (the input itself when sigma_min is within
+    DEGENERATE_TOL of 0), so a caller that reads only the distance never
+    builds it.
     """
 
     original: SubspaceTuple
@@ -149,17 +151,18 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
     0 of nearest block i, so sigma_min([x_1 ... x_r]), from one values-only
     N x r SVD, bounds sigma_n of the nearest tuple from above; it is
     recorded as intersect_residual.  Two SVDs in all, for any r, or one
-    when the tuple carries its engine's triplet (SubspaceTuple._triplet, as
-    cpd_tangent_tuple's do), which the two checks then verify; a v that
-    does not attain sigma fails them.  The nearest tuple itself is built
-    only when IllposedCertificate.nearest is read.
+    when the tuple carries its engine's triplet (SubspaceTuple._triplet,
+    which cpd_tangent_tuple sets from the CP engine's report), which the two
+    checks then verify; a v that does not attain sigma fails them.  The
+    nearest tuple itself is built only when IllposedCertificate.nearest is
+    read.
     """
     if W.n > W.ambient_dim:
         raise ValueError("tuple is dependent outright: n exceeds the ambient dimension")
     if len(W.subspaces) == 1:
         raise ValueError("a single subspace has no dependent tuple to approach")
     U = W.stacked()
-    sigma, v, _ = least_singular_triplet(U) if W._triplet is None else W._triplet()
+    sigma, v, _ = least_singular_triplet(U) if W._triplet is None else W._triplet
 
     # Every norm below is math.sqrt(x.dot(x)) of contiguous data, the one BLAS
     # dot np.linalg.norm takes after its copy of a strided vector.

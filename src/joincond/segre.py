@@ -117,27 +117,24 @@ from .tensor import (
 
 WEAK_ORTHOGONALITY_TOL = 1e-12
 
-# Weak references to (decomposition, report, _Compression) of the last
-# cpd_condition_number with vector=True, for cpd_tangent_tuple of the same
-# decomposition.  Weak, so it keeps nothing alive (the model experiment's
-# callers hold every decomposition for a whole run), and replaced whole, so
-# a reader in another thread sees one call's entry or another's; a miss
-# costs time, never bytes.
-_last_report = (lambda: None,) * 3
+# decomposition -> (report, _Compression) of the last cpd_condition_number
+# with vector=True, for cpd_tangent_tuple of the same decomposition.  Weakly
+# keyed, so the entry dies with its decomposition, and cleared before each
+# new entry, so it holds one (briefly more when threads race); a miss costs
+# time, never bytes.
+_last_report = weakref.WeakKeyDictionary()
 
 
 def cpd_tangent_tuple(decomp: CPDecomposition) -> SubspaceTuple:
     """Tangent bases of all terms, ready for the condition-number engine.
 
     Built from the decomposition's compression (see the module docstring
-    for the complements it takes): the last vector report's, when that is
-    still alive for this decomposition, else one made here.  The tuple's
-    least singular triplet (SubspaceTuple._triplet) is that of
-    cpd_condition_number(decomp): sigma_n and sigma_1 of the compressed
-    core, which are U's, and the lifted least_vector, which attains sigma_n
-    on U.  It is read from the live report, or computed from the same
-    compression when a certificate first asks; either way the tuple's and
-    the triplet's bytes depend on decomp alone.
+    for the complements it takes): that of the last vector report, when it
+    was made for this decomposition, else one made here together with its
+    report.  The tuple's least singular triplet (SubspaceTuple._triplet) is
+    that report's: sigma_n and sigma_1 of the compressed core, which are
+    U's, and the lifted least_vector, which attains sigma_n on U.  Either
+    way the tuple's and the triplet's bytes depend on decomp alone.
     Raises ValueError, before allocating, above MAX_TANGENT_ENTRIES.
     """
     dims, r, n, N = decomp.dims, decomp.rank, _tangent_dim(decomp), decomp.ambient_dim
@@ -145,20 +142,13 @@ def cpd_tangent_tuple(decomp: CPDecomposition) -> SubspaceTuple:
     # (N / m_d rows) and the r x m_k x m_k complement stacks.
     entries = (N + N // dims[-1]) * n + r * sum(m * m for m in dims)
     check_entries(entries, f"dims {dims} at rank {r} need")
-    last_decomp, last_report, last_tucker = _last_report
-    report = tucker = None
-    if last_decomp() is decomp:
-        report, tucker = last_report(), last_tucker()
-    if tucker is None:
+    entry = _last_report.get(decomp)
+    if entry is None:
         tucker = _Compression(decomp)
-
-    def triplet():
-        nonlocal report
-        if report is None:
-            report = _report(decomp, tucker)
-        return report.sigma_min, report.least_vector, report.sigma_1
-
+        entry = _report(decomp, tucker), tucker
+    report, tucker = entry
     U = tangent_matrix(tucker.mats, tucker.dense_complements())
+    triplet = (report.sigma_min, report.least_vector, report.sigma_1)
     return SubspaceTuple(N, _term_blocks(U, r), triplet)
 
 
@@ -270,19 +260,18 @@ def cpd_condition_number(decomp: CPDecomposition, *, vector: bool = True) -> Con
 
     Equal to condition_number(cpd_tangent_tuple(decomp)) in exact
     arithmetic, computed from one SVD of the compressed core (see the module
-    docstring); least_vector is in the coordinates of cpd_tangent_tuple,
-    lifted from the core's on its first read (see condition_report), so
-    reading kappa alone costs no lift.  With vector=False that SVD is
-    values-only, lift is never called and least_vector is None; the model
-    experiment, which reads kappa alone, takes it so.  A report with the
-    vector is also kept, weakly, for cpd_tangent_tuple of the same decomp.
+    docstring); least_vector is the core's, lifted to the coordinates of
+    cpd_tangent_tuple by zero-padding.  With vector=False that SVD is
+    values-only and least_vector is None; the model experiment, which reads
+    kappa alone, takes it so.  A report with the vector is also kept, with
+    its compression, for cpd_tangent_tuple of the same decomp.
     Raises ValueError above MAX_TANGENT_ENTRIES.
     """
-    global _last_report
     tucker = _Compression(decomp)
     report = _report(decomp, tucker, vector)
     if vector:
-        _last_report = (weakref.ref(decomp), weakref.ref(report), weakref.ref(tucker))
+        _last_report.clear()
+        _last_report[decomp] = report, tucker
     return report
 
 

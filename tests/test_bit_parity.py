@@ -1,5 +1,5 @@
-"""The boundary op's trimmed helpers keep every bit, and least_vector is
-lifted on its first read only.
+"""The boundary op's trimmed helpers keep every bit, and a report holds its
+lifted least_vector from the start.
 
 The references below are the earlier formulas of normalize_decomposition,
 orthonormal_complements and the certificate's norms: np.linalg.norm per
@@ -9,7 +9,7 @@ same error for the same input.
 """
 
 import gc
-import math
+import pickle
 import weakref
 
 import numpy as np
@@ -70,7 +70,7 @@ def reference_certificate(W):
     by its earlier norms: np.linalg.norm of slices and strided columns, from
     the triplet the certificate takes (the engine's, when W carries one)."""
     U = W.stacked()
-    sigma, v, _ = least_singular_triplet(U) if W._triplet is None else W._triplet()
+    sigma, v, _ = least_singular_triplet(U) if W._triplet is None else W._triplet
     offsets = np.cumsum((0,) + W.block_dims)
     ys, c = [], []
     for i, Wi in enumerate(W.subspaces):
@@ -204,33 +204,6 @@ def test_tangent_tuples_split_as_np_hsplit():
         ]
 
 
-def _count_lifts(monkeypatch):
-    calls = []
-    real = segre._Compression.lift
-
-    def counted(self, v):
-        calls.append(1)
-        return real(self, v)
-
-    monkeypatch.setattr(segre._Compression, "lift", counted)
-    return calls
-
-
-def test_kappa_alone_never_lifts_and_two_reads_lift_once(monkeypatch):
-    calls = _count_lifts(monkeypatch)
-    decomp = paatero_sequence(0, 40)
-    assert math.isfinite(cpd_condition_number(decomp).kappa)
-    assert calls == []
-    report = cpd_condition_number(decomp)
-    first = report.least_vector
-    assert report.least_vector is first
-    assert len(calls) == 1
-    assert report.to_json_dict()["least_vector"] == first.tolist()
-    assert len(calls) == 1
-    with pytest.raises(AttributeError, match="no attribute 'vector'"):
-        report.vector
-
-
 @pytest.mark.parametrize("dims, rank, path", [((6, 5, 4), 3, "compressed"),
                                               ((3, 3, 3), 3, "dense")])
 def test_lifted_vector_is_the_eager_bytes(dims, rank, path):
@@ -240,7 +213,7 @@ def test_lifted_vector_is_the_eager_bytes(dims, rank, path):
     report = cpd_condition_number(decomp)
     assert report.path == path
     assert report.least_vector.tobytes() == eager.tobytes()
-    # a report without a lift holds its vector from the start
+    # a report without a lift holds the SVD's own vector
     U = cpd_tangent_tuple(decomp)
     assert condition_number(U).least_vector.tobytes() == (
         least_singular_triplet(U.stacked())[1].tobytes()
@@ -256,14 +229,21 @@ def test_values_only_report_keeps_no_compression(monkeypatch):
             made.append(weakref.ref(self))
 
     monkeypatch.setattr(segre, "_Compression", Recorded)
-    decomp = desilva_lim_sequence(0, 40)
-    values = cpd_condition_number(decomp, vector=False)
-    pending = cpd_condition_number(decomp)
+    values = cpd_condition_number(desilva_lim_sequence(0, 40), vector=False)
     gc.collect()
     assert made[0]() is None
     assert values.least_vector is None
-    # a report whose vector is not yet lifted keeps its compression until then
-    assert made[1]() is not None
-    pending.least_vector
-    gc.collect()
-    assert made[1]() is None
+
+
+@pytest.mark.parametrize("vector", [True, False])
+def test_a_report_is_complete_when_returned_and_pickles_whole(vector):
+    decomp = paatero_sequence(0, 40)
+    report = cpd_condition_number(decomp, vector=vector)
+    assert "least_vector" in vars(report)
+    copy = pickle.loads(pickle.dumps(report))
+    assert vars(copy).keys() == vars(report).keys()
+    if vector:
+        assert copy.least_vector.tobytes() == report.least_vector.tobytes()
+    else:
+        assert copy.least_vector is None
+    assert copy.to_json_dict() == report.to_json_dict()

@@ -7,6 +7,7 @@ of the same bases without the engine's triplet, from the dense SVD.
 """
 
 import gc
+import pickle
 import sys
 import threading
 import weakref
@@ -91,21 +92,33 @@ def test_certificate_matches_the_dense_triplet_on_every_step(sequence):
 def test_memo_keeps_nothing_alive():
     decomp = paatero_sequence(1, 30)
     report = cpd_condition_number(decomp)
-    tucker = segre._last_report[2]
-    assert tucker() is not None
+    memo_report, tucker = segre._last_report[decomp]
+    assert memo_report is report and len(segre._last_report) == 1
     t = cpd_tangent_tuple(decomp)
     cert = nearest_intersecting_tuple(t)
-    refs = [weakref.ref(x) for x in (decomp, report, t)] + [tucker]
-    del decomp, report, t, cert
+    refs = [weakref.ref(x) for x in (decomp, report, t, tucker)]
+    del decomp, report, memo_report, t, tucker, cert
     gc.collect()
     assert [ref() for ref in refs] == [None] * 4
+    assert len(segre._last_report) == 0
 
 
 def test_values_only_report_leaves_the_memo_untouched():
-    cpd_condition_number(paatero_sequence(2, 30))
-    before = segre._last_report
-    cpd_condition_number(desilva_lim_sequence(2, 30), vector=False)
-    assert segre._last_report is before
+    first, second = paatero_sequence(2, 30), desilva_lim_sequence(2, 30)
+    cpd_condition_number(first)
+    before = list(segre._last_report.items())
+    assert [d for d, _ in before] == [first]
+    cpd_condition_number(second, vector=False)
+    assert list(segre._last_report.items()) == before
+    report = cpd_condition_number(second)
+    assert [(d, entry[0]) for d, entry in segre._last_report.items()] == [(second, report)]
+
+
+def test_a_pickled_tuple_gives_the_same_certificate():
+    t = cpd_tangent_tuple(paatero_sequence(0, 40))
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy._triplet is not None
+    assert _bytes(nearest_intersecting_tuple(copy)) == _bytes(nearest_intersecting_tuple(t))
 
 
 def test_threads_give_the_serial_bytes():
@@ -133,10 +146,9 @@ def test_threads_give_the_serial_bytes():
 
 def test_a_triplet_whose_vector_misses_sigma_raises_with_both_residuals():
     t = cpd_tangent_tuple(paatero_sequence(0, 20))
-    sigma, v, sigma_1 = t._triplet()
+    sigma, v, sigma_1 = t._triplet
     assert sigma > CERTIFICATE_TOL
-    wrong = np.roll(v, 1)
-    bad = SubspaceTuple(t.ambient_dim, t.subspaces, _triplet=lambda: (sigma, wrong, sigma_1))
+    bad = SubspaceTuple(t.ambient_dim, t.subspaces, _triplet=(sigma, np.roll(v, 1), sigma_1))
     with pytest.raises(CertificateError) as err:
         nearest_intersecting_tuple(bad)
     residuals = (err.value.distance_residual, err.value.intersect_residual)

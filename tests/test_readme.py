@@ -101,3 +101,8 @@ def test_readme_checker_accepts_an_engine_certificate(tmp_path, monkeypatch):
     for name, document in (("tuple.json", t), ("cert.json", cert)):
         (tmp_path / name).write_text(json.dumps(document.to_json_dict()), encoding="utf-8")
     _check(monkeypatch, tmp_path / "tuple.json", tmp_path / "cert.json")
+
+
+def test_readme_stays_within_430_lines():
+    # proofs live in module docstrings and history in CHANGES.md
+    assert len(README.read_text().splitlines()) <= 430
