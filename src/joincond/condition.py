@@ -3,8 +3,9 @@
 The sensitivity of recovering the summands p_1, ..., p_r from their sum is
 governed by the n-th largest singular value of U = [U_1 ... U_r], where U_i
 is any orthonormal basis of the tangent space at p_i and n is the total
-column count: kappa = 1 / sigma_n(U).  When n exceeds the ambient dimension
-the summation map cannot be locally inverted and kappa is infinite.
+column count: kappa = 1 / sigma_n(U), infinite at or below the rank rule's
+RANK_TOL_FACTOR * sigma_1.  When n exceeds the ambient dimension the
+summation map cannot be locally inverted: sigma_n is 0 and kappa infinite.
 
 Only sigma_n, sigma_1 and a right singular vector are needed, and a caller
 that reads kappa alone can skip the vector (vector=False), which leaves one
@@ -38,14 +39,17 @@ from .tensor import as_int, as_vector
 
 # A block is accepted as orthonormal when max |U^T U - I| stays below this.
 ORTHONORMAL_TOL = 1e-10
-# sigma_min at or below RANK_TOL_FACTOR * max(1, sigma_1) counts as zero.
+# sigma_min at or below RANK_TOL_FACTOR * sigma_1 counts as zero: the one
+# rank rule, kappa_from_singular_values, relative to the matrix's own scale.
 # segre.norm_balanced_condition_number weights term i by w_i = mu_i^(1-1/d):
 # its sigma_1 is sqrt(d) * max w_i and its sigma_n about min w_i at most, so
 # kappa becomes inf once the spread max w / min w passes about
 # 1/RANK_TOL_FACTOR (at (3,3,3) r=2, mu = (1e20, 1) is finite and (1e22, 1)
-# inf).  Digits go before that: sigma_n's rounding error is near eps * sigma_1,
-# and over 40 random (3,3,3) r=2 inputs kappa at mu = (1e20, 1) moved by up
-# to 3e-4, relatively, from its value at (1e14, 1).
+# inf).  A common factor c on every mu_i scales sigma_n and sigma_1 alike,
+# so this holds at every scale (mu = (1e-30, 1e-30) is finite).  Digits go
+# before that: sigma_n's rounding error is near eps * sigma_1, and over 40
+# random (3,3,3) r=2 inputs kappa at mu = (1e20, 1) moved by up to 3e-4,
+# relatively, from its value at (1e14, 1).
 RANK_TOL_FACTOR = 1e-14
 # The CP and Waring engines and dense tuples refuse, before allocating, an
 # input whose build and decomposition hold more floats than this (0.8 GB) at
@@ -147,7 +151,7 @@ class SubspaceTuple:
     def to_json_dict(self) -> dict:
         return {
             "N": self.ambient_dim,
-            "blocks": [[col.tolist() for col in W.T] for W in self.subspaces],
+            "blocks": [W.T.tolist() for W in self.subspaces],
         }
 
     @classmethod
@@ -172,16 +176,17 @@ class SubspaceTuple:
 class ConditionReport:
     """Output of the condition-number engine.
 
-    kappa is 1/sigma_min, with math.inf when the problem is ill posed (n > N
-    or sigma_min below the rank tolerance); well_posed is whether kappa is
-    finite.  least_vector is a unit right singular vector of the stacked
-    basis attaining sigma_min; its blocks give the most weakly determined
-    joint tangent direction.  It is None in a report made without it
-    (condition_report's vector=False), and its JSON is then null.  sigma_1
-    is the largest singular value, and path names the matrix that was
-    decomposed: "dense" for the stacked basis itself, "compressed" for its
-    Tucker-compressed form (see segre), "symmetric" for its weighted
-    symmetric-coordinate rows (see waring).
+    kappa is 1/sigma_min, with math.inf when the problem is ill posed:
+    when sigma_min <= RANK_TOL_FACTOR * sigma_1 (sigma_min is 0 for n > N),
+    or when the Waring engine's shape check says so (is_defective);
+    well_posed is whether kappa is finite.  least_vector is a unit right
+    singular vector of the stacked basis attaining sigma_min; its blocks
+    give the most weakly determined joint tangent direction.  It is None in
+    a report made without it (condition_report's vector=False), and its
+    JSON is then null.  sigma_1 is the largest singular value, and path
+    names the matrix that was decomposed: "dense" for the stacked basis
+    itself, "compressed" for its Tucker-compressed form (see segre),
+    "symmetric" for its weighted symmetric-coordinate rows (see waring).
     Every engine builds its reports with condition_report.
     """
 
@@ -273,10 +278,11 @@ def least_singular_values(M) -> tuple[float, float]:
     return (0.0 if n > N else abs(float(min(s[..., n - 1].flat)))), abs(float(max(s[..., 0].flat)))
 
 
-def kappa_from_singular_values(sigma_n: float, sigma_1: float, n: int, N: int) -> float:
-    """1 / sigma_n, or math.inf when the problem is ill posed: n > N, or
-    sigma_n at or below RANK_TOL_FACTOR * max(1, sigma_1)."""
-    if n > N or sigma_n <= RANK_TOL_FACTOR * max(1.0, sigma_1):
+def kappa_from_singular_values(sigma_n: float, sigma_1: float) -> float:
+    """The rank rule: math.inf when sigma_n <= RANK_TOL_FACTOR * sigma_1,
+    else 1 / sigma_n.  A matrix with more columns than rows needs no clause
+    of its own, as both SVD helpers give it sigma_n = 0."""
+    if sigma_n <= RANK_TOL_FACTOR * sigma_1:
         return math.inf
     return 1.0 / sigma_n
 
@@ -294,7 +300,8 @@ def condition_report(
     """Every engine's report, from one SVD of M: a matrix with the Gram
     matrix of n stacked tangent columns in R^N, or the part of it that holds
     sigma_n and sigma_1.  kappa is inf when defective (ill posed by dimension
-    alone), else kappa_from_singular_values; lift maps M's least right
+    alone), else kappa_from_singular_values(sigma_n, sigma_1), the rank
+    rule; n and N are recorded, not compared.  lift maps M's least right
     singular vector to the stacked columns' coordinates, and the report
     holds the lifted vector.
 
@@ -311,7 +318,7 @@ def condition_report(
         v = lift(v)
     return ConditionReport(
         sigma_min=sigma,
-        kappa=math.inf if defective else kappa_from_singular_values(sigma, sigma_1, n, N),
+        kappa=math.inf if defective else kappa_from_singular_values(sigma, sigma_1),
         least_vector=v,
         n=n,
         N=N,

@@ -179,36 +179,30 @@ def nearest_intersecting_tuple(W: SubspaceTuple) -> IllposedCertificate:
 
     if sigma <= DEGENERATE_TOL:
         # Already dependent: the tuple is its own nearest dependent tuple.
-        return IllposedCertificate(
-            original=W,
-            distance=0.0,
-            witness_directions=tuple(ys),
-            diagnostics={"sigma_min": sigma, "distance_residual": 0.0,
-                         "intersect_residual": sigma},
-        )
+        xs, distance, distance_residual, intersect_residual = ys, 0.0, 0.0, sigma
+    else:
+        # X's columns, as contiguous rows
+        XT = np.array(ys) - np.outer(c, U @ v)
+        norms = [math.sqrt(x.dot(x)) for x in XT]
+        fallback = XT[int(np.argmax(norms))] / max(norms)
+        xs = [x / nc if nc > DEGENERATE_TOL else fallback for x, nc in zip(XT, norms)]
 
-    # X's columns, as contiguous rows
-    XT = np.array(ys) - np.outer(c, U @ v)
-    norms = [math.sqrt(x.dot(x)) for x in XT]
-    fallback = XT[int(np.argmax(norms))] / max(norms)
-    xs = [x / nc if nc > DEGENERATE_TOL else fallback for x, nc in zip(XT, norms)]
-
-    # block i turns by the angle whose sine is ||x_i - W_i W_i^T x_i||
-    total = 0.0
-    for Wi, x in zip(W.subspaces, xs):
-        y = x - Wi @ (Wi.T @ x)
-        total += min(math.sqrt(y.dot(y)), 1.0) ** 2
-    distance = math.sqrt(total)
-    distance_residual = abs(distance - sigma)
-    intersect_residual, _ = least_singular_values(np.array(xs).T)
-    if distance_residual > CERTIFICATE_TOL or intersect_residual > CERTIFICATE_TOL:
-        raise CertificateError(
-            "certificate tolerances not met: "
-            f"|distance - sigma_n| = {distance_residual:.3e}, "
-            f"sigma_min(witnesses) = {intersect_residual:.3e}",
-            distance_residual=distance_residual,
-            intersect_residual=intersect_residual,
-        )
+        # block i turns by the angle whose sine is ||x_i - W_i W_i^T x_i||
+        total = 0.0
+        for Wi, x in zip(W.subspaces, xs):
+            y = x - Wi @ (Wi.T @ x)
+            total += min(math.sqrt(y.dot(y)), 1.0) ** 2
+        distance = math.sqrt(total)
+        distance_residual = abs(distance - sigma)
+        intersect_residual, _ = least_singular_values(np.array(xs).T)
+        if distance_residual > CERTIFICATE_TOL or intersect_residual > CERTIFICATE_TOL:
+            raise CertificateError(
+                "certificate tolerances not met: "
+                f"|distance - sigma_n| = {distance_residual:.3e}, "
+                f"sigma_min(witnesses) = {intersect_residual:.3e}",
+                distance_residual=distance_residual,
+                intersect_residual=intersect_residual,
+            )
     return IllposedCertificate(
         original=W,
         distance=distance,

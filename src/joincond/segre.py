@@ -288,8 +288,10 @@ def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
     norm-balanced representative of term i, whose factors all have norm
     mu_i^(1/d); computed from values-only SVDs of the compressed blocks
     times D (see the module docstring): one of the core and, when a mode is
-    compressed, one of the stacked K_k.  Raises ValueError above
-    MAX_TANGENT_ENTRIES.
+    compressed, one of the stacked K_k.  The rank rule
+    (kappa_from_singular_values) compares sigma_n with sigma_1, so a common
+    factor c on every mu_i divides kappa by c^(1-1/d) at every scale.
+    Raises ValueError above MAX_TANGENT_ENTRIES.
     """
     # A wide core has a kernel: sigma_n is zero and no SVD is needed.
     if is_defective(decomp.groups, decomp.rank):
@@ -300,7 +302,7 @@ def norm_balanced_condition_number(decomp: CPDecomposition) -> float:
     sigma_n, sigma_1 = least_singular_values(tucker.core_matrix(scales))
     if tucker.modes:
         sigma_n = min(sigma_n, least_singular_values(tucker.out_stack(scales))[0])
-    return kappa_from_singular_values(sigma_n, sigma_1, _tangent_dim(decomp), decomp.ambient_dim)
+    return kappa_from_singular_values(sigma_n, sigma_1)
 
 
 def is_weak_3_orthogonal(decomp: CPDecomposition) -> bool:

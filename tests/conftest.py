@@ -47,7 +47,7 @@ CONE_SLACK = 16 * np.finfo(float).eps
 def near_threshold(sigma, sigma_1):
     """Whether sigma lies within a factor 10 of the rank tolerance, where a
     finite/infinite verdict may flip on rounding."""
-    tol = RANK_TOL_FACTOR * max(1.0, sigma_1)
+    tol = RANK_TOL_FACTOR * sigma_1
     return tol / 10 <= sigma <= 10 * tol
 
 

@@ -60,11 +60,11 @@ def _check_against_dense(decomp):
     assert abs(np.linalg.norm(U @ report.least_vector) - report.sigma_min) <= SIGMA_TOL * scale
 
     # the norm-balanced engine against the per-term definition [B_1 ... B_r]
-    sigma_n, sigma_1, n, N = dense_norm_balanced_sigma(decomp)
+    sigma_n, sigma_1, _, _ = dense_norm_balanced_sigma(decomp)
     kappa = norm_balanced_condition_number(decomp)
     assert abs(1.0 / kappa - sigma_n) <= SIGMA_TOL * max(1.0, sigma_1)
-    if n > N or not near_threshold(sigma_n, sigma_1):
-        assert math.isinf(kappa) == (n > N or sigma_n <= RANK_TOL_FACTOR * max(1.0, sigma_1))
+    if not near_threshold(sigma_n, sigma_1):
+        assert math.isinf(kappa) == math.isinf(kappa_from_singular_values(sigma_n, sigma_1))
 
 
 @given(cp_decompositions())
@@ -88,9 +88,7 @@ def test_values_only_report_matches_default(decomp):
     if report.n > report.N or not near_threshold(report.sigma_min, report.sigma_1):
         assert math.isinf(values.kappa) == math.isinf(report.kappa)
     core = _Compression(decomp).core_matrix()
-    assert values.kappa == kappa_from_singular_values(
-        *least_singular_values(core), report.n, report.N
-    )
+    assert values.kappa == kappa_from_singular_values(*least_singular_values(core))
 
 
 @given(
@@ -164,7 +162,7 @@ def test_norm_balanced_wide_compressed_matrix_runs_no_svd(monkeypatch):
     wide = random_cpd(rng_for(153), (9, 9), 4)
     sigma_n, sigma_1, n, N = dense_norm_balanced_sigma(wide)
     assert (n, N) == (68, 81)
-    assert sigma_n <= RANK_TOL_FACTOR * max(1.0, sigma_1)
+    assert sigma_n <= RANK_TOL_FACTOR * sigma_1
     tall = random_cpd(rng_for(154), (6, 5, 4, 4), 6)
     calls = count_svd_calls(monkeypatch)
     assert norm_balanced_condition_number(wide) == math.inf

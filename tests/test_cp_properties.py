@@ -94,19 +94,38 @@ def test_kappa_unchanged_by_term_scaling(decomp, seed):
     assert np.array_equal(other.least_vector, report.least_vector)
 
 
-@given(cp_decompositions(), st.floats(1e-2, 1e2))
-def test_norm_balanced_kappa_scales_with_common_mu_factor(decomp, c):
-    # every s_i = mu_i^(1-1/d) gains the factor c^(1-1/d), so sigma_n does
-    # and kappa loses it
+@given(cp_decompositions(), st.integers(0, 2**32 - 1))
+def test_norm_balanced_kappa_scales_with_common_mu_factor(decomp, seed):
+    # every s_i = mu_i^(1-1/d) gains the factor c^(1-1/d), so sigma_n and
+    # sigma_1 do and kappa loses it; the rank rule compares the two, so the
+    # verdict holds at every c, here log-uniform in [1e-30, 1e30]
+    c = 10.0 ** np.random.default_rng(seed).uniform(-30.0, 30.0)
     power = c ** (1.0 - 1.0 / decomp.order)
     scaled = _moved(decomp, scales=np.full(decomp.rank, c))
     sigma, sigma_1, _, _ = dense_norm_balanced_sigma(decomp)
     kappa = norm_balanced_condition_number(decomp)
     scaled_kappa = norm_balanced_condition_number(scaled)
     if math.isfinite(kappa) and math.isfinite(scaled_kappa):
-        assert abs(1.0 / scaled_kappa - power / kappa) <= SIGMA_TOL * max(1.0, power * sigma_1)
-    if not (near_threshold(sigma, sigma_1) or near_threshold(power * sigma, power * sigma_1)):
+        assert abs(1.0 / scaled_kappa - power / kappa) <= SIGMA_TOL * power * sigma_1
+    if not near_threshold(sigma, sigma_1):
         assert math.isinf(scaled_kappa) == math.isinf(kappa)
+
+
+@pytest.mark.parametrize("mu", [1e-21, 1e-30])
+def test_norm_balanced_kappa_is_finite_at_tiny_common_norm(mu):
+    # (3,3,3) r=2 with both term norms mu: the weights mu^(2/3) have spread
+    # 1, so kappa is mu^(-2/3) times its value at mu = 1, not inf
+    rng = np.random.default_rng(166)
+    vectors = [tuple(random_orthonormal(rng, 3, 1)[:, 0] for _ in range(3)) for _ in range(2)]
+    kappa_1 = norm_balanced_condition_number(
+        CPDecomposition(tuple(RankOneTerm(1.0, v) for v in vectors))
+    )
+    kappa = norm_balanced_condition_number(
+        CPDecomposition(tuple(RankOneTerm(mu, v) for v in vectors))
+    )
+    expected = mu ** (-2.0 / 3.0) * kappa_1
+    assert math.isfinite(kappa)
+    assert abs(kappa - expected) <= 1e-12 * expected
 
 
 @given(cp_decompositions())

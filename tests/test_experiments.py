@@ -203,7 +203,7 @@ def test_desilva_lim_terms_diverge():
 
 def test_desilva_lim_rank_tolerance_crossing():
     # At seed 42 kappa turns infinite because sigma_min falls below
-    # RANK_TOL_FACTOR * max(1, sigma_1), not because n > N: sigma_min is
+    # RANK_TOL_FACTOR * sigma_1, not because n > N: sigma_min is
     # 1.67e-14 at s = 74 and 1.10e-14 at s = 75, with sigma_1 ~ 1.414, about
     # 18% and 22% either side of the tolerance.
     rows = sequence_table(desilva_lim_sequence, 42, range(1, 91))
@@ -211,7 +211,7 @@ def test_desilva_lim_rank_tolerance_crossing():
     for s in range(75, 91):
         report = cpd_condition_number(desilva_lim_sequence(42, s))
         assert report.n == 16 and report.N == 30
-        assert report.sigma_min <= RANK_TOL_FACTOR * max(1.0, report.sigma_1)
+        assert report.sigma_min <= RANK_TOL_FACTOR * report.sigma_1
     paatero = sequence_table(paatero_sequence, 42, range(1, 91))
     assert all(math.isfinite(kappa) for _, kappa, _ in paatero)
 
